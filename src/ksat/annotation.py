@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,7 +131,9 @@ def apply_annotations(
     """Annotate every post, returning a new dataset carrying the results.
 
     Presence lands in the ``sentence_presence`` field; post-level bits and the
-    predicted outcome ride along as extra JSONL keys.
+    predicted outcome ride along as extra JSONL keys. ``threads`` is accepted
+    and ignored: the work is pure Python, which the interpreter lock
+    serializes, so worker threads only added overhead.
     """
     def one(post: Post) -> Post:
         ann = annotate_post(post, tree, params, config)
@@ -147,12 +148,7 @@ def apply_annotations(
             extras=extras,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            annotated = list(pool.map(one, dataset.posts))
-    else:
-        annotated = [one(p) for p in dataset.posts]
-    return Dataset(posts=annotated)
+    return Dataset(posts=[one(p) for p in dataset.posts])
 
 
 def outcome_frequencies(dataset: Dataset) -> dict[Outcome, float]:
@@ -222,7 +218,8 @@ def grid_search(
     lexicographically smallest parameters. Scores are computed from
     precomputed per-post maximum fragment cosines, which agrees exactly with
     ``bernoulli_log_likelihood`` because OR-over-fragments of ``cos >= theta``
-    equals ``max cos >= theta``.
+    equals ``max cos >= theta``. ``threads`` is accepted and ignored, as in
+    ``apply_annotations``.
     """
     if len(dataset) == 0:
         raise ValueError("grid search needs a nonempty dataset")
@@ -264,11 +261,7 @@ def grid_search(
         for thetas in itertools.product(values, repeat=k)
         for frag_size in FRAG_SIZES
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(score, candidates))
-    else:
-        scores = [score(c) for c in candidates]
+    scores = [score(c) for c in candidates]
     best_idx = 0
     for idx in range(1, len(candidates)):
         if scores[idx] > scores[best_idx]:

@@ -182,16 +182,33 @@ class KsatModel:
         )
 
 
-def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lexicographic (i<j) pair indices and the signed incidence matrix."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pi = np.array([p[0] for p in pairs], dtype=np.intp)
-    pj = np.array([p[1] for p in pairs], dtype=np.intp)
-    incidence = np.zeros((n, len(pairs)))
-    for col, (i, j) in enumerate(pairs):
-        incidence[i, col] = 1.0
-        incidence[j, col] = -1.0
-    return pi, pj, incidence
+def _pair_weights(
+    restricted: list[tuple[int, ...]], epsilon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lexicographic (i<j) sentence pair indices and their penalty weights.
+
+    ``restricted`` holds the sentences' connection vectors restricted to one
+    layer's context; each pair is weighted by 1/(hamming distance + epsilon).
+    """
+    pi, pj = np.triu_indices(len(restricted), 1)
+    dists = np.array(
+        [
+            hamming_distance(restricted[i], restricted[j])
+            for i, j in zip(pi.tolist(), pj.tolist())
+        ],
+        dtype=np.float64,
+    )
+    return pi, pj, 1.0 / (dists + epsilon)
+
+
+def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.ndarray):
+    """The graph-context bias: ``-sum_p inv_dist[p] * ||c[pi[p]] - c[pj[p]]||^2``.
+
+    Dtype-preserving, so the finite-difference checker can run it in extended
+    precision.
+    """
+    diffs = contribs[pi] - contribs[pj]
+    return -np.dot(inv_dist, (diffs * diffs).sum(axis=1))
 
 
 def kg_bias(
@@ -215,17 +232,7 @@ def kg_bias(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if n < 2:
         return 0.0
-    pi, pj, _ = _pair_arrays(n)
-    diffs = contribs[pi] - contribs[pj]
-    dists = np.array(
-        [
-            hamming_distance(connection_vectors[i], connection_vectors[j])
-            for i, j in zip(pi, pj)
-        ],
-        dtype=np.float64,
-    )
-    weights = 1.0 / (dists + epsilon)
-    return -float(np.dot(weights, (diffs * diffs).sum(axis=1)))
+    return float(_penalty(contribs, *_pair_weights(connection_vectors, epsilon)))
 
 
 @dataclass
@@ -234,7 +241,7 @@ class CompiledPost:
 
     post_id: str
     embeddings: np.ndarray  # (n, d)
-    incidence: np.ndarray  # (n, P) signed pair incidence
+    pairs: np.ndarray  # (2, P): lexicographic (i<j) sentence pair indices
     inv_dist: np.ndarray  # (L, P): 1/(hamming + epsilon) per layer
     gold: int | None
     n_sentences: int
@@ -286,20 +293,19 @@ def compile_post(
     else:
         for idx, sentence in enumerate(post.sentences):
             rows[idx] = embed_text(sentence, cfg)
-    pi, pj, incidence = _pair_arrays(n)
-    inv_dist = np.zeros((len(model.layers), len(pi)))
-    for li, layer in enumerate(model.layers):
-        restricted = [connection_vector(row, layer.context) for row in presence]
-        dists = np.array(
-            [hamming_distance(restricted[i], restricted[j]) for i, j in zip(pi, pj)],
-            dtype=np.float64,
+    weights = [
+        _pair_weights(
+            [connection_vector(row, layer.context) for row in presence], model.epsilon
         )
-        inv_dist[li] = 1.0 / (dists + model.epsilon)
+        for layer in model.layers
+    ]
+    pi, pj, _ = weights[0]
+    inv_dist = np.array([w for _, _, w in weights])
     gold = None if post.gold is None else LAYER_ORDER.index(post.gold)
     return CompiledPost(
         post_id=post.id,
         embeddings=rows,
-        incidence=incidence,
+        pairs=np.stack([pi, pj]),
         inv_dist=inv_dist,
         gold=gold,
         n_sentences=n,
@@ -317,7 +323,6 @@ class LayerPass:
     attn: np.ndarray
     y: np.ndarray
     contribs: np.ndarray
-    pair_diffs: np.ndarray
     kg: float
     alpha: float
     mix: np.ndarray
@@ -345,7 +350,8 @@ def layer_probabilities(
 def _layer_core(
     x: np.ndarray,
     layer: KsatLayerParams,
-    incidence: np.ndarray,
+    pi: np.ndarray,
+    pj: np.ndarray,
     inv_dist: np.ndarray,
     kg_enabled: bool,
 ) -> LayerPass:
@@ -359,9 +365,8 @@ def _layer_core(
     attn = softmax_rows(scores)
     y = attn @ v + x
     contribs = attn[1, 2:, None] * v[2:]
-    pair_diffs = incidence.T @ contribs  # (P, d): contrib_i - contrib_j
-    if kg_enabled and pair_diffs.shape[0]:
-        kg = -np.dot(inv_dist, (pair_diffs * pair_diffs).sum(axis=1))
+    if kg_enabled and pi.size:
+        kg = _penalty(contribs, pi, pj, inv_dist)
     else:
         kg = 0.0
     alpha = sigmoid(layer.a_raw)
@@ -371,8 +376,19 @@ def _layer_core(
     probs = sigmoid(logits)
     return LayerPass(
         x=x, q=q, k=k, v=v, attn=attn, y=y, contribs=contribs,
-        pair_diffs=pair_diffs, kg=kg, alpha=alpha, mix=mix,
-        logits=logits, probs=probs, log_probs=log_probs,
+        kg=kg, alpha=alpha, mix=mix, logits=logits, probs=probs, log_probs=log_probs,
+    )
+
+
+def _activations(lp: LayerPass) -> LayerActivations:
+    """Copy one layer pass's reportable artifacts out of the backward state."""
+    return LayerActivations(
+        z_cls=lp.y[0].copy(),
+        z_kcls=lp.y[1].copy(),
+        kcls_contribs=lp.contribs.copy(),
+        attention=lp.attn.copy(),
+        kg_bias=lp.kg,
+        layer_probs=lp.probs.copy(),
     )
 
 
@@ -399,24 +415,11 @@ def layer_forward(
         )
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    pi, pj, incidence = _pair_arrays(n)
-    dists = np.array(
-        [hamming_distance(connection_vectors[i], connection_vectors[j]) for i, j in zip(pi, pj)],
-        dtype=np.float64,
-    )
-    inv_dist = 1.0 / (dists + epsilon)
+    pi, pj, inv_dist = _pair_weights(connection_vectors, epsilon)
     x = token_reps.copy()
     x[1] = layer.kcls_init
-    lp = _layer_core(x, layer, incidence, inv_dist, kg_enabled)
-    acts = LayerActivations(
-        z_cls=lp.y[0].copy(),
-        z_kcls=lp.y[1].copy(),
-        kcls_contribs=lp.contribs.copy(),
-        attention=lp.attn.copy(),
-        kg_bias=lp.kg,
-        layer_probs=lp.probs.copy(),
-    )
-    return lp.y, acts
+    lp = _layer_core(x, layer, pi, pj, inv_dist, kg_enabled)
+    return lp.y, _activations(lp)
 
 
 def run_layers(model: KsatModel, compiled: CompiledPost) -> list[LayerPass]:
@@ -427,13 +430,12 @@ def run_layers(model: KsatModel, compiled: CompiledPost) -> list[LayerPass]:
     # checker can evaluate the identical code path in extended precision
     reps = np.zeros((n + 2, d), dtype=model.layers[0].w_query.dtype)
     reps[2:] = compiled.embeddings
+    pi, pj = compiled.pairs
     passes: list[LayerPass] = []
     for li, layer in enumerate(model.layers):
         x = reps.copy()
         x[1] = layer.kcls_init
-        lp = _layer_core(
-            x, layer, compiled.incidence, compiled.inv_dist[li], model.kg_bias_enabled
-        )
+        lp = _layer_core(x, layer, pi, pj, compiled.inv_dist[li], model.kg_bias_enabled)
         passes.append(lp)
         reps = lp.y
     return passes
@@ -458,17 +460,7 @@ def forward(
     """
     compiled = compile_post(model, post, sentence_presence, embeddings_table)
     passes = run_layers(model, compiled)
-    activations = [
-        LayerActivations(
-            z_cls=lp.y[0].copy(),
-            z_kcls=lp.y[1].copy(),
-            kcls_contribs=lp.contribs.copy(),
-            attention=lp.attn.copy(),
-            kg_bias=lp.kg,
-            layer_probs=lp.probs.copy(),
-        )
-        for lp in passes
-    ]
+    activations = [_activations(lp) for lp in passes]
     final = aggregate_probs([lp.probs for lp in passes])
     return final, activations
 

@@ -109,7 +109,7 @@ def compile_batch(model: KsatModel, batch, embeddings_table=None) -> list[Compil
     return compiled
 
 
-def _post_log_product(passes: list[LayerPass]) -> tuple[np.ndarray, np.ndarray]:
+def _post_log_product(passes: list[LayerPass], post_id: str) -> tuple[np.ndarray, np.ndarray]:
     """(log product vector, final raw product) with the collapse guard."""
     dtype = passes[0].log_probs.dtype
     log_f = np.zeros(N_OUTCOMES, dtype=dtype)
@@ -118,8 +118,12 @@ def _post_log_product(passes: list[LayerPass]) -> tuple[np.ndarray, np.ndarray]:
         log_f += lp.log_probs
         final *= lp.probs
     if bool(np.all(final < COLLAPSE_FLOOR)):
+        peaks = [float(lp.log_probs.max()) for lp in passes]
+        worst = int(np.argmin(peaks))
         raise NumericalError(
-            "numerical collapse: every final product probability fell below 1e-300"
+            f"numerical collapse in post {post_id!r}: every final product "
+            f"probability fell below 1e-300; layer {worst} has the lowest "
+            f"maximum log-probability ({peaks[worst]:.6g})"
         )
     return log_f, final
 
@@ -131,7 +135,7 @@ def _loss_terms(model: KsatModel, compiled: list[CompiledPost], want_passes: boo
     per_post = []
     for cp in compiled:
         passes = run_layers(model, cp)
-        log_f, _ = _post_log_product(passes)
+        log_f, _ = _post_log_product(passes, cp.post_id)
         m = log_f.max()
         lse = m + np.log(np.exp(log_f - m).sum())
         total += lse - log_f[cp.gold]
@@ -145,9 +149,7 @@ def loss(model: KsatModel, batch, embeddings_table=None) -> float:
     """Mean negative log normalized-product probability of the gold outcome."""
     if not batch:
         raise ValueError("loss needs a nonempty batch")
-    compiled = compile_batch(model, batch, embeddings_table)
-    value, _ = _loss_terms(model, compiled, want_passes=False)
-    return float(value)
+    return float(_loss_compiled(model, compile_batch(model, batch, embeddings_table)))
 
 
 def _loss_compiled(model: KsatModel, compiled: list[CompiledPost]) -> float:
@@ -168,6 +170,7 @@ def _accumulate_post_gradients(
     n = cp.n_sentences
     t = n + 2
     inv_sqrt_d = 1.0 / math.sqrt(d)
+    pi, pj = cp.pairs
     onehot = np.zeros(N_OUTCOMES)
     onehot[cp.gold] = 1.0
     g_y = np.zeros((t, d))  # gradient wrt this layer's output tokens
@@ -188,9 +191,13 @@ def _accumulate_post_gradients(
         # graph-context bias quotient path
         g_v = np.zeros((t, d))
         g_attn = np.zeros((t, t))
-        if model.kg_bias_enabled and lp.pair_diffs.shape[0]:
-            g_diffs = (-2.0 * g_kg) * (cp.inv_dist[li][:, None] * lp.pair_diffs)
-            g_c = cp.incidence @ g_diffs
+        if model.kg_bias_enabled and pi.size:
+            diffs = lp.contribs[pi] - lp.contribs[pj]
+            g_diffs = (-2.0 * g_kg) * (cp.inv_dist[li][:, None] * diffs)
+            # sentences repeat in pi and pj, so fancy-index += would drop terms
+            g_c = np.zeros((n, d))
+            np.add.at(g_c, pi, g_diffs)
+            np.subtract.at(g_c, pj, g_diffs)
             g_attn[1, 2:] = (g_c * lp.v[2:]).sum(axis=1)
             g_v[2:] += lp.attn[1, 2:, None] * g_c
         # attention output plus residual
@@ -270,6 +277,12 @@ def gradient_report(
     return GradientReport(block_errors=errors, tolerance=tolerance, passed=passed)
 
 
+def _is_extended_precision(dtype) -> bool:
+    """True when ``dtype`` is finer than float64; ``np.longdouble`` is not on
+    Windows and Apple-silicon builds."""
+    return bool(np.finfo(dtype).eps < np.finfo(np.float64).eps)
+
+
 def _extended_precision_clone(model: KsatModel) -> KsatModel:
     """Clone with parameters upcast so loss evaluations round far below the
     comparison floor; the forward code is dtype-preserving, so the clone runs
@@ -290,8 +303,11 @@ def _fd_gradients(
     Evaluations run on an extended-precision clone: the difference quotient
     cancels ~15 leading digits of the loss near a step of 1e-5, so
     double-precision evaluation would leave noise of order 1e-11 on every
-    estimate — larger than tolerance*floor for near-zero gradient entries.
+    estimate — larger than tolerance*floor for near-zero gradient entries,
+    so a platform without a wider ``np.longdouble`` is refused.
     """
+    if not _is_extended_precision(np.longdouble):
+        raise NumericalError("finite-difference check needs np.longdouble wider than float64")
     work = _extended_precision_clone(model)
     fd = _zero_gradients(model)
     ld_step = np.longdouble(step)
@@ -359,26 +375,24 @@ def train(
     posts = sorted(train_set.posts, key=lambda p: p.id)
     if not posts:
         raise ValueError("training set is empty")
-    batch = []
-    for post in posts:
-        if post.gold is None:
-            raise DataFormatError(f"post {post.id!r} has no gold outcome")
-        batch.append((post, post.sentence_presence, post.gold))
+    batch = [(post, post.sentence_presence, post.gold) for post in posts]
     compiled = compile_batch(model, batch, embeddings_table)
     losses: list[float] = []
     alphas: list[list[float]] = []
-    for _ in range(config.epochs):
-        value, grads = loss_and_gradients(model, compiled)
-        losses.append(value)
-        alphas.append([layer.alpha for layer in model.layers])
-        for layer, gl in zip(model.layers, grads.layers):
-            layer.w_query -= config.learning_rate * gl.w_query
-            layer.w_key -= config.learning_rate * gl.w_key
-            layer.w_value -= config.learning_rate * gl.w_value
-            layer.kcls_init -= config.learning_rate * gl.kcls_init
-            layer.w_out -= config.learning_rate * gl.w_out
-            layer.a_raw -= config.learning_rate * gl.a_raw
-    if config.epochs > 0:
-        losses.append(float(_loss_compiled(model, compiled)))
-        alphas.append([layer.alpha for layer in model.layers])
+    try:
+        for _ in range(config.epochs):
+            value, grads = loss_and_gradients(model, compiled)
+            losses.append(value)
+            alphas.append([layer.alpha for layer in model.layers])
+            for layer, gl in zip(model.layers, grads.layers):
+                for name in _ARRAY_BLOCKS:
+                    block = getattr(layer, name)
+                    block -= config.learning_rate * getattr(gl, name)
+                layer.a_raw -= config.learning_rate * gl.a_raw
+        if config.epochs > 0:
+            losses.append(float(_loss_compiled(model, compiled)))
+            alphas.append([layer.alpha for layer in model.layers])
+    except NumericalError as exc:
+        # the loss trace index of the evaluation that failed
+        raise NumericalError(f"epoch {len(losses)}: {exc}") from exc
     return TrainResult(model=model, losses=losses, alphas=alphas)

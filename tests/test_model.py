@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ksat.corpus import Post
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
-from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome
+from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome, connection_vector
 from ksat.model import (
     KsatLayerParams,
     KsatModel,
@@ -296,6 +296,37 @@ class TestForward:
         model = make_model(dimension=8, seed=2, kg_bias_enabled=False)
         _, activations = forward(model, TWO_SENTENCE_POST)
         assert all(a.kg_bias == 0.0 for a in activations)
+
+
+class TestPenaltyPaths:
+    def test_forward_bias_equals_public_kg_bias(self, make_model):
+        # repeated restricted vectors put 1/epsilon weights on several pairs,
+        # and six sentences make each sentence appear in five pairs
+        presence = [(1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)]
+        post = Post(
+            id="rep",
+            sentences=[f"sentence number {i} here." for i in range(len(presence))],
+            sentence_presence=presence,
+        )
+        model = make_model(dimension=8, seed=3, epsilon=0.5)
+        _, acts = forward(model, post)
+        for layer, act in zip(model.layers, acts):
+            restricted = [connection_vector(row, layer.context) for row in presence]
+            assert act.kg_bias < 0.0
+            assert act.kg_bias == kg_bias(act.kcls_contribs, restricted, model.epsilon)
+
+    def test_long_post_compiles_to_pair_sized_arrays(self, make_model):
+        # 300 sentences make 44,850 pairs: per-pair arrays take ~2 MB, while
+        # an (n, pairs) incidence matrix would take ~108 MB
+        n = 300
+        post = Post(
+            id="long",
+            sentences=[f"sentence number {i} here." for i in range(n)],
+            sentence_presence=[(i % 2, (i // 2) % 2, (i // 4) % 2) for i in range(n)],
+        )
+        compiled = compile_post(make_model(dimension=8), post)
+        arrays = [v for v in vars(compiled).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) < 8_000_000
 
 
 class TestAggregateProbs:

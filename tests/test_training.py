@@ -12,6 +12,7 @@ from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
 from ksat.knowledge import N_OUTCOMES, Outcome
 from ksat.model import KsatModel, forward
+from ksat import training
 from ksat.training import (
     GRADIENT_FLOOR,
     Gradients,
@@ -19,6 +20,7 @@ from ksat.training import (
     LayerGradients,
     TrainConfig,
     _fd_gradients,
+    _is_extended_precision,
     backward,
     compile_batch,
     finite_diff_check,
@@ -251,6 +253,34 @@ class TestFiniteDifferenceAgreement:
         assert not broken.passed
         assert broken.block_errors["layer1.w_query"] > 1e-4
 
+    def test_long_post_penalty_gradient_matches(self, make_model):
+        # five sentences, each in four pairs, three of them restricting to
+        # the same bits in the first layer: the pair gradient must accumulate
+        # every pair a sentence belongs to
+        post = Post(
+            id="five",
+            sentences=["wish to be dead.", "a gun nearby.", "rain fell late.",
+                       "wish it would end.", "ending my life."],
+            gold=Outcome.BEHAVIOR_OR_ATTEMPT,
+            sentence_presence=[(1, 0, 0), (0, 0, 1), (0, 0, 0), (1, 1, 0), (0, 1, 0)],
+        )
+        model = checkable_model(make_model, seed=5, dimension=4)
+        report = finite_diff_check(model, as_batch(post), TrainConfig())
+        assert report.passed, report.block_errors
+
+    def test_float64_is_not_extended_precision(self):
+        assert not _is_extended_precision(np.float64)
+        assert not _is_extended_precision(np.float32)
+
+    def test_check_refuses_platforms_without_extended_precision(
+        self, make_model, monkeypatch
+    ):
+        monkeypatch.setattr(training, "_is_extended_precision", lambda dtype: False)
+        model = checkable_model(make_model)
+        compiled = compile_batch(model, as_batch(POST_B))
+        with pytest.raises(NumericalError, match="longdouble"):
+            _fd_gradients(model, compiled, 1e-5)
+
     def test_zero_parameter_model_checks_cleanly(self, make_model):
         model = zeroed(make_model(dimension=8, epsilon=1.0))
         report = finite_diff_check(model, as_batch(POST_A, POST_B), TrainConfig())
@@ -289,6 +319,24 @@ class TestTrain:
         )
         for layer, saved in zip(model.layers, snapshot):
             np.testing.assert_array_equal(layer.w_out, saved)
+
+    def test_collapse_names_epoch_post_and_layer(self, make_model):
+        # the distance-0 fixture of TestLoss collapses on the first evaluation
+        model = make_model(dimension=8, seed=0, value_scale=0.0)
+        for layer in model.layers:
+            layer.w_value[:] = np.eye(8)
+        post = Post(
+            id="z",
+            sentences=["wish to be dead.", "a gun nearby."],
+            gold=Outcome.IDEATION_1,
+            sentence_presence=[(1, 0, 0), (1, 0, 0)],
+        )
+        with pytest.raises(NumericalError, match="collapse") as info:
+            train(model, Dataset(posts=[post]), TrainConfig(epochs=3))
+        message = str(info.value)
+        assert "epoch 0" in message
+        assert "post 'z'" in message
+        assert "layer " in message
 
     def test_same_seed_and_config_is_bitwise_deterministic(self, make_model):
         dataset = self._training_set()

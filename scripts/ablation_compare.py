@@ -3,11 +3,13 @@
 
 On the synthetic corpus the penalty-enabled run is numerically unstable:
 sentence pairs whose restricted concept flags are identical are weighted by
-the reciprocal of the pair epsilon (default 1e-6), so as soon as training
-moves the value projections the bias reaches the order of -1e6, every
-per-layer probability underflows, and the product guard stops the run.
-This script runs both modes under identical settings and reports what
-happened to each.
+the reciprocal of the pair epsilon (default 1e-6). As training grows layer
+0's value projection, that layer's most negative penalty drifts steadily
+(on the C6 protocol: -75 after 5 epochs, -672 after 45), because the loss
+is blind to a logit shift shared by all outcomes. At epoch 46 a post's
+layer-0 maximum log-probability reaches -694.39, every final product
+probability underflows, and the product guard stops the run. This script
+runs both modes under identical settings and reports what happened to each.
 
 Usage:
     python3 scripts/ablation_compare.py [--n-posts N] [--seed S] [--dim D]

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .corpus import Dataset, Post
 from .embeddings import EmbeddingConfig, cosine_similarity, embed_text
 from .errors import DataFormatError
@@ -59,11 +61,25 @@ def concept_present(
     fragment_text: str, concept: Concept, theta: float, config: EmbeddingConfig
 ) -> bool:
     """True when cosine(embed(fragment), embed(query_text)) >= theta."""
-    sim = cosine_similarity(
-        _cached_embedding(fragment_text, config),
-        _cached_embedding(concept.query_text, config),
+    return _cosine(fragment_text, concept, config) >= theta
+
+
+def _cosine(text: str, concept: Concept, config: EmbeddingConfig) -> float:
+    return cosine_similarity(
+        _cached_embedding(text, config), _cached_embedding(concept.query_text, config)
     )
-    return sim >= theta
+
+
+def _max_cosines(
+    sentences: list[str], tree: KnowledgeTree, frag_size: int, config: EmbeddingConfig
+) -> np.ndarray:
+    """Largest fragment cosine to each concept's query text, shape ``(K,)``.
+
+    A concept is present in the post at threshold theta exactly when this
+    maximum reaches theta; annotation and lattice search both test it here.
+    """
+    frags = fragments(sentences, frag_size)
+    return np.array([max(_cosine(f, c, config) for f in frags) for c in tree.concepts])
 
 
 def fragments(sentences: list[str], frag_size: int) -> list[str]:
@@ -95,12 +111,12 @@ def annotate_post(
     """Annotate one post: per-sentence bits, fragment-OR post bits, prediction.
 
     ``sentence_presence`` always uses single-sentence tests regardless of the
-    fragment size; ``post_presence`` ORs the fragment-level test.
+    fragment size; ``post_presence`` tests each concept's largest fragment
+    cosine, which is the OR of the fragment-level tests.
     """
     k = tree.num_concepts
     if len(params.thetas) != k:
         raise ValueError(f"expected {k} thetas for this taxonomy, got {len(params.thetas)}")
-    frags = fragments(post.sentences, params.frag_size)
     sentence_presence = [
         tuple(
             1 if concept_present(sentence, c, params.thetas[c.id], config) else 0
@@ -108,10 +124,8 @@ def annotate_post(
         )
         for sentence in post.sentences
     ]
-    post_presence = tuple(
-        1 if any(concept_present(f, c, params.thetas[c.id], config) for f in frags) else 0
-        for c in tree.concepts
-    )
+    max_cos = _max_cosines(post.sentences, tree, params.frag_size, config)
+    post_presence = tuple(int(m >= t) for m, t in zip(max_cos.tolist(), params.thetas))
     predicted = outcome_for_assignment(tree, post_presence)
     return AnnotatedPost(
         post_id=post.id,
@@ -213,62 +227,46 @@ def grid_search(
 ) -> GridSearchResult:
     """Exhaustive lattice search maximizing the Bernoulli log-likelihood.
 
-    Candidates enumerate in lexicographic (thetas, frag_size) order and only a
-    strictly better score displaces the incumbent, so ties resolve to the
-    lexicographically smallest parameters. Scores are computed from
-    precomputed per-post maximum fragment cosines, which agrees exactly with
-    ``bernoulli_log_likelihood`` because OR-over-fragments of ``cos >= theta``
-    equals ``max cos >= theta``. ``threads`` is accepted and ignored, as in
+    The whole lattice is scored post by post: each post's per-concept
+    maximum fragment cosines, compared against the lattice, give every
+    candidate's presence assignment as a K-bit code (concept 0 the most
+    significant bit), and a ``(outcome, code)`` table of match terms adds
+    that post's term to every candidate at once. Each candidate's total is
+    the same sum, in the same post order, as ``bernoulli_log_likelihood``.
+    Scores are laid out in lexicographic (thetas, frag_size) order and the
+    first maximum wins, so ties resolve to the lexicographically smallest
+    parameters. ``threads`` is accepted and ignored, as in
     ``apply_annotations``.
     """
     if len(dataset) == 0:
         raise ValueError("grid search needs a nonempty dataset")
     freqs = outcome_frequencies(dataset)
     values = theta_lattice(theta_step)
+    lattice = np.array(values)
     k = tree.num_concepts
-
-    # max_cos[post][frag_size][concept] = max over fragments of cosine to query
-    max_cos: list[dict[int, list[float]]] = []
-    for post in dataset.posts:
-        per_frag: dict[int, list[float]] = {}
-        for frag_size in FRAG_SIZES:
-            frags = fragments(post.sentences, frag_size)
-            per_frag[frag_size] = [
-                max(
-                    cosine_similarity(
-                        _cached_embedding(f, config),
-                        _cached_embedding(c.query_text, config),
-                    )
-                    for f in frags
-                )
-                for c in tree.concepts
-            ]
-        max_cos.append(per_frag)
-    golds = [p.gold for p in dataset.posts]
-
-    def score(candidate: tuple[tuple[float, ...], int]) -> float:
-        thetas, frag_size = candidate
-        total = 0.0
-        for cos_table, gold in zip(max_cos, golds):
-            row = cos_table[frag_size]
-            presence = tuple(1 if row[i] >= thetas[i] else 0 for i in range(k))
-            predicted = tree.outcome_map[presence]
-            total += match_log_likelihood(predicted == gold, freqs[predicted])
-        return total
-
-    candidates = [
-        (thetas, frag_size)
-        for thetas in itertools.product(values, repeat=k)
-        for frag_size in FRAG_SIZES
+    code_outcomes = [
+        tree.outcome_map[presence] for presence in itertools.product((0, 1), repeat=k)
     ]
-    scores = [score(c) for c in candidates]
-    best_idx = 0
-    for idx in range(1, len(candidates)):
-        if scores[idx] > scores[best_idx]:
-            best_idx = idx
-    thetas, frag_size = candidates[best_idx]
+    terms = {
+        gold: np.array([match_log_likelihood(o == gold, freqs[o]) for o in code_outcomes])
+        for gold in Outcome
+    }
+
+    v, n_frag = len(values), len(FRAG_SIZES)
+    scores = np.zeros((v,) * k + (n_frag,))
+    for post in dataset.posts:
+        max_cos = np.array([_max_cosines(post.sentences, tree, f, config) for f in FRAG_SIZES])
+        codes = np.zeros(scores.shape, dtype=np.intp)
+        for i in range(k):
+            shape = (1,) * i + (v,) + (1,) * (k - 1 - i) + (n_frag,)
+            codes += (max_cos[:, i] >= lattice[:, None]).reshape(shape) * (1 << (k - 1 - i))
+        scores += terms[post.gold][codes]
+
+    best = np.unravel_index(np.argmax(scores), scores.shape)
     return GridSearchResult(
-        params=AnnotationParams(thetas=thetas, frag_size=frag_size),
-        log_likelihood=scores[best_idx],
-        n_candidates=len(candidates),
+        params=AnnotationParams(
+            thetas=tuple(values[j] for j in best[:k]), frag_size=FRAG_SIZES[best[k]]
+        ),
+        log_likelihood=float(scores[best]),
+        n_candidates=scores.size,
     )

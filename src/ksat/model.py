@@ -53,14 +53,8 @@ def sigmoid(z):
     z = np.asarray(z)
     if not np.issubdtype(z.dtype, np.floating):
         z = z.astype(np.float64)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out[0] if scalar else out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1 / (1 + e), e / (1 + e))[()]
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -341,10 +335,14 @@ def layer_probabilities(
     logit. The squashing is an elementwise logistic rather than a softmax —
     under a softmax a bias shared by all outcomes would cancel.
     """
-    alpha = layer.alpha
+    return sigmoid(_readout(layer, z_cls, z_kcls, kg_bias_value)[2])
+
+
+def _readout(layer: KsatLayerParams, z_cls: np.ndarray, z_kcls: np.ndarray, kg):
+    """``(alpha, mix, logits)`` of the readout over the two summary tokens."""
+    alpha = sigmoid(layer.a_raw)
     mix = alpha * z_kcls + (1.0 - alpha) * z_cls
-    logits = layer.w_out.T @ mix + kg_bias_value
-    return sigmoid(logits)
+    return alpha, mix, layer.w_out.T @ mix + kg
 
 
 def _layer_core(
@@ -369,9 +367,7 @@ def _layer_core(
         kg = _penalty(contribs, pi, pj, inv_dist)
     else:
         kg = 0.0
-    alpha = sigmoid(layer.a_raw)
-    mix = alpha * y[1] + (1.0 - alpha) * y[0]
-    logits = layer.w_out.T @ mix + kg
+    alpha, mix, logits = _readout(layer, y[0], y[1], kg)
     log_probs = -np.logaddexp(0.0, -logits)
     probs = sigmoid(logits)
     return LayerPass(

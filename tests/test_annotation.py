@@ -359,11 +359,12 @@ class TestGridSearch:
             Post(id="f", sentences=["watched cartoons downstairs."], gold=Outcome.IDEATION_1),
         ]
         ds = Dataset(posts=posts)
-        result = grid_search(ds, tree, CFG64, theta_step=1.0)
-        oracle_thetas, oracle_frag = brute_force_grid_search(ds, tree, CFG64, 1.0)
-        assert result.params.thetas == oracle_thetas
-        assert result.params.frag_size == oracle_frag
-        assert result.n_candidates == 3**3 * 3
+        for theta_step, n_values in ((1.0, 3), (0.5, 5)):
+            result = grid_search(ds, tree, CFG64, theta_step=theta_step)
+            oracle_thetas, oracle_frag = brute_force_grid_search(ds, tree, CFG64, theta_step)
+            assert result.params.thetas == oracle_thetas
+            assert result.params.frag_size == oracle_frag
+            assert result.n_candidates == n_values**3 * 3
 
     def test_all_ties_return_lexicographically_smallest_params(self):
         tree = one_concept_tree()
@@ -388,6 +389,21 @@ class TestGridSearch:
         assert isinstance(result, GridSearchResult)
         direct = bernoulli_log_likelihood(ds, tree, result.params, CFG64)
         assert result.log_likelihood == pytest.approx(direct, rel=1e-12)
+
+    def test_reported_score_is_the_exact_bernoulli_sum(self, tree):
+        rows = [
+            (["a gun by the bed.", "quiet rain."], Outcome.BEHAVIOR_OR_ATTEMPT),
+            (["wish to be dead."], Outcome.IDEATION_2),
+            (["thinking about my life.", "a gun."], Outcome.IDEATION_1),
+            (["rain fell late."], Outcome.INDICATION_OR_NONE),
+            (["ending my life.", "pills.", "calm."], Outcome.IDEATION_2),
+            (["still water."], Outcome.INDICATION_OR_NONE),
+        ]
+        ds = Dataset(
+            posts=[Post(id=str(i), sentences=s, gold=g) for i, (s, g) in enumerate(rows)]
+        )
+        result = grid_search(ds, tree, CFG64, theta_step=0.5)
+        assert result.log_likelihood == bernoulli_log_likelihood(ds, tree, result.params, CFG64)
 
     def test_threaded_sweep_matches_serial(self, tree):
         ds = Dataset(

@@ -112,19 +112,24 @@ def annotate_post(
 
     ``sentence_presence`` always uses single-sentence tests regardless of the
     fragment size; ``post_presence`` tests each concept's largest fragment
-    cosine, which is the OR of the fragment-level tests.
+    cosine, which is the OR of the fragment-level tests. Single-sentence
+    fragments are the sentences themselves, so at ``frag_size`` 1 both come
+    from one ``(n, K)`` table of sentence cosines.
     """
     k = tree.num_concepts
     if len(params.thetas) != k:
         raise ValueError(f"expected {k} thetas for this taxonomy, got {len(params.thetas)}")
+    cosines = np.array(
+        [[_cosine(sentence, c, config) for c in tree.concepts] for sentence in post.sentences],
+        dtype=np.float64,
+    ).reshape(len(post.sentences), k)
     sentence_presence = [
-        tuple(
-            1 if concept_present(sentence, c, params.thetas[c.id], config) else 0
-            for c in tree.concepts
-        )
-        for sentence in post.sentences
+        tuple(int(bit) for bit in row) for row in (cosines >= np.array(params.thetas))
     ]
-    max_cos = _max_cosines(post.sentences, tree, params.frag_size, config)
+    if params.frag_size == 1 and post.sentences:
+        max_cos = cosines.max(axis=0)
+    else:
+        max_cos = _max_cosines(post.sentences, tree, params.frag_size, config)
     post_presence = tuple(int(m >= t) for m, t in zip(max_cos.tolist(), params.thetas))
     predicted = outcome_for_assignment(tree, post_presence)
     return AnnotatedPost(

@@ -51,7 +51,7 @@ def sigmoid(z):
     loss in extended precision); non-float input is computed in float64.
     """
     z = np.asarray(z)
-    if not np.issubdtype(z.dtype, np.floating):
+    if z.dtype.kind != "f":
         z = z.astype(np.float64)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1 / (1 + e), e / (1 + e))[()]

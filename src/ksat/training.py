@@ -123,7 +123,10 @@ def _post_log_product(passes: list[LayerPass], post_id: str) -> tuple[np.ndarray
         raise NumericalError(
             f"numerical collapse in post {post_id!r}: every final product "
             f"probability fell below 1e-300; layer {worst} has the lowest "
-            f"maximum log-probability ({peaks[worst]:.6g})"
+            f"maximum log-probability ({peaks[worst]:.6g})",
+            post_id=post_id,
+            layer=worst,
+            log_peak=peaks[worst],
         )
     return log_f, final
 
@@ -157,77 +160,130 @@ def _loss_compiled(model: KsatModel, compiled: list[CompiledPost]) -> float:
     return value
 
 
-def _accumulate_post_gradients(
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Same-shape arrays stacked along a new leading axis (one copy)."""
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
+
+
+def _accumulate_bucket_gradients(
     model: KsatModel,
-    cp: CompiledPost,
-    passes: list[LayerPass],
-    r: np.ndarray,
+    bucket: list[tuple[CompiledPost, list[LayerPass], np.ndarray]],
     inv_batch: float,
     grads: Gradients,
 ) -> None:
-    """Backward through the stack for one post, adding into `grads`."""
-    d = model.dimension
-    n = cp.n_sentences
-    t = n + 2
-    inv_sqrt_d = 1.0 / math.sqrt(d)
-    pi, pj = cp.pairs
-    onehot = np.zeros(N_OUTCOMES)
-    onehot[cp.gold] = 1.0
-    g_y = np.zeros((t, d))  # gradient wrt this layer's output tokens
+    """Backward through the stack for posts of one length, adding into `grads`.
+
+    The posts share their sentence count, hence their token count and their
+    pair indices, so each layer's forward state stacks into ``(B, t, .)``
+    arrays without padding and every step runs once per bucket.
+    """
+    cps = [cp for cp, _, _ in bucket]
+    b, d = len(cps), model.dimension
+    onehot = np.zeros((b, N_OUTCOMES))
+    onehot[np.arange(b), [cp.gold for cp in cps]] = 1.0
+    g_log_probs = _stack([r for _, _, r in bucket]) - onehot
+    g_y = np.zeros((b, cps[0].n_sentences + 2, d))  # wrt the top layer's output
     for li in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[li]
-        lp = passes[li]
-        gl = grads.layers[li]
-        # readout head
-        g_u = (r - onehot) * (1.0 - lp.probs) * inv_batch
-        gl.w_out += np.outer(lp.mix, g_u)
-        g_m = layer.w_out @ g_u
-        g_kg = float(g_u.sum())
-        z_cls, z_kcls = lp.y[0], lp.y[1]
-        g_alpha = float(g_m @ (z_kcls - z_cls))
-        gl.a_raw += g_alpha * lp.alpha * (1.0 - lp.alpha)
-        g_y[1] += lp.alpha * g_m
-        g_y[0] += (1.0 - lp.alpha) * g_m
-        # graph-context bias quotient path
-        g_v = np.zeros((t, d))
-        g_attn = np.zeros((t, t))
-        if model.kg_bias_enabled and pi.size:
-            diffs = lp.contribs[pi] - lp.contribs[pj]
-            g_diffs = (-2.0 * g_kg) * (cp.inv_dist[li][:, None] * diffs)
-            # sentences repeat in pi and pj, so fancy-index += would drop terms
-            g_c = np.zeros((n, d))
-            np.add.at(g_c, pi, g_diffs)
-            np.subtract.at(g_c, pj, g_diffs)
-            g_attn[1, 2:] = (g_c * lp.v[2:]).sum(axis=1)
-            g_v[2:] += lp.attn[1, 2:, None] * g_c
-        # attention output plus residual
-        g_attn += g_y @ lp.v.T
-        g_v += lp.attn.T @ g_y
-        g_s = lp.attn * (g_attn - (g_attn * lp.attn).sum(axis=1, keepdims=True))
-        g_q = (g_s @ lp.k) * inv_sqrt_d
-        g_k = (g_s.T @ lp.q) * inv_sqrt_d
-        gl.w_query += lp.x.T @ g_q
-        gl.w_key += lp.x.T @ g_k
-        gl.w_value += lp.x.T @ g_v
-        g_x = g_y + g_q @ layer.w_query.T + g_k @ layer.w_key.T + g_v @ layer.w_value.T
-        # the KCLS slot was overwritten at layer entry: its gradient belongs
-        # to this layer's knowledge token, not the previous layer's output
-        gl.kcls_init += g_x[1]
-        g_x[1] = 0.0
-        g_y = g_x
+        lps = [passes[li] for _, passes, _ in bucket]
+        g_y = _layer_backward(model, li, cps, lps, g_log_probs, inv_batch, g_y, grads)
+
+
+def _layer_backward(
+    model: KsatModel,
+    li: int,
+    cps: list[CompiledPost],
+    lps: list[LayerPass],
+    g_log_probs: np.ndarray,
+    inv_batch: float,
+    g_y: np.ndarray,
+    grads: Gradients,
+) -> np.ndarray:
+    """One layer of a length bucket's backward, adding into `grads`.
+
+    Turns `g_y`, the gradient wrt the layer's output tokens, in place into
+    the gradient wrt its input tokens and returns it. The bucket's stacked
+    copies of the activations are the backward's main memory cost, so each
+    is made just before its first use and dropped after its last.
+    """
+    layer = model.layers[li]
+    gl = grads.layers[li]
+    b, t, d = g_y.shape
+    inv_sqrt_d = 1.0 / math.sqrt(d)
+    probs = _stack([lp.probs for lp in lps])
+    mix = _stack([lp.mix for lp in lps])
+    z = _stack([lp.y[:2] for lp in lps])  # the CLS and KCLS outputs
+    alpha = lps[0].alpha  # sigmoid(a_raw): the same for every post
+    # readout head
+    g_u = g_log_probs * (1.0 - probs) * inv_batch
+    gl.w_out += mix.T @ g_u
+    g_m = g_u @ layer.w_out.T
+    g_alpha = float((g_m * (z[:, 1] - z[:, 0])).sum())
+    gl.a_raw += g_alpha * alpha * (1.0 - alpha)
+    g_y[:, 1] += alpha * g_m
+    g_y[:, 0] += (1.0 - alpha) * g_m
+    # graph-context bias quotient path
+    v = _stack([lp.v for lp in lps])
+    attn = _stack([lp.attn for lp in lps])
+    g_v = np.zeros((b, t, d))
+    g_attn = np.zeros((b, t, t))
+    pi, pj = cps[0].pairs
+    if model.kg_bias_enabled and pi.size:
+        contribs = _stack([lp.contribs for lp in lps])
+        inv_dist = _stack([cp.inv_dist[li] for cp in cps])
+        g_kg = g_u.sum(axis=1)
+        diffs = contribs[:, pi] - contribs[:, pj]
+        g_diffs = (-2.0 * g_kg)[:, None, None] * (inv_dist[:, :, None] * diffs)
+        # sentences repeat in pi and pj, so fancy-index += would drop terms
+        g_c = np.zeros((b, t - 2, d))
+        np.add.at(g_c, (slice(None), pi), g_diffs)
+        np.subtract.at(g_c, (slice(None), pj), g_diffs)
+        g_attn[:, 1, 2:] = (g_c * v[:, 2:]).sum(axis=2)
+        g_v[:, 2:] += attn[:, 1, 2:, None] * g_c
+    # attention output plus residual
+    g_attn += g_y @ v.transpose(0, 2, 1)
+    del v
+    g_v += attn.transpose(0, 2, 1) @ g_y
+    g_s = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
+    g_q = g_s @ _stack([lp.k for lp in lps])
+    g_q *= inv_sqrt_d
+    g_k = g_s.transpose(0, 2, 1) @ _stack([lp.q for lp in lps])
+    g_k *= inv_sqrt_d
+    # weight blocks: one GEMM each over the bucket's (b*t, d) token rows
+    x = _stack([lp.x for lp in lps]).reshape(b * t, d)
+    g_q, g_k, g_v = (a.reshape(b * t, d) for a in (g_q, g_k, g_v))
+    gl.w_query += x.T @ g_q
+    gl.w_key += x.T @ g_k
+    gl.w_value += x.T @ g_v
+    del x
+    g_x = g_y.reshape(b * t, d)  # a view: g_y becomes the input gradient
+    g_x += g_q @ layer.w_query.T
+    g_x += g_k @ layer.w_key.T
+    g_x += g_v @ layer.w_value.T
+    # the KCLS slot was overwritten at layer entry: its gradient belongs
+    # to this layer's knowledge token, not the previous layer's output
+    gl.kcls_init += g_y[:, 1].sum(axis=0)
+    g_y[:, 1] = 0.0
+    return g_y
 
 
 def loss_and_gradients(
     model: KsatModel, compiled: list[CompiledPost]
 ) -> tuple[float, Gradients]:
-    """Analytic mean loss and gradients over pre-compiled posts."""
+    """Analytic mean loss and gradients over pre-compiled posts.
+
+    The forward runs post by post; the backward runs once per sentence
+    count, over all posts of that length together, shortest first.
+    """
     if not compiled:
         raise ValueError("need a nonempty batch")
     value, per_post = _loss_terms(model, compiled, want_passes=True)
     grads = _zero_gradients(model)
     inv_batch = 1.0 / len(compiled)
+    buckets: dict[int, list] = {}
     for cp, (passes, r) in zip(compiled, per_post):
-        _accumulate_post_gradients(model, cp, passes, r, inv_batch, grads)
+        buckets.setdefault(cp.n_sentences, []).append((cp, passes, r))
+    for n in sorted(buckets):
+        _accumulate_bucket_gradients(model, buckets[n], inv_batch, grads)
     return float(value), grads
 
 
@@ -394,5 +450,11 @@ def train(
             alphas.append([layer.alpha for layer in model.layers])
     except NumericalError as exc:
         # the loss trace index of the evaluation that failed
-        raise NumericalError(f"epoch {len(losses)}: {exc}") from exc
+        raise NumericalError(
+            f"epoch {len(losses)}: {exc}",
+            epoch=len(losses),
+            post_id=exc.post_id,
+            layer=exc.layer,
+            log_peak=exc.log_peak,
+        ) from exc
     return TrainResult(model=model, losses=losses, alphas=alphas)

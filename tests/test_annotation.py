@@ -24,7 +24,7 @@ from ksat.annotation import (
     outcome_frequencies,
     theta_lattice,
 )
-from ksat.corpus import Dataset, Post
+from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic, split
 from ksat.embeddings import EmbeddingConfig, cosine_similarity, embed_text
 from ksat.errors import DataFormatError
 from ksat.knowledge import (
@@ -433,3 +433,34 @@ class TestGridSearch:
         lattice = set(theta_lattice(0.5))
         assert all(t in lattice for t in result.params.thetas)
         assert result.params.frag_size in FRAG_SIZES
+
+    def test_objective_prefers_mismatches_on_a_balanced_split(self, tree):
+        # Characterizes the specified objective, flaws included: a mismatch
+        # on an outcome of frequency p < 0.5 scores log(1-p) > log(p), so on
+        # a balanced four-outcome split the search prefers thresholds that
+        # get 60 of 240 posts right over defaults that get all 240 right.
+        config = EmbeddingConfig(dimension=64, seed=7)
+        dataset = generate_synthetic(default_synthetic_spec(300, 3, tree), tree)
+        train_ds, _ = split(dataset, 0.8, 3)
+        assert len(train_ds) == 240
+
+        def correct(params):
+            return sum(
+                annotate_post(p, tree, params, config).predicted is p.gold
+                for p in train_ds.posts
+            )
+
+        result = grid_search(train_ds, tree, config, theta_step=0.5)
+        assert result.params == AnnotationParams(thetas=(-1.0, 0.5, -1.0), frag_size=3)
+        assert correct(result.params) == 60
+        assert result.log_likelihood == pytest.approx(
+            60 * math.log(0.25 + DELTA) + 180 * math.log(0.75 + DELTA), rel=1e-12
+        )
+        assert round(result.log_likelihood, 2) == -134.96
+
+        defaults = default_params()
+        assert correct(defaults) == 240
+        default_score = bernoulli_log_likelihood(train_ds, tree, defaults, config)
+        assert default_score == pytest.approx(240 * math.log(0.25 + DELTA), rel=1e-12)
+        assert round(default_score, 2) == -332.71
+        assert default_score < result.log_likelihood

@@ -49,6 +49,31 @@ POST_C = Post(
     sentence_presence=[(0, 0, 0), (1, 0, 0), (0, 1, 0)],
 )
 
+POST_D = Post(
+    id="d",
+    sentences=["ending my life.", "thinking about my life."],
+    gold=Outcome.IDEATION_2,
+    sentence_presence=[(0, 1, 1), (0, 1, 0)],
+)
+# five sentences, each in four pairs, three of them restricting to the same
+# bits in the first layer
+POST_E = Post(
+    id="e",
+    sentences=["wish to be dead.", "a gun nearby.", "rain fell late.",
+               "wish it would end.", "ending my life."],
+    gold=Outcome.BEHAVIOR_OR_ATTEMPT,
+    sentence_presence=[(1, 0, 0), (0, 0, 1), (0, 0, 0), (1, 1, 0), (0, 1, 0)],
+)
+POST_F = Post(
+    id="f",
+    sentences=["a gun nearby.", "ending my life.", "wish to be dead.",
+               "rain fell late.", "wish it would end."],
+    gold=Outcome.IDEATION_1,
+    sentence_presence=[(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 0), (0, 0, 0)],
+)
+# 1, 2, 2, 3, 5 and 5 sentences: three buckets hold more than one post
+MIXED_LENGTHS = (POST_B, POST_A, POST_D, POST_C, POST_E, POST_F)
+
 
 def as_batch(*posts: Post):
     return [(p, p.sentence_presence, p.gold) for p in posts]
@@ -152,6 +177,18 @@ class TestBackward:
         assert grads.layers[0].a_raw == 0.0
         assert any(g.a_raw != 0.0 for g in grads.layers[1:])
 
+    def test_gradients_do_not_depend_on_bucket_mates(self, make_model):
+        # a batch's gradient is the inv_batch-weighted sum of its posts'
+        # single-post gradients, whichever posts share a length bucket
+        model = checkable_model(make_model, seed=4)
+        whole = list(backward(model, as_batch(*MIXED_LENGTHS)).blocks())
+        singles = [list(backward(model, as_batch(p)).blocks()) for p in MIXED_LENGTHS]
+        for i, (name, value) in enumerate(whole):
+            expected = sum(np.asarray(s[i][1]) for s in singles) / len(MIXED_LENGTHS)
+            scale = float(np.abs(expected).max())
+            assert scale > 0.0, name
+            assert float(np.abs(np.asarray(value) - expected).max()) <= 1e-12 * scale, name
+
     def test_bias_path_inert_exactly_at_zero_value_projections(self, make_model):
         on = make_model(dimension=8, seed=7, value_scale=0.0, kg_bias_enabled=True)
         off = make_model(dimension=8, seed=7, value_scale=0.0, kg_bias_enabled=False)
@@ -254,18 +291,17 @@ class TestFiniteDifferenceAgreement:
         assert broken.block_errors["layer1.w_query"] > 1e-4
 
     def test_long_post_penalty_gradient_matches(self, make_model):
-        # five sentences, each in four pairs, three of them restricting to
-        # the same bits in the first layer: the pair gradient must accumulate
-        # every pair a sentence belongs to
-        post = Post(
-            id="five",
-            sentences=["wish to be dead.", "a gun nearby.", "rain fell late.",
-                       "wish it would end.", "ending my life."],
-            gold=Outcome.BEHAVIOR_OR_ATTEMPT,
-            sentence_presence=[(1, 0, 0), (0, 0, 1), (0, 0, 0), (1, 1, 0), (0, 1, 0)],
-        )
+        # the pair gradient must accumulate every pair a sentence belongs to
         model = checkable_model(make_model, seed=5, dimension=4)
-        report = finite_diff_check(model, as_batch(post), TrainConfig())
+        report = finite_diff_check(model, as_batch(POST_E), TrainConfig())
+        assert report.passed, report.block_errors
+
+    def test_mixed_length_batch_matches(self, make_model):
+        # the backward runs once per sentence count: the 2- and 5-sentence
+        # buckets each stack two posts, so the pair scatter runs over a
+        # bucket axis
+        model = checkable_model(make_model, seed=6, dimension=4)
+        report = finite_diff_check(model, as_batch(*MIXED_LENGTHS), TrainConfig())
         assert report.passed, report.block_errors
 
     def test_float64_is_not_extended_precision(self):
@@ -337,6 +373,13 @@ class TestTrain:
         assert "epoch 0" in message
         assert "post 'z'" in message
         assert "layer " in message
+        error = info.value
+        assert error.epoch == 0
+        assert error.post_id == "z"
+        assert error.layer in range(len(model.layers))
+        assert f"layer {error.layer} " in message
+        assert error.log_peak < -1e3  # the fixture's bias is ~-1e6
+        assert f"({error.log_peak:.6g})" in message
 
     def test_same_seed_and_config_is_bitwise_deterministic(self, make_model):
         dataset = self._training_set()

@@ -117,7 +117,7 @@ def _post_log_product(passes: list[LayerPass], post_id: str) -> tuple[np.ndarray
     for lp in passes:
         log_f += lp.log_probs
         final *= lp.probs
-    if bool(np.all(final < COLLAPSE_FLOOR)):
+    if (final < COLLAPSE_FLOOR).all():
         peaks = [float(lp.log_probs.max()) for lp in passes]
         worst = int(np.argmin(peaks))
         raise NumericalError(
@@ -131,20 +131,23 @@ def _post_log_product(passes: list[LayerPass], post_id: str) -> tuple[np.ndarray
     return log_f, final
 
 
-def _loss_terms(model: KsatModel, compiled: list[CompiledPost], want_passes: bool):
+def _loss_terms(model: KsatModel, compiled: list[CompiledPost], below=None):
+    """Mean loss and, per post, its layer passes and log normalized product.
+
+    ``below[i]``, when given, holds post i's reusable lower-layer passes
+    (see `run_layers`).
+    """
     # dtype-preserving throughout: the finite-difference checker runs this
     # same code on an extended-precision model clone
     total = 0.0
     per_post = []
-    for cp in compiled:
-        passes = run_layers(model, cp)
+    for i, cp in enumerate(compiled):
+        passes = run_layers(model, cp, below[i] if below else ())
         log_f, _ = _post_log_product(passes, cp.post_id)
         m = log_f.max()
         lse = m + np.log(np.exp(log_f - m).sum())
         total += lse - log_f[cp.gold]
-        if want_passes:
-            r = np.exp(log_f - lse)
-            per_post.append((passes, r))
+        per_post.append((passes, log_f - lse))
     return total / len(compiled), per_post
 
 
@@ -156,7 +159,7 @@ def loss(model: KsatModel, batch, embeddings_table=None) -> float:
 
 
 def _loss_compiled(model: KsatModel, compiled: list[CompiledPost]) -> float:
-    value, _ = _loss_terms(model, compiled, want_passes=False)
+    value, _ = _loss_terms(model, compiled)
     return value
 
 
@@ -276,12 +279,12 @@ def loss_and_gradients(
     """
     if not compiled:
         raise ValueError("need a nonempty batch")
-    value, per_post = _loss_terms(model, compiled, want_passes=True)
+    value, per_post = _loss_terms(model, compiled)
     grads = _zero_gradients(model)
     inv_batch = 1.0 / len(compiled)
     buckets: dict[int, list] = {}
-    for cp, (passes, r) in zip(compiled, per_post):
-        buckets.setdefault(cp.n_sentences, []).append((cp, passes, r))
+    for cp, (passes, log_r) in zip(compiled, per_post):
+        buckets.setdefault(cp.n_sentences, []).append((cp, passes, np.exp(log_r)))
     for n in sorted(buckets):
         _accumulate_bucket_gradients(model, buckets[n], inv_batch, grads)
     return float(value), grads
@@ -361,13 +364,29 @@ def _fd_gradients(
     double-precision evaluation would leave noise of order 1e-11 on every
     estimate — larger than tolerance*floor for near-zero gradient entries,
     so a platform without a wider ``np.longdouble`` is refused.
+
+    A perturbation in one layer leaves the passes through the layers below
+    it unchanged, so each evaluation reuses them from the one before and
+    runs only the perturbed layer and those above. The estimates are the
+    same, bit for bit, as with full-stack evaluations.
     """
     if not _is_extended_precision(np.longdouble):
         raise NumericalError("finite-difference check needs np.longdouble wider than float64")
     work = _extended_precision_clone(model)
     fd = _zero_gradients(model)
     ld_step = np.longdouble(step)
+    latest = [[] for _ in compiled]  # each post's passes from the last evaluation
+
+    def evaluate(reusable: int):
+        """Loss, reusing the last evaluation's passes below layer `reusable`."""
+        value, per_post = _loss_terms(work, compiled, [p[:reusable] for p in latest])
+        latest[:] = [passes for passes, _ in per_post]
+        return value
+
     for li, layer in enumerate(work.layers):
+        # the last evaluation perturbed layer li - 1; every later one
+        # restores it and perturbs only layer li
+        reusable = max(li - 1, 0)
         for name in _ARRAY_BLOCKS:
             arr = getattr(layer, name)
             out = getattr(fd.layers[li], name)
@@ -376,16 +395,17 @@ def _fd_gradients(
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + ld_step
-                lp = _loss_compiled(work, compiled)
+                lp = evaluate(reusable)
+                reusable = li
                 flat[j] = orig - ld_step
-                lm = _loss_compiled(work, compiled)
+                lm = evaluate(reusable)
                 flat[j] = orig
                 flat_out[j] = float((lp - lm) / (2.0 * ld_step))
         orig = layer.a_raw
         layer.a_raw = orig + ld_step
-        lp = _loss_compiled(work, compiled)
+        lp = evaluate(reusable)
         layer.a_raw = orig - ld_step
-        lm = _loss_compiled(work, compiled)
+        lm = evaluate(reusable)
         layer.a_raw = orig
         fd.layers[li].a_raw = float((lp - lm) / (2.0 * ld_step))
     return fd

@@ -71,6 +71,15 @@ class TestSigmoid:
         assert arr.dtype == np.longdouble
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_scalar_and_array_paths_agree(self, dtype):
+        z = np.array([-750.0, -3.5, -0.0, 0.0, 0.25, 2.0, 750.0], dtype=dtype)
+        arr = sigmoid(z)
+        for zi, ai in zip(z, arr):
+            assert sigmoid(zi) == ai
+            assert type(sigmoid(zi)) is dtype
+
+
 class TestSoftmaxRows:
     def test_rows_sum_to_one(self, rng):
         scores = rng.normal(size=(5, 7))
@@ -558,6 +567,19 @@ class TestRunLayers:
         for lp, layer in zip(passes, model.layers):
             assert lp.x.shape == (4, 8)
             np.testing.assert_array_equal(lp.x[1], layer.kcls_init)
+
+    def test_reused_lower_passes_resume_the_stack_unchanged(self, make_model):
+        model = make_model(dimension=8, seed=4, value_scale=0.2)
+        compiled = compile_post(model, TWO_SENTENCE_POST)
+        full = run_layers(model, compiled)
+        for k in range(len(full) + 1):
+            resumed = run_layers(model, compiled, full[:k])
+            assert len(resumed) == len(full)
+            assert all(a is b for a, b in zip(resumed[:k], full))
+            for a, b in zip(resumed[k:], full[k:]):
+                for name in ("x", "attn", "y", "contribs", "logits", "probs", "log_probs"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                assert a.kg == b.kg
 
     def test_representations_propagate_between_layers(self, make_model):
         model = make_model(dimension=8, seed=4, value_scale=0.2)

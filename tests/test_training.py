@@ -19,8 +19,10 @@ from ksat.training import (
     GradientReport,
     LayerGradients,
     TrainConfig,
+    _extended_precision_clone,
     _fd_gradients,
     _is_extended_precision,
+    _loss_compiled,
     backward,
     compile_batch,
     finite_diff_check,
@@ -303,6 +305,33 @@ class TestFiniteDifferenceAgreement:
         model = checkable_model(make_model, seed=6, dimension=4)
         report = finite_diff_check(model, as_batch(*MIXED_LENGTHS), TrainConfig())
         assert report.passed, report.block_errors
+
+    def test_layer_reuse_matches_full_stack_evaluations(self, make_model):
+        # each estimate reuses the passes below the perturbed layer; the
+        # first entry of a layer follows the last evaluation of the layer
+        # beneath, whose passes that layer must not reuse
+        model = checkable_model(make_model, seed=7, dimension=4)
+        compiled = compile_batch(model, as_batch(POST_A, POST_B, POST_C))
+        fd = _fd_gradients(model, compiled, 1e-5)
+        work = _extended_precision_clone(model)
+        step = np.longdouble(1e-5)
+
+        def central(set_value, orig):
+            set_value(orig + step)
+            up = _loss_compiled(work, compiled)
+            set_value(orig - step)
+            down = _loss_compiled(work, compiled)
+            set_value(orig)
+            return float((up - down) / (2.0 * step))
+
+        for li, layer in enumerate(work.layers):
+            for name in ("w_query", "w_out"):
+                flat = getattr(layer, name).ravel()
+                for j in (0, flat.size - 1):
+                    expected = central(lambda v: flat.__setitem__(j, v), flat[j])
+                    assert getattr(fd.layers[li], name).ravel()[j] == expected
+            expected = central(lambda v: setattr(layer, "a_raw", v), layer.a_raw)
+            assert fd.layers[li].a_raw == expected
 
     def test_float64_is_not_extended_precision(self):
         assert not _is_extended_precision(np.float64)

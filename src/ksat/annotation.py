@@ -145,14 +145,11 @@ def apply_annotations(
     tree: KnowledgeTree,
     params: AnnotationParams,
     config: EmbeddingConfig,
-    threads: int = 1,
 ) -> Dataset:
     """Annotate every post, returning a new dataset carrying the results.
 
     Presence lands in the ``sentence_presence`` field; post-level bits and the
-    predicted outcome ride along as extra JSONL keys. ``threads`` is accepted
-    and ignored: the work is pure Python, which the interpreter lock
-    serializes, so worker threads only added overhead.
+    predicted outcome ride along as extra JSONL keys.
     """
     def one(post: Post) -> Post:
         ann = annotate_post(post, tree, params, config)
@@ -228,7 +225,6 @@ def grid_search(
     tree: KnowledgeTree,
     config: EmbeddingConfig,
     theta_step: float = 0.1,
-    threads: int = 1,
 ) -> GridSearchResult:
     """Exhaustive lattice search maximizing the Bernoulli log-likelihood.
 
@@ -240,8 +236,7 @@ def grid_search(
     the same sum, in the same post order, as ``bernoulli_log_likelihood``.
     Scores are laid out in lexicographic (thetas, frag_size) order and the
     first maximum wins, so ties resolve to the lexicographically smallest
-    parameters. ``threads`` is accepted and ignored, as in
-    ``apply_annotations``.
+    parameters.
     """
     if len(dataset) == 0:
         raise ValueError("grid search needs a nonempty dataset")

@@ -15,10 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .annotation import AnnotationParams, apply_annotations, default_params, grid_search
-from .corpus import Dataset, load_jsonl, save_jsonl, split
+from .corpus import load_jsonl, save_jsonl
 from .embeddings import EmbeddingConfig, load_embeddings
 from .errors import DataFormatError, NumericalError
 from .knowledge import KnowledgeTree, default_tree, load_taxonomy
@@ -44,7 +42,6 @@ def _add_globals(parser) -> None:
     parser.add_argument("--taxonomy", default=argparse.SUPPRESS)
     parser.add_argument("--dim", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
-    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS)
 
 
 _GLOBAL_DEFAULTS = {
@@ -52,7 +49,6 @@ _GLOBAL_DEFAULTS = {
     "taxonomy": None,
     "dim": 64,
     "quiet": False,
-    "threads": 1,
 }
 
 
@@ -83,7 +79,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--no-kg-bias", action="store_true")
     p.add_argument("--trace-out", help="optional JSON loss/alpha trace path")
-    p.add_argument("--embeddings", help="optional embedding table file")
+    p.add_argument("--embeddings", help="embedding table; trains a file-backed model")
 
     p = sub.add_parser("eval", help="evaluate a saved model")
     _add_globals(p)
@@ -144,9 +140,7 @@ def _cmd_annotate(args) -> int:
     if args.grid_search and args.thetas:
         raise ValueError("--grid-search and --thetas are mutually exclusive")
     if args.grid_search:
-        result = grid_search(
-            dataset, tree, config, theta_step=args.theta_step, threads=args.threads
-        )
+        result = grid_search(dataset, tree, config, theta_step=args.theta_step)
         params = result.params
         _say(
             args,
@@ -163,7 +157,7 @@ def _cmd_annotate(args) -> int:
         params = AnnotationParams(thetas=thetas, frag_size=args.frag_size)
     else:
         params = default_params()
-    annotated = apply_annotations(dataset, tree, params, config, threads=args.threads)
+    annotated = apply_annotations(dataset, tree, params, config)
     save_jsonl(annotated, args.out)
     _say(args, f"annotated {len(annotated)} posts -> {args.out}")
     return 0
@@ -171,9 +165,13 @@ def _cmd_annotate(args) -> int:
 
 def _cmd_train(args) -> int:
     tree = _tree(args)
-    config = _embed_config(args)
     dataset = load_jsonl(args.data)
     table = _table(args)
+    config = EmbeddingConfig(
+        dimension=args.dim,
+        seed=args.seed,
+        vocabulary_mode="feature-hash" if table is None else "file-backed",
+    )
     model = KsatModel.initialize(tree, config, seed=args.seed)
     tc = TrainConfig(
         learning_rate=args.lr,
@@ -287,8 +285,6 @@ def run(argv=None) -> int:
     try:
         if args.seed < 0 or args.seed > 2**64 - 1:
             raise ValueError("--seed must fit in 64 bits")
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -253,7 +253,7 @@ def _noise_padding_safe(tree: KnowledgeTree, assignment: tuple[int, ...]) -> boo
     true_ids = [cid for cid, bit in enumerate(assignment) if bit]
     return all(
         cid in tree.layer_contexts[outcome]
-        for outcome in tree.layer_order
+        for outcome in LAYER_ORDER
         for cid in true_ids
     )
 

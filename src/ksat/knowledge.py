@@ -13,9 +13,9 @@ import enum
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DataFormatError
 
@@ -73,7 +73,6 @@ class KnowledgeTree:
     concepts: tuple[Concept, ...]
     outcome_map: dict[tuple[int, ...], Outcome]
     layer_contexts: dict[Outcome, tuple[int, ...]]
-    layer_order: tuple[Outcome, ...] = LAYER_ORDER
 
     def __post_init__(self) -> None:
         if not self.concepts:
@@ -81,8 +80,6 @@ class KnowledgeTree:
         ids = [c.id for c in self.concepts]
         if ids != list(range(len(ids))):
             raise DataFormatError(f"concept ids must be 0..K-1 in order, got {ids}")
-        if tuple(self.layer_order) != LAYER_ORDER:
-            raise DataFormatError("layer order must be the four outcomes in fixed order")
         k = len(self.concepts)
         expected = set(itertools.product((0, 1), repeat=k))
         got = set(self.outcome_map)
@@ -153,13 +150,13 @@ def tree_to_dict(tree: KnowledgeTree) -> dict:
         "concepts": [
             {"id": c.id, "name": c.name, "query_text": c.query_text} for c in tree.concepts
         ],
-        "outcomes": [o.value for o in tree.layer_order],
+        "outcomes": [o.value for o in LAYER_ORDER],
         "outcome_map": {
             "".join(str(b) for b in bits): outcome.value
             for bits, outcome in sorted(tree.outcome_map.items())
         },
         "layer_contexts": {
-            o.value: list(tree.layer_contexts[o]) for o in tree.layer_order
+            o.value: list(tree.layer_contexts[o]) for o in LAYER_ORDER
         },
     }
 
@@ -170,7 +167,8 @@ def tree_from_dict(data: dict) -> KnowledgeTree:
             Concept(id=int(c["id"]), name=str(c["name"]), query_text=str(c["query_text"]))
             for c in data["concepts"]
         )
-        outcomes = tuple(outcome_from_name(n) for n in data["outcomes"])
+        if tuple(outcome_from_name(n) for n in data["outcomes"]) != LAYER_ORDER:
+            raise DataFormatError("layer order must be the four outcomes in fixed order")
         outcome_map = {}
         for key, name in data["outcome_map"].items():
             bits = tuple(int(ch) for ch in str(key))
@@ -187,7 +185,6 @@ def tree_from_dict(data: dict) -> KnowledgeTree:
         concepts=concepts,
         outcome_map=outcome_map,
         layer_contexts=layer_contexts,
-        layer_order=outcomes,
     )
 
 

@@ -18,11 +18,10 @@ gradients (see ``training``).
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +65,21 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def block_shapes(d: int) -> dict[str, tuple[int, ...]]:
+    """Each layer's learnable array blocks and their shapes, in the order
+    `KsatModel.initialize` draws them."""
+    return {
+        "w_query": (d, d),
+        "w_key": (d, d),
+        "w_value": (d, d),
+        "kcls_init": (d,),
+        "w_out": (d, N_OUTCOMES),
+    }
+
+
+ARRAY_BLOCKS = tuple(block_shapes(1))
 
 
 @dataclass
@@ -112,15 +126,8 @@ class KsatModel:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if tuple(l.outcome for l in self.layers) != LAYER_ORDER:
             raise DataFormatError("model layers must follow the fixed outcome order")
-        d = self.embedding_config.dimension
+        shapes = block_shapes(self.embedding_config.dimension)
         for layer in self.layers:
-            shapes = {
-                "w_query": (d, d),
-                "w_key": (d, d),
-                "w_value": (d, d),
-                "kcls_init": (d,),
-                "w_out": (d, N_OUTCOMES),
-            }
             for name, expected in shapes.items():
                 got = getattr(layer, name).shape
                 if got != expected:
@@ -138,12 +145,11 @@ class KsatModel:
         tree: KnowledgeTree,
         embedding_config: EmbeddingConfig | None = None,
         seed: int = 0,
-        init_scale: float | None = None,
         epsilon: float = DEFAULT_EPSILON,
         kg_bias_enabled: bool = True,
         value_scale: float = 0.0,
     ) -> "KsatModel":
-        """Seeded Gaussian initialization at scale 1/sqrt(d) by default.
+        """Seeded Gaussian initialization at scale 1/sqrt(d).
 
         Value projections start at zero (``value_scale=0``) so the
         graph-context penalty starts exactly at zero: with distance-0 sentence
@@ -152,20 +158,23 @@ class KsatModel:
         collapse guard before the first update. A nonzero ``value_scale`` is
         useful for gradient checking, where the penalty path should be
         exercised away from its stationary zero point.
+
+        Each layer draws its blocks in `block_shapes` order.
         """
         embedding_config = embedding_config or EmbeddingConfig()
         d = embedding_config.dimension
-        scale = init_scale if init_scale is not None else 1.0 / math.sqrt(d)
+        scale = 1.0 / math.sqrt(d)
         rng = np.random.default_rng(seed)
         layers = []
         for outcome in LAYER_ORDER:
+            blocks = {
+                name: (value_scale if name == "w_value" else scale)
+                * rng.standard_normal(shape)
+                for name, shape in block_shapes(d).items()
+            }
             layers.append(
                 KsatLayerParams(
-                    w_query=scale * rng.standard_normal((d, d)),
-                    w_key=scale * rng.standard_normal((d, d)),
-                    w_value=value_scale * rng.standard_normal((d, d)),
-                    kcls_init=scale * rng.standard_normal(d),
-                    w_out=scale * rng.standard_normal((d, N_OUTCOMES)),
+                    **blocks,
                     a_raw=0.0,
                     context=tree.layer_contexts[outcome],
                     outcome=outcome,
@@ -288,6 +297,10 @@ def compile_post(
                     f"embedding for {key!r} has dimension {vec.shape[0]}, expected {d}"
                 )
             rows[idx] = vec
+    elif embeddings_table is not None:
+        raise DataFormatError(
+            "an embedding table was supplied but the model embeds by feature hashing"
+        )
     else:
         for idx, sentence in enumerate(post.sentences):
             rows[idx] = embed_text(sentence, cfg)
@@ -521,11 +534,7 @@ def model_to_dict(model: KsatModel) -> dict:
                 "outcome": layer.outcome.value,
                 "context": list(layer.context),
                 "a_raw": layer.a_raw,
-                "w_query": layer.w_query.ravel().tolist(),
-                "w_key": layer.w_key.ravel().tolist(),
-                "w_value": layer.w_value.ravel().tolist(),
-                "kcls_init": layer.kcls_init.tolist(),
-                "w_out": layer.w_out.ravel().tolist(),
+                **{name: getattr(layer, name).ravel().tolist() for name in ARRAY_BLOCKS},
             }
             for layer in model.layers
         ],
@@ -564,15 +573,15 @@ def load_model(path, tree: KnowledgeTree) -> KsatModel:
         d = int(data["dimension"])
         if d != cfg.dimension:
             raise DataFormatError(f"{path}: model/embedding dimension mismatch")
+        shapes = block_shapes(d)
         layers = []
         for entry in data["layers"]:
             layers.append(
                 KsatLayerParams(
-                    w_query=np.array(entry["w_query"], dtype=np.float64).reshape(d, d),
-                    w_key=np.array(entry["w_key"], dtype=np.float64).reshape(d, d),
-                    w_value=np.array(entry["w_value"], dtype=np.float64).reshape(d, d),
-                    kcls_init=np.array(entry["kcls_init"], dtype=np.float64),
-                    w_out=np.array(entry["w_out"], dtype=np.float64).reshape(d, N_OUTCOMES),
+                    **{
+                        name: np.array(entry[name], dtype=np.float64).reshape(shape)
+                        for name, shape in shapes.items()
+                    },
                     a_raw=float(entry["a_raw"]),
                     context=tuple(int(i) for i in entry["context"]),
                     outcome=Outcome(entry["outcome"]),
@@ -592,22 +601,7 @@ def load_model(path, tree: KnowledgeTree) -> KsatModel:
 def clone_model(model: KsatModel) -> KsatModel:
     """Deep copy of parameters sharing the (immutable) tree and config."""
     layers = [
-        KsatLayerParams(
-            w_query=layer.w_query.copy(),
-            w_key=layer.w_key.copy(),
-            w_value=layer.w_value.copy(),
-            kcls_init=layer.kcls_init.copy(),
-            w_out=layer.w_out.copy(),
-            a_raw=layer.a_raw,
-            context=layer.context,
-            outcome=layer.outcome,
-        )
+        replace(layer, **{name: getattr(layer, name).copy() for name in ARRAY_BLOCKS})
         for layer in model.layers
     ]
-    return KsatModel(
-        layers=layers,
-        tree=model.tree,
-        embedding_config=model.embedding_config,
-        epsilon=model.epsilon,
-        kg_bias_enabled=model.kg_bias_enabled,
-    )
+    return replace(model, layers=layers)

@@ -15,18 +15,19 @@ which follows from dL/d log p_{l,y} = r_y - [y==g] and d log p/d logit =
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, Post
+from .corpus import Dataset
 from .errors import DataFormatError, NumericalError
-from .knowledge import LAYER_ORDER, N_OUTCOMES, Outcome
+from .knowledge import LAYER_ORDER, N_OUTCOMES
 from .model import (
+    ARRAY_BLOCKS,
     CompiledPost,
     KsatModel,
     LayerPass,
+    block_shapes,
     clone_model,
     compile_post,
     run_layers,
@@ -34,15 +35,12 @@ from .model import (
 
 COLLAPSE_FLOOR = 1e-300
 
-_ARRAY_BLOCKS = ("w_query", "w_key", "w_value", "kcls_init", "w_out")
-
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 200
     seed: int = 0
-    init_scale: float | None = None  # defaults to 1/sqrt(dimension)
     fd_step: float = 1e-5
     grad_tolerance: float = 1e-4
     kg_bias_enabled: bool = True
@@ -52,8 +50,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.init_scale is not None and self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
         if self.fd_step <= 0 or self.grad_tolerance <= 0:
             raise ValueError("fd_step and grad_tolerance must be positive")
 
@@ -75,22 +71,17 @@ class Gradients:
     def blocks(self):
         """Yield (name, value) pairs; arrays are live views, a_raw a float."""
         for li, layer in enumerate(self.layers):
-            for name in _ARRAY_BLOCKS:
+            for name in ARRAY_BLOCKS:
                 yield f"layer{li}.{name}", getattr(layer, name)
             yield f"layer{li}.a_raw", layer.a_raw
 
 
 def _zero_gradients(model: KsatModel) -> Gradients:
-    d = model.dimension
+    shapes = block_shapes(model.dimension)
     return Gradients(
         layers=[
             LayerGradients(
-                w_query=np.zeros((d, d)),
-                w_key=np.zeros((d, d)),
-                w_value=np.zeros((d, d)),
-                kcls_init=np.zeros(d),
-                w_out=np.zeros((d, N_OUTCOMES)),
-                a_raw=0.0,
+                **{name: np.zeros(shape) for name, shape in shapes.items()}, a_raw=0.0
             )
             for _ in model.layers
         ]
@@ -348,7 +339,7 @@ def _extended_precision_clone(model: KsatModel) -> KsatModel:
     the identical code path."""
     clone = clone_model(model)
     for layer in clone.layers:
-        for name in _ARRAY_BLOCKS:
+        for name in ARRAY_BLOCKS:
             setattr(layer, name, getattr(layer, name).astype(np.longdouble))
         layer.a_raw = np.longdouble(layer.a_raw)
     return clone
@@ -387,7 +378,7 @@ def _fd_gradients(
         # the last evaluation perturbed layer li - 1; every later one
         # restores it and perturbs only layer li
         reusable = max(li - 1, 0)
-        for name in _ARRAY_BLOCKS:
+        for name in ARRAY_BLOCKS:
             arr = getattr(layer, name)
             out = getattr(fd.layers[li], name)
             flat = arr.ravel()
@@ -461,7 +452,7 @@ def train(
             losses.append(value)
             alphas.append([layer.alpha for layer in model.layers])
             for layer, gl in zip(model.layers, grads.layers):
-                for name in _ARRAY_BLOCKS:
+                for name in ARRAY_BLOCKS:
                     block = getattr(layer, name)
                     block -= config.learning_rate * getattr(gl, name)
                 layer.a_raw -= config.learning_rate * gl.a_raw

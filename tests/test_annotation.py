@@ -210,16 +210,6 @@ class TestApplyAnnotations:
         # the input dataset is left untouched
         assert all(p.sentence_presence is None for p in ds.posts)
 
-    def test_threaded_run_matches_serial(self, tree):
-        ds = Dataset(
-            posts=[Post(id=f"p{i}", sentences=[f"word {i} gun"]) for i in range(8)]
-        )
-        serial = apply_annotations(ds, tree, default_params(), CFG64, threads=1)
-        threaded = apply_annotations(ds, tree, default_params(), CFG64, threads=4)
-        assert [p.sentence_presence for p in serial.posts] == [
-            p.sentence_presence for p in threaded.posts
-        ]
-
 
 class TestOutcomeFrequencies:
     def test_raw_frequencies(self):
@@ -404,19 +394,6 @@ class TestGridSearch:
         )
         result = grid_search(ds, tree, CFG64, theta_step=0.5)
         assert result.log_likelihood == bernoulli_log_likelihood(ds, tree, result.params, CFG64)
-
-    def test_threaded_sweep_matches_serial(self, tree):
-        ds = Dataset(
-            posts=[
-                Post(id="a", sentences=["a gun by the bed."], gold=Outcome.BEHAVIOR_OR_ATTEMPT),
-                Post(id="b", sentences=["quiet rain."], gold=Outcome.INDICATION_OR_NONE),
-                Post(id="c", sentences=["my life now."], gold=Outcome.IDEATION_1),
-            ]
-        )
-        serial = grid_search(ds, tree, CFG64, theta_step=1.0, threads=1)
-        threaded = grid_search(ds, tree, CFG64, theta_step=1.0, threads=4)
-        assert serial.params == threaded.params
-        assert serial.log_likelihood == threaded.log_likelihood
 
     def test_empty_dataset_rejected(self, tree):
         with pytest.raises(ValueError):

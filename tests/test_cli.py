@@ -136,24 +136,25 @@ class TestAnnotate:
         assert code == 2
 
 
-class TestTrainEvalReport:
-    @pytest.fixture()
-    def annotated_path(self, tmp_path):
-        corpus = tmp_path / "corpus.jsonl"
-        annotated = tmp_path / "annotated.jsonl"
-        assert invoke("synth", "--n", "12", "--seed", "4", "--out", str(corpus)) == 0
-        assert (
-            invoke(
-                "annotate",
-                "--data", str(corpus),
-                "--out", str(annotated),
-                "--thetas", "0.2,0.2,0.2",
-                "--dim", "16",
-            )
-            == 0
+@pytest.fixture()
+def annotated_path(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    annotated = tmp_path / "annotated.jsonl"
+    assert invoke("synth", "--n", "12", "--seed", "4", "--out", str(corpus)) == 0
+    assert (
+        invoke(
+            "annotate",
+            "--data", str(corpus),
+            "--out", str(annotated),
+            "--thetas", "0.2,0.2,0.2",
+            "--dim", "16",
         )
-        return annotated
+        == 0
+    )
+    return annotated
 
+
+class TestTrainEvalReport:
     def test_full_pipeline(self, tmp_path, annotated_path, capsys):
         model_path = tmp_path / "model.json"
         trace_path = tmp_path / "trace.json"
@@ -258,6 +259,57 @@ class TestTrainEvalReport:
         assert err.startswith("ksat: error:")
 
 
+class TestEmbeddingTable:
+    @staticmethod
+    def write_table(path, data_path, skip=None):
+        """A 4-dimensional row for every sentence id of the corpus but `skip`."""
+        rng = np.random.default_rng(0)
+        lines = []
+        for post in load_jsonl(data_path).posts:
+            for idx in range(len(post.sentences)):
+                key = f"{post.id}:{idx}"
+                if key != skip:
+                    values = rng.standard_normal(4).tolist()
+                    lines.append(" ".join([key, *map(repr, values)]))
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def train(self, data_path, model_path, *extra):
+        return invoke(
+            "train", "--data", str(data_path), "--out", str(model_path),
+            "--epochs", "2", "--no-kg-bias", "--dim", "4", *extra,
+        )
+
+    def evaluate(self, data_path, model_path, *extra):
+        return invoke("eval", "--data", str(data_path), "--model", str(model_path), *extra)
+
+    def test_training_with_a_table_makes_a_file_backed_model(self, tmp_path, annotated_path):
+        table = self.write_table(tmp_path / "table.txt", annotated_path)
+        model_path = tmp_path / "model.json"
+        assert self.train(annotated_path, model_path, "--embeddings", str(table)) == 0
+        saved = json.loads(model_path.read_text())
+        assert saved["embedding"]["vocabulary_mode"] == "file-backed"
+        assert self.evaluate(annotated_path, model_path, "--embeddings", str(table)) == 0
+
+    def test_file_backed_model_needs_the_table_to_evaluate(self, tmp_path, annotated_path):
+        table = self.write_table(tmp_path / "table.txt", annotated_path)
+        model_path = tmp_path / "model.json"
+        assert self.train(annotated_path, model_path, "--embeddings", str(table)) == 0
+        assert self.evaluate(annotated_path, model_path) == 2
+
+    def test_table_missing_a_sentence_id_is_a_data_error(self, tmp_path, annotated_path):
+        skip = load_jsonl(annotated_path).posts[-1].id + ":0"
+        table = self.write_table(tmp_path / "table.txt", annotated_path, skip=skip)
+        code = self.train(annotated_path, tmp_path / "m.json", "--embeddings", str(table))
+        assert code == 2
+
+    def test_feature_hash_model_rejects_a_table(self, tmp_path, annotated_path):
+        table = self.write_table(tmp_path / "table.txt", annotated_path)
+        model_path = tmp_path / "model.json"
+        assert self.train(annotated_path, model_path) == 0
+        assert self.evaluate(annotated_path, model_path, "--embeddings", str(table)) == 2
+
+
 class TestGradcheck:
     def test_gradcheck_passes_on_the_default_fixture(self, capsys):
         assert invoke("gradcheck", "--seed", "0") == 0
@@ -284,12 +336,6 @@ class TestUsageErrors:
     def test_negative_seed_rejected(self, tmp_path):
         code = invoke(
             "synth", "--seed", "-1", "--n", "4", "--out", str(tmp_path / "x.jsonl")
-        )
-        assert code == 1
-
-    def test_zero_threads_rejected(self, tmp_path):
-        code = invoke(
-            "synth", "--threads", "0", "--n", "4", "--out", str(tmp_path / "x.jsonl")
         )
         assert code == 1
 

@@ -217,6 +217,13 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match="malformed"):
             tree_from_dict(data)
 
+    @pytest.mark.parametrize("outcomes", [[1, 0, 2, 3], [0, 1, 2]])
+    def test_outcomes_out_of_fixed_order_rejected(self, tree, outcomes):
+        data = tree_to_dict(tree)
+        data["outcomes"] = [LAYER_ORDER[i].value for i in outcomes]
+        with pytest.raises(DataFormatError, match="fixed order"):
+            tree_from_dict(data)
+
     def test_canonical_hash_tracks_content(self, tree):
         data = tree_to_dict(tree)
         data["concepts"][0]["query_text"] = "something else"

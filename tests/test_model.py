@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -423,6 +426,12 @@ class TestCompilePost:
         with pytest.raises(DataFormatError, match="length"):
             compile_post(model, post, sentence_presence=[(1, 0)])
 
+    def test_table_rejected_for_feature_hash_model(self, make_model):
+        model = make_model(dimension=4)
+        post = Post(id="p", sentences=["a."], sentence_presence=[(0, 0, 0)])
+        with pytest.raises(DataFormatError, match="feature hashing"):
+            compile_post(model, post, embeddings_table={"p:0": np.ones(4)})
+
     def test_file_backed_mode_requires_table(self, tree):
         cfg = EmbeddingConfig(dimension=4, seed=0, vocabulary_mode="file-backed")
         model = KsatModel.initialize(tree, cfg, seed=0)
@@ -492,6 +501,27 @@ class TestModelValidation:
             np.testing.assert_array_equal(la.w_query, lb.w_query)
             np.testing.assert_array_equal(la.w_out, lb.w_out)
 
+    @pytest.mark.parametrize("dimension, value_scale", [(4, 0.0), (8, 0.25)])
+    def test_initialize_draws_blocks_in_documented_order(
+        self, make_model, dimension, value_scale
+    ):
+        model = make_model(dimension=dimension, seed=3, value_scale=value_scale)
+        rng = np.random.default_rng(3)
+        d, scale = dimension, 1.0 / math.sqrt(dimension)
+        for layer in model.layers:
+            expected = {
+                "w_query": scale * rng.standard_normal((d, d)),
+                "w_key": scale * rng.standard_normal((d, d)),
+                "w_value": value_scale * rng.standard_normal((d, d)),
+                "kcls_init": scale * rng.standard_normal(d),
+                "w_out": scale * rng.standard_normal((d, N_OUTCOMES)),
+            }
+            for name, want in expected.items():
+                got = getattr(layer, name)
+                assert got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+            assert layer.a_raw == 0.0
+
     def test_layer_contexts_come_from_the_tree(self, tree, make_model):
         model = make_model()
         for layer in model.layers:
@@ -530,6 +560,16 @@ class TestPersistence:
         data["taxonomy_hash"] = "0" * 64
         path.write_text(_json.dumps(data))
         with pytest.raises(DataFormatError, match="different taxonomy"):
+            load_model(path, tree)
+
+    @pytest.mark.parametrize("name", ["w_query", "w_key", "w_value", "kcls_init", "w_out"])
+    def test_load_rejects_a_block_one_entry_short(self, tree, make_model, tmp_path, name):
+        path = tmp_path / "model.json"
+        save_model(make_model(dimension=4), path)
+        data = json.loads(path.read_text())
+        data["layers"][2][name].pop()
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataFormatError):
             load_model(path, tree)
 
     def test_load_rejects_foreign_json(self, tree, tmp_path):

@@ -114,8 +114,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
-            TrainConfig(init_scale=0.0)
-        with pytest.raises(ValueError):
             TrainConfig(fd_step=0.0)
         with pytest.raises(ValueError):
             TrainConfig(grad_tolerance=-1.0)

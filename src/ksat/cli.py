@@ -117,6 +117,20 @@ def _table(args):
     return None
 
 
+def _saved_model(args, tree: KnowledgeTree) -> KsatModel:
+    """Load ``--model``. The saved model fixes the embedding dimension and
+    seed, so an explicit ``--dim`` or ``--seed`` must agree with it."""
+    model = load_model(args.model, tree)
+    saved = {"dim": model.dimension, "seed": model.embedding_config.seed}
+    for name in sorted(args.explicit_globals & saved.keys()):
+        if getattr(args, name) != saved[name]:
+            raise ValueError(
+                f"--{name} {getattr(args, name)} contradicts the saved model "
+                f"({name} {saved[name]}); omit it or pass the model's value"
+            )
+    return model
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -199,7 +213,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     tree = _tree(args)
     dataset = load_jsonl(args.data)
-    model = load_model(args.model, tree)
+    model = _saved_model(args, tree)
     if args.no_kg_bias:
         model.kg_bias_enabled = False
     table = _table(args)
@@ -216,7 +230,7 @@ def _cmd_eval(args) -> int:
 def _cmd_report(args) -> int:
     tree = _tree(args)
     dataset = load_jsonl(args.data)
-    model = load_model(args.model, tree)
+    model = _saved_model(args, tree)
     table = _table(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

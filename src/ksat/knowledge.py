@@ -13,6 +13,7 @@ import enum
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
@@ -127,7 +128,7 @@ def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Count of positions where two equal-length bit vectors differ."""
     if len(a) != len(b):
         raise ValueError(f"hamming distance needs equal lengths, got {len(a)} and {len(b)}")
-    return sum(1 for x, y in zip(a, b) if int(x) != int(y))
+    return sum(map(operator.ne, a, b))
 
 
 def context_for_layer(tree: KnowledgeTree, outcome: Outcome) -> tuple[int, ...]:

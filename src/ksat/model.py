@@ -22,6 +22,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import combinations, starmap
 
 import numpy as np
 
@@ -189,33 +190,55 @@ class KsatModel:
         )
 
 
-def _pair_weights(
-    restricted: list[tuple[int, ...]], epsilon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lexicographic (i<j) sentence pair indices and their penalty weights.
+def _pairs(n: int) -> np.ndarray:
+    """``(2, P)`` lexicographic (i<j) sentence pair indices for n sentences."""
+    return np.stack(np.triu_indices(n, 1))
+
+
+def _pair_weights(restricted: list[tuple[int, ...]], epsilon: float) -> np.ndarray:
+    """Penalty weight of every sentence pair, in lexicographic (i<j) order.
 
     ``restricted`` holds the sentences' connection vectors restricted to one
     layer's context; each pair is weighted by 1/(hamming distance + epsilon).
+    ``itertools.combinations`` yields the pairs in the order of `_pairs`.
     """
-    pi, pj = np.triu_indices(len(restricted), 1)
-    dists = np.array(
-        [
-            hamming_distance(restricted[i], restricted[j])
-            for i, j in zip(pi.tolist(), pj.tolist())
-        ],
-        dtype=np.float64,
+    n = len(restricted)
+    dists = np.fromiter(
+        starmap(hamming_distance, combinations(restricted, 2)),
+        np.float64,
+        count=n * (n - 1) // 2,
     )
-    return pi, pj, 1.0 / (dists + epsilon)
+    return 1.0 / (dists + epsilon)
+
+
+# Pairs per block of the penalty and its gradient: bounds their (pairs, d)
+# temporaries (2 MiB each at d = 64) on long posts.
+_PAIR_BLOCK = 4096
+
+
+def _pair_blocks(n_pairs: int) -> list[slice]:
+    """Consecutive runs of at most `_PAIR_BLOCK` pairs covering all of them."""
+    return [slice(lo, lo + _PAIR_BLOCK) for lo in range(0, n_pairs, _PAIR_BLOCK)]
 
 
 def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.ndarray):
     """The graph-context bias: ``-sum_p inv_dist[p] * ||c[pi[p]] - c[pj[p]]||^2``.
 
     Dtype-preserving, so the finite-difference checker can run it in extended
-    precision.
+    precision. Past one block the squared norms are taken block by block into
+    one array; each row's sum and the final dot product are the same as in
+    one pass, so the result is too, bit for bit.
     """
-    diffs = contribs.take(pi, axis=0) - contribs.take(pj, axis=0)
-    return -np.dot(inv_dist, (diffs * diffs).sum(axis=1))
+    if pi.size <= _PAIR_BLOCK:
+        diffs = contribs.take(pi, axis=0) - contribs.take(pj, axis=0)
+        return -np.dot(inv_dist, (diffs * diffs).sum(axis=1))
+    sq = np.empty(pi.size, dtype=contribs.dtype)
+    for s in _pair_blocks(pi.size):
+        diffs = contribs.take(pi[s], axis=0)
+        diffs -= contribs.take(pj[s], axis=0)
+        diffs *= diffs
+        diffs.sum(axis=1, out=sq[s])
+    return -np.dot(inv_dist, sq)
 
 
 def kg_bias(
@@ -239,7 +262,7 @@ def kg_bias(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if n < 2:
         return 0.0
-    return float(_penalty(contribs, *_pair_weights(connection_vectors, epsilon)))
+    return float(_penalty(contribs, *_pairs(n), _pair_weights(connection_vectors, epsilon)))
 
 
 @dataclass
@@ -304,19 +327,19 @@ def compile_post(
     else:
         for idx, sentence in enumerate(post.sentences):
             rows[idx] = embed_text(sentence, cfg)
-    weights = [
-        _pair_weights(
-            [connection_vector(row, layer.context) for row in presence], model.epsilon
-        )
-        for layer in model.layers
-    ]
-    pi, pj, _ = weights[0]
-    inv_dist = np.array([w for _, _, w in weights])
+    inv_dist = np.array(
+        [
+            _pair_weights(
+                [connection_vector(row, layer.context) for row in presence], model.epsilon
+            )
+            for layer in model.layers
+        ]
+    )
     gold = None if post.gold is None else LAYER_ORDER.index(post.gold)
     return CompiledPost(
         post_id=post.id,
         embeddings=rows,
-        pairs=np.stack([pi, pj]),
+        pairs=_pairs(n),
         inv_dist=inv_dist,
         gold=gold,
         n_sentences=n,
@@ -433,7 +456,8 @@ def layer_forward(
         )
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    pi, pj, inv_dist = _pair_weights(connection_vectors, epsilon)
+    pi, pj = _pairs(n)
+    inv_dist = _pair_weights(connection_vectors, epsilon)
     x = token_reps.copy()
     x[1] = layer.kcls_init
     lp = _layer_core(x, layer, pi, pj, inv_dist, kg_enabled)

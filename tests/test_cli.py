@@ -310,6 +310,44 @@ class TestEmbeddingTable:
         assert self.evaluate(annotated_path, model_path, "--embeddings", str(table)) == 2
 
 
+class TestSavedModelGlobals:
+    """The saved model fixes the embedding dimension and seed: ``eval`` and
+    ``report`` reject an explicit ``--dim`` or ``--seed`` that differs."""
+
+    @pytest.fixture()
+    def model_path(self, tmp_path, annotated_path):
+        path = tmp_path / "model.json"
+        code = invoke(
+            "train", "--data", str(annotated_path), "--out", str(path),
+            "--epochs", "0", "--dim", "16", "--seed", "2",
+        )
+        assert code == 0
+        return path
+
+    @staticmethod
+    def command(name, tmp_path, data_path, model_path):
+        args = [name, "--data", str(data_path), "--model", str(model_path)]
+        return args + (["--out-dir", str(tmp_path / "reports")] if name == "report" else [])
+
+    @pytest.mark.parametrize("name", ["eval", "report"])
+    @pytest.mark.parametrize("flag, value", [("--dim", "8"), ("--seed", "3")])
+    def test_contradicting_flag_is_a_usage_error(
+        self, tmp_path, annotated_path, model_path, capsys, name, flag, value
+    ):
+        argv = self.command(name, tmp_path, annotated_path, model_path)
+        assert invoke(*argv, flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ksat: error:")
+        assert flag in err
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("name", ["eval", "report"])
+    def test_matching_flags_are_accepted(self, tmp_path, annotated_path, model_path, name):
+        argv = self.command(name, tmp_path, annotated_path, model_path)
+        assert invoke(*argv, "--dim", "16") == 0
+        assert invoke("--seed", "2", *argv, "--dim", "16") == 0
+
+
 class TestGradcheck:
     def test_gradcheck_passes_on_the_default_fixture(self, capsys):
         assert invoke("gradcheck", "--seed", "0") == 0

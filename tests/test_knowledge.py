@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,6 +122,32 @@ class TestHammingDistance:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             hamming_distance((1, 0), (1, 0, 0))
+
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda k: st.tuples(*[st.lists(st.integers(0, 1), min_size=k, max_size=k)] * 2)
+        ),
+        st.sampled_from(
+            [tuple, list, lambda bits: [bool(x) for x in bits], np.array]
+        ),
+    )
+    def test_counts_differing_bits_in_any_bit_container(self, pair, as_container):
+        a, b = pair
+        expected = sum(int(x) != int(y) for x, y in zip(a, b))
+        assert hamming_distance(as_container(a), as_container(b)) == expected
+
+    @given(
+        st.lists(st.integers(0, 1), max_size=8),
+        st.lists(st.integers(0, 1), min_size=1, max_size=4),
+        st.booleans(),
+        st.sampled_from([tuple, list, np.array]),
+    )
+    def test_unequal_lengths_always_rejected(self, a, extra, longer_first, as_container):
+        b = a + extra
+        if longer_first:
+            a, b = b, a
+        with pytest.raises(ValueError):
+            hamming_distance(as_container(a), as_container(b))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_metric_axioms_exhaustively(self, k):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from ksat.corpus import Post
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
+from ksat import model as model_module
 from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome, connection_vector
 from ksat.model import (
     KsatLayerParams,
@@ -339,6 +341,64 @@ class TestPenaltyPaths:
         compiled = compile_post(make_model(dimension=8), post)
         arrays = [v for v in vars(compiled).values() if isinstance(v, np.ndarray)]
         assert sum(a.nbytes for a in arrays) < 8_000_000
+
+
+def long_post(n: int, seed: int = 0) -> Post:
+    """An n-sentence post with random concept flags, so every hamming
+    distance and repeated restricted vectors occur."""
+    rng = np.random.default_rng(seed)
+    return Post(
+        id=f"long{n}",
+        sentences=[f"sentence number {i} here." for i in range(n)],
+        sentence_presence=[tuple(int(b) for b in row) for row in rng.integers(0, 2, (n, 3))],
+    )
+
+
+class TestPairPath:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 100])
+    def test_pair_weights_match_a_pair_loop(self, n):
+        rng = np.random.default_rng(n)
+        restricted = [tuple(int(b) for b in row) for row in rng.integers(0, 2, (n, 2))]
+        eps = 0.3
+        loop_pairs, loop_weights = [], []
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist = sum(int(x) != int(y) for x, y in zip(restricted[i], restricted[j]))
+                loop_pairs.append((i, j))
+                loop_weights.append(1.0 / (dist + eps))
+        weights = model_module._pair_weights(restricted, eps)
+        assert weights.dtype == np.float64
+        assert weights.tobytes() == np.array(loop_weights, dtype=np.float64).tobytes()
+        pairs = model_module._pairs(n)
+        assert pairs.shape == (2, len(loop_pairs))
+        assert [tuple(p) for p in pairs.T.tolist()] == loop_pairs
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_blocked_penalty_equals_one_pass(self, rng, dtype):
+        n = 100
+        pi, pj = model_module._pairs(n)
+        assert pi.size > model_module._PAIR_BLOCK
+        contribs = rng.standard_normal((n, 16)).astype(dtype)
+        inv_dist = 1.0 / (rng.integers(0, 4, pi.size) + 1e-6)
+        diffs = contribs[pi] - contribs[pj]
+        expected = -np.dot(inv_dist, (diffs * diffs).sum(axis=1))
+        got = model_module._penalty(contribs, pi, pj, inv_dist)
+        assert got.dtype == expected.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_forward_on_a_300_sentence_post_stays_small(self, make_model):
+        # the pair path works in fixed-size blocks; one (pairs, d) temporary
+        # over all 44,850 pairs would take 23 MB at d = 64
+        model = make_model(dimension=64, epsilon=1.0)
+        post = long_post(300)
+        forward(model, post)  # fills the embedding cache
+        tracemalloc.start()
+        try:
+            forward(model, post)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
 
 
 class TestAggregateProbs:

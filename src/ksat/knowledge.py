@@ -125,10 +125,14 @@ def connection_vector(presence: Sequence[int], context: Sequence[int]) -> tuple[
 
 
 def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Count of positions where two equal-length bit vectors differ."""
+    """Count of positions where two equal-length bit vectors differ.
+
+    The entries must be 0/1 bits (ints, bools or NumPy integers); they are
+    compared as they are, so ``1.5`` and ``1`` or ``"1"`` and ``1`` differ.
+    """
     if len(a) != len(b):
         raise ValueError(f"hamming distance needs equal lengths, got {len(a)} and {len(b)}")
-    return sum(map(operator.ne, a, b))
+    return int(sum(map(operator.ne, a, b)))
 
 
 def context_for_layer(tree: KnowledgeTree, outcome: Outcome) -> tuple[int, ...]:

@@ -211,29 +211,22 @@ def _pair_weights(restricted: list[tuple[int, ...]], epsilon: float) -> np.ndarr
     return 1.0 / (dists + epsilon)
 
 
-# Pairs per block of the penalty and its gradient: bounds their (pairs, d)
-# temporaries (2 MiB each at d = 64) on long posts.
+# Pairs per block of the penalty: bounds its (pairs, d) temporaries (2 MiB
+# each at d = 64) on long posts.
 _PAIR_BLOCK = 4096
-
-
-def _pair_blocks(n_pairs: int) -> list[slice]:
-    """Consecutive runs of at most `_PAIR_BLOCK` pairs covering all of them."""
-    return [slice(lo, lo + _PAIR_BLOCK) for lo in range(0, n_pairs, _PAIR_BLOCK)]
 
 
 def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.ndarray):
     """The graph-context bias: ``-sum_p inv_dist[p] * ||c[pi[p]] - c[pj[p]]||^2``.
 
     Dtype-preserving, so the finite-difference checker can run it in extended
-    precision. Past one block the squared norms are taken block by block into
+    precision. The squared norms are taken `_PAIR_BLOCK` pairs at a time into
     one array; each row's sum and the final dot product are the same as in
-    one pass, so the result is too, bit for bit.
+    one pass over all pairs, so the result is too, bit for bit.
     """
-    if pi.size <= _PAIR_BLOCK:
-        diffs = contribs.take(pi, axis=0) - contribs.take(pj, axis=0)
-        return -np.dot(inv_dist, (diffs * diffs).sum(axis=1))
     sq = np.empty(pi.size, dtype=contribs.dtype)
-    for s in _pair_blocks(pi.size):
+    for lo in range(0, pi.size, _PAIR_BLOCK):
+        s = slice(lo, lo + _PAIR_BLOCK)
         diffs = contribs.take(pi[s], axis=0)
         diffs -= contribs.take(pj[s], axis=0)
         diffs *= diffs

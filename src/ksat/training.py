@@ -27,7 +27,6 @@ from .model import (
     CompiledPost,
     KsatModel,
     LayerPass,
-    _pair_blocks,
     block_shapes,
     clone_model,
     compile_post,
@@ -225,29 +224,13 @@ def _layer_backward(
     if model.kg_bias_enabled and pi.size:
         contribs = _stack([lp.contribs for lp in lps])
         inv_dist = _stack([cp.inv_dist[li] for cp in cps])
-        scale = (-2.0 * g_u.sum(axis=1))[:, None, None]  # -2 dL/d(penalty)
-
-        def pair_grads(s: slice) -> np.ndarray:
-            """The gradient wrt c[pi] - c[pj] over the pairs in block `s`."""
-            g_diffs = contribs[:, pi[s]] - contribs[:, pj[s]]
-            g_diffs *= inv_dist[:, s, None]
-            g_diffs *= scale
-            return g_diffs
-
-        # sentences repeat in pi and pj, so fancy-index += would drop terms.
-        # A sentence's pairs as pj all precede its pairs as pi, so the
-        # subtractions take a second sweep: every add into a row comes before
-        # its subtractions, the order of one unblocked scatter. A single
-        # block's gradients serve both sweeps.
+        g_kg = g_u.sum(axis=1)
+        diffs = contribs[:, pi] - contribs[:, pj]
+        g_diffs = (-2.0 * g_kg)[:, None, None] * (inv_dist[:, :, None] * diffs)
+        # sentences repeat in pi and pj, so fancy-index += would drop terms
         g_c = np.zeros((b, t - 2, d))
-        blocks = _pair_blocks(pi.size)
-        for s in blocks:
-            g_diffs = pair_grads(s)
-            np.add.at(g_c, (slice(None), pi[s]), g_diffs)
-        for s in blocks:
-            if len(blocks) > 1:
-                g_diffs = pair_grads(s)
-            np.subtract.at(g_c, (slice(None), pj[s]), g_diffs)
+        np.add.at(g_c, (slice(None), pi), g_diffs)
+        np.subtract.at(g_c, (slice(None), pj), g_diffs)
         g_attn[:, 1, 2:] = (g_c * v[:, 2:]).sum(axis=2)
         g_v[:, 2:] += attn[:, 1, 2:, None] * g_c
     # attention output plus residual

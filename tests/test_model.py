@@ -374,10 +374,10 @@ class TestPairPath:
         assert [tuple(p) for p in pairs.T.tolist()] == loop_pairs
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    def test_blocked_penalty_equals_one_pass(self, rng, dtype):
-        n = 100
+    @pytest.mark.parametrize("n", [5, 100])  # one block, two blocks
+    def test_blocked_penalty_equals_one_pass(self, rng, dtype, n):
         pi, pj = model_module._pairs(n)
-        assert pi.size > model_module._PAIR_BLOCK
+        assert (pi.size > model_module._PAIR_BLOCK) == (n == 100)
         contribs = rng.standard_normal((n, 16)).astype(dtype)
         inv_dist = 1.0 / (rng.integers(0, 4, pi.size) + 1e-6)
         diffs = contribs[pi] - contribs[pj]

@@ -12,7 +12,6 @@ from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
 from ksat.knowledge import N_OUTCOMES, Outcome
 from ksat.model import KsatModel, forward
-from ksat import model as model_module
 from ksat import training
 from ksat.training import (
     GRADIENT_FLOOR,
@@ -213,40 +212,6 @@ class TestBackward:
             not np.array_equal(np.asarray(a), np.asarray(b))
             for (_, a), (_, b) in zip(grads_on.blocks(), grads_off.blocks())
         )
-
-
-class TestBlockedPairGradient:
-    @staticmethod
-    def long_post(post_id: str, seed: int, gold: Outcome) -> Post:
-        rng = np.random.default_rng(seed)
-        n = 100  # 4,950 pairs: more than one pair block
-        return Post(
-            id=post_id,
-            sentences=[f"sentence {i} of {post_id}." for i in range(n)],
-            gold=gold,
-            sentence_presence=[tuple(int(b) for b in r) for r in rng.integers(0, 2, (n, 3))],
-        )
-
-    @pytest.mark.parametrize("block", [None, 1000, 7])
-    def test_gradients_equal_one_unblocked_scatter(self, make_model, monkeypatch, block):
-        # one bucket of two 100-sentence posts; a sentence's pairs as pj come
-        # before its pairs as pi, so the blocks must not interleave the adds
-        # and subtractions into one row
-        model = checkable_model(make_model, seed=3)
-        batch = as_batch(
-            self.long_post("x", 0, Outcome.IDEATION_2),
-            self.long_post("y", 1, Outcome.INDICATION_OR_NONE),
-        )
-        monkeypatch.setattr(model_module, "_PAIR_BLOCK", 10**9)
-        reference = list(backward(model, batch).blocks())
-        if block is not None:
-            monkeypatch.setattr(model_module, "_PAIR_BLOCK", block)
-        else:
-            monkeypatch.undo()
-        assert model_module._PAIR_BLOCK < 4950
-        blocked = list(backward(model, batch).blocks())
-        for (name, want), (_, got) in zip(reference, blocked):
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 class TestGradientReport:

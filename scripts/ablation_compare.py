@@ -57,7 +57,6 @@ def main() -> int:
         tc = TrainConfig(
             epochs=args.epochs,
             learning_rate=args.lr,
-            seed=args.seed,
             kg_bias_enabled=enabled,
         )
         try:

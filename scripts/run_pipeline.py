@@ -72,7 +72,6 @@ def main() -> int:
         TrainConfig(
             epochs=args.epochs,
             learning_rate=args.lr,
-            seed=args.seed,
             kg_bias_enabled=False,
         ),
     )

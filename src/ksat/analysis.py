@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import Dataset, Post
 from .errors import DataFormatError
 from .knowledge import LAYER_ORDER, N_OUTCOMES, Outcome
-from .model import KsatModel, compile_post, forward, normalize_probs, run_layers
+from .model import KsatModel, forward, normalize_probs
 
 
 @dataclass
@@ -157,13 +157,12 @@ def contribution_report(
     data = np.zeros((n_layers, N_OUTCOMES))
     kg = np.zeros(n_layers)
     for post in dataset.posts:
-        cp = compile_post(model, post, embeddings_table=embeddings_table)
-        passes = run_layers(model, cp)
+        _, passes = forward(model, post, embeddings_table=embeddings_table)
         for li, lp in enumerate(passes):
             layer = model.layers[li]
-            know[li] += np.abs(lp.alpha * (layer.w_out.T @ lp.y[1]))
-            data[li] += np.abs((1.0 - lp.alpha) * (layer.w_out.T @ lp.y[0]))
-            kg[li] += lp.kg
+            know[li] += np.abs(lp.alpha * (layer.w_out.T @ lp.z_kcls))
+            data[li] += np.abs((1.0 - lp.alpha) * (layer.w_out.T @ lp.z_cls))
+            kg[li] += lp.kg_bias
     n = len(dataset.posts)
     return [
         LayerContribution(
@@ -201,11 +200,13 @@ class DistanceReport:
 def final_layer_outputs(
     model: KsatModel, post: Post, embeddings_table=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(context token, knowledge token) outputs of the last layer."""
-    cp = compile_post(model, post, embeddings_table=embeddings_table)
-    passes = run_layers(model, cp)
-    last = passes[-1]
-    return last.y[0].copy(), last.y[1].copy()
+    """(context token, knowledge token) outputs of the last layer.
+
+    Copies, so a caller that keeps them holds two rows, not the post's
+    whole token matrix.
+    """
+    _, passes = forward(model, post, embeddings_table=embeddings_table)
+    return passes[-1].z_cls.copy(), passes[-1].z_kcls.copy()
 
 
 def distance_report(

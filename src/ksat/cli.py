@@ -190,7 +190,6 @@ def _cmd_train(args) -> int:
     tc = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
-        seed=args.seed,
         kg_bias_enabled=not args.no_kg_bias,
     )
     result = train(model, dataset, tc, embeddings_table=table)
@@ -261,7 +260,7 @@ def _cmd_gradcheck(args) -> int:
     dataset = generate_synthetic(spec, tree)
     model = KsatModel.initialize(tree, config, seed=args.seed, epsilon=1.0)
     batch = [(p, p.sentence_presence, p.gold) for p in dataset.posts]
-    report = finite_diff_check(model, batch, TrainConfig(seed=args.seed))
+    report = finite_diff_check(model, batch, TrainConfig())
     worst = max(report.block_errors, key=report.block_errors.get)
     _say(
         args,

@@ -103,18 +103,6 @@ class KsatLayerParams:
 
 
 @dataclass
-class LayerActivations:
-    """Per-layer forward artifacts kept for analysis and reporting."""
-
-    z_cls: np.ndarray
-    z_kcls: np.ndarray
-    kcls_contribs: np.ndarray  # (n, d)
-    attention: np.ndarray  # (T, T), rows sum to 1
-    kg_bias: float
-    layer_probs: np.ndarray  # (N_OUTCOMES,)
-
-
-@dataclass
 class KsatModel:
     layers: list[KsatLayerParams]
     tree: KnowledgeTree
@@ -341,21 +329,31 @@ def compile_post(
 
 @dataclass
 class LayerPass:
-    """Everything the backward pass needs from one layer's forward pass."""
+    """One layer's forward pass: what analysis reports and what the
+    backward pass reads. Shared by every caller; treat it as read-only."""
 
-    x: np.ndarray
+    x: np.ndarray  # (T, d) layer input, KCLS row overwritten
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    attn: np.ndarray
-    y: np.ndarray
-    contribs: np.ndarray
-    kg: float
+    attention: np.ndarray  # (T, T), rows sum to 1
+    y: np.ndarray  # (T, d) layer output
+    kcls_contribs: np.ndarray  # (n, d)
+    kg_bias: float
     alpha: float
     mix: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
+    layer_probs: np.ndarray  # (N_OUTCOMES,)
     log_probs: np.ndarray
+
+    @property
+    def z_cls(self) -> np.ndarray:
+        """The context token's output, row 0 of `y`."""
+        return self.y[0]
+
+    @property
+    def z_kcls(self) -> np.ndarray:
+        """The knowledge token's output, row 1 of `y`."""
+        return self.y[1]
 
 
 def layer_probabilities(
@@ -379,19 +377,23 @@ def _readout(layer: KsatLayerParams, z_cls: np.ndarray, z_kcls: np.ndarray, kg):
 
 
 def _layer_core(
-    x: np.ndarray,
+    reps: np.ndarray,
     layer: KsatLayerParams,
     pi: np.ndarray,
     pj: np.ndarray,
     inv_dist: np.ndarray,
     kg_enabled: bool,
 ) -> LayerPass:
-    """One layer on token matrix `x` (KCLS slot already overwritten).
+    """One layer on incoming token matrix `reps`, which is left unchanged:
+    the layer reads a copy whose KCLS row is overwritten by its knowledge
+    token.
 
     Products use ``ndarray.dot`` rather than ``@``: for float64 both make
     the same BLAS call, and on the finite-difference checker's
     extended-precision arrays ``dot`` dispatches in about half the time.
     """
+    x = reps.copy()
+    x[1] = layer.kcls_init
     d = x.shape[1]
     inv_sqrt_d = 1.0 / math.sqrt(d)
     q = x.dot(layer.w_query)
@@ -406,23 +408,10 @@ def _layer_core(
     else:
         kg = 0.0
     alpha, mix, logits = _readout(layer, y[0], y[1], kg)
-    log_probs = -np.logaddexp(0.0, -logits)
-    probs = sigmoid(logits)
     return LayerPass(
-        x=x, q=q, k=k, v=v, attn=attn, y=y, contribs=contribs,
-        kg=kg, alpha=alpha, mix=mix, logits=logits, probs=probs, log_probs=log_probs,
-    )
-
-
-def _activations(lp: LayerPass) -> LayerActivations:
-    """Copy one layer pass's reportable artifacts out of the backward state."""
-    return LayerActivations(
-        z_cls=lp.y[0].copy(),
-        z_kcls=lp.y[1].copy(),
-        kcls_contribs=lp.contribs.copy(),
-        attention=lp.attn.copy(),
-        kg_bias=lp.kg,
-        layer_probs=lp.probs.copy(),
+        x=x, q=q, k=k, v=v, attention=attn, y=y, kcls_contribs=contribs,
+        kg_bias=kg, alpha=alpha, mix=mix, layer_probs=sigmoid(logits),
+        log_probs=-np.logaddexp(0.0, -logits),
     )
 
 
@@ -432,8 +421,9 @@ def layer_forward(
     connection_vectors: list[tuple[int, ...]],
     epsilon: float,
     kg_enabled: bool = True,
-) -> tuple[np.ndarray, LayerActivations]:
-    """Run one layer: overwrite KCLS, attend, score; returns (new_reps, acts).
+) -> tuple[np.ndarray, LayerPass]:
+    """Run one layer: overwrite KCLS, attend, score; returns the new token
+    matrix (the pass's ``y``) and the pass. ``token_reps`` is left unchanged.
 
     ``connection_vectors`` are the sentences' presence vectors already
     restricted to this layer's context.
@@ -450,11 +440,10 @@ def layer_forward(
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     pi, pj = _pairs(n)
-    inv_dist = _pair_weights(connection_vectors, epsilon)
-    x = token_reps.copy()
-    x[1] = layer.kcls_init
-    lp = _layer_core(x, layer, pi, pj, inv_dist, kg_enabled)
-    return lp.y, _activations(lp)
+    lp = _layer_core(
+        token_reps, layer, pi, pj, _pair_weights(connection_vectors, epsilon), kg_enabled
+    )
+    return lp.y, lp
 
 
 def run_layers(
@@ -480,10 +469,9 @@ def run_layers(
         reps[2:] = compiled.embeddings
     pi, pj = compiled.pairs
     for li in range(len(passes), len(model.layers)):
-        layer = model.layers[li]
-        x = reps.copy()
-        x[1] = layer.kcls_init
-        lp = _layer_core(x, layer, pi, pj, compiled.inv_dist[li], model.kg_bias_enabled)
+        lp = _layer_core(
+            reps, model.layers[li], pi, pj, compiled.inv_dist[li], model.kg_bias_enabled
+        )
         passes.append(lp)
         reps = lp.y
     return passes
@@ -502,15 +490,12 @@ def forward(
     post: Post,
     sentence_presence=None,
     embeddings_table: dict[str, np.ndarray] | None = None,
-) -> tuple[np.ndarray, list[LayerActivations]]:
+) -> tuple[np.ndarray, list[LayerPass]]:
     """Run the full stack; returns the raw (unnormalized) final product
-    vector over outcomes plus per-layer activations. Pure: no state mutates.
+    vector over outcomes plus each layer's pass. Pure: no state mutates.
     """
-    compiled = compile_post(model, post, sentence_presence, embeddings_table)
-    passes = run_layers(model, compiled)
-    activations = [_activations(lp) for lp in passes]
-    final = aggregate_probs([lp.probs for lp in passes])
-    return final, activations
+    passes = run_layers(model, compile_post(model, post, sentence_presence, embeddings_table))
+    return aggregate_probs([lp.layer_probs for lp in passes]), passes
 
 
 def normalize_probs(final: np.ndarray) -> np.ndarray:

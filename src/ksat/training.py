@@ -40,6 +40,10 @@ COLLAPSE_FLOOR = 1e-300
 class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 200
+    # Read by nothing: initialization takes its seed from
+    # `KsatModel.initialize`. Kept only because the benchmark's workloads
+    # pass it (`perfbench/workloads.py`); it goes when a benchmark change
+    # stops that.
     seed: int = 0
     fd_step: float = 1e-5
     grad_tolerance: float = 1e-4
@@ -107,7 +111,7 @@ def _post_log_product(passes: list[LayerPass], post_id: str) -> tuple[np.ndarray
     final = np.ones(N_OUTCOMES, dtype=dtype)
     for lp in passes:
         log_f += lp.log_probs
-        final *= lp.probs
+        final *= lp.layer_probs
     if (final < COLLAPSE_FLOOR).all():
         peaks = [float(lp.log_probs.max()) for lp in passes]
         worst = int(np.argmin(peaks))
@@ -203,7 +207,7 @@ def _layer_backward(
     gl = grads.layers[li]
     b, t, d = g_y.shape
     inv_sqrt_d = 1.0 / math.sqrt(d)
-    probs = _stack([lp.probs for lp in lps])
+    probs = _stack([lp.layer_probs for lp in lps])
     mix = _stack([lp.mix for lp in lps])
     z = _stack([lp.y[:2] for lp in lps])  # the CLS and KCLS outputs
     alpha = lps[0].alpha  # sigmoid(a_raw): the same for every post
@@ -217,12 +221,12 @@ def _layer_backward(
     g_y[:, 0] += (1.0 - alpha) * g_m
     # graph-context bias quotient path
     v = _stack([lp.v for lp in lps])
-    attn = _stack([lp.attn for lp in lps])
+    attn = _stack([lp.attention for lp in lps])
     g_v = np.zeros((b, t, d))
     g_attn = np.zeros((b, t, t))
     pi, pj = cps[0].pairs
     if model.kg_bias_enabled and pi.size:
-        contribs = _stack([lp.contribs for lp in lps])
+        contribs = _stack([lp.kcls_contribs for lp in lps])
         inv_dist = _stack([cp.inv_dist[li] for cp in cps])
         g_kg = g_u.sum(axis=1)
         diffs = contribs[:, pi] - contribs[:, pj]

@@ -4,8 +4,8 @@ Each test prints ``[acceptance] C<n>: PASS`` or ``FAIL`` directly to the
 terminal (bypassing capture) and then asserts, so a full run always shows
 nine verdict lines.  C6 and C7 exercise the knowledge-penalty training
 protocol exactly as stated; that protocol currently fails by numerical
-collapse, and the analysis lives in the exception ledger at
-/root/notes/decisions.md.
+collapse, and the analysis lives in the README section "A note on the
+penalty term's numerical range".
 """
 
 from __future__ import annotations
@@ -296,7 +296,8 @@ def test_c6_synthetic_learnability(learnability_run, capsys):
             pytest.fail(
                 "knowledge-penalty training collapses before finishing the "
                 f"stated protocol ({learnability_run['error']}); blocking "
-                "analysis recorded in /root/notes/decisions.md"
+                "analysis in the README section \"A note on the penalty "
+                "term's numerical range\""
             )
         assert learnability_run["deterministic"]
         assert learnability_run["accuracy"] >= 0.90
@@ -312,8 +313,9 @@ def test_c7_penalty_tightens_within_class_distances(learnability_run, capsys):
         if learnability_run["error"] is not None:
             pytest.fail(
                 "blocked: the penalty-enabled reference model cannot be "
-                "trained (see the C6 failure); blocking analysis recorded "
-                "in /root/notes/decisions.md"
+                "trained (see the C6 failure); blocking analysis in the "
+                "README section \"A note on the penalty term's numerical "
+                "range\""
             )
         from ksat.analysis import within_class_kcls_distance
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -19,6 +20,7 @@ from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome, connection_vector
 from ksat.model import (
     KsatLayerParams,
     KsatModel,
+    LayerPass,
     aggregate_probs,
     clone_model,
     compile_post,
@@ -677,9 +679,9 @@ class TestRunLayers:
             assert len(resumed) == len(full)
             assert all(a is b for a, b in zip(resumed[:k], full))
             for a, b in zip(resumed[k:], full[k:]):
-                for name in ("x", "attn", "y", "contribs", "logits", "probs", "log_probs"):
+                for name in ("x", "attention", "y", "kcls_contribs", "layer_probs", "log_probs"):
                     assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-                assert a.kg == b.kg
+                assert a.kg_bias == b.kg_bias
 
     def test_representations_propagate_between_layers(self, make_model):
         model = make_model(dimension=8, seed=4, value_scale=0.2)
@@ -688,3 +690,49 @@ class TestRunLayers:
         for prev, nxt in zip(passes, passes[1:]):
             np.testing.assert_array_equal(nxt.x[0], prev.y[0])
             np.testing.assert_array_equal(nxt.x[2:], prev.y[2:])
+
+
+FIVE_SENTENCE_POST = Post(
+    id="p5",
+    sentences=[f"sentence number {i} here." for i in range(5)],
+    sentence_presence=[(1, 0, 0), (1, 0, 0), (0, 1, 1), (0, 0, 1), (1, 1, 0)],
+)
+
+
+def assert_same_pass(a, b):
+    """Every field of two layer passes equal, bit for bit."""
+    for f in dataclasses.fields(LayerPass):
+        got, want = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert got.dtype == want.dtype, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+
+
+class TestOneLayerPath:
+    """`forward` and `layer_forward` are views over the stack's one layer step."""
+
+    def test_forward_records_are_the_stack_passes(self, make_model):
+        model = make_model(dimension=8, seed=5, epsilon=1.0)
+        _, records = forward(model, FIVE_SENTENCE_POST)
+        passes = run_layers(model, compile_post(model, FIVE_SENTENCE_POST))
+        assert len(records) == len(passes) == len(model.layers)
+        for rec, lp in zip(records, passes):
+            assert rec.kg_bias < 0.0
+            assert_same_pass(rec, lp)
+
+    def test_layer_forward_is_stack_pass_zero(self, make_model):
+        model = make_model(dimension=8, seed=5, epsilon=1.0)
+        compiled = compile_post(model, FIVE_SENTENCE_POST)
+        first = run_layers(model, compiled)[0]
+        layer = model.layers[0]
+        reps = np.zeros((compiled.n_sentences + 2, model.dimension))
+        reps[2:] = compiled.embeddings
+        reps[1] = 7.0  # an incoming KCLS row the layer must overwrite in a copy
+        before = reps.copy()
+        restricted = [
+            connection_vector(row, layer.context)
+            for row in FIVE_SENTENCE_POST.sentence_presence
+        ]
+        new_reps, record = layer_forward(reps, layer, restricted, model.epsilon)
+        assert_same_pass(record, first)
+        assert new_reps is record.y
+        assert reps.tobytes() == before.tobytes()

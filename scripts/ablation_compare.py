@@ -45,10 +45,17 @@ def main() -> int:
         default_synthetic_spec(args.n_posts, args.seed, tree), tree
     )
     train_ds, test_ds = split(dataset, 0.8, args.seed)
-    print(
-        f"corpus: {args.n_posts} posts (seed {args.seed}), "
-        f"{len(train_ds.posts)} train / {len(test_ds.posts)} test"
-    )
+    sizes = f"{len(train_ds.posts)} train / {len(test_ds.posts)} test"
+    if max(test_ds.outcome_counts.values(), default=0) < 2:
+        # the within-class distance averages over same-outcome held-out pairs
+        print(
+            f"error: {args.n_posts} posts split {sizes}, and no two held-out "
+            "posts share an outcome; the within-class distance needs such a "
+            "pair, so use more posts",
+            file=sys.stderr,
+        )
+        return 2
+    print(f"corpus: {args.n_posts} posts (seed {args.seed}), {sizes}")
 
     outcomes = {}
     for label, enabled in (("penalty ON", True), ("penalty OFF", False)):

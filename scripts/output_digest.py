@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 line per model output at fixed seeds and sizes.
+
+The outputs are forward finals and every `LayerPass` field, short `train`
+traces and parameters with the graph-context penalty on and off, `backward`
+gradients, and a small `finite_diff_check`'s block errors. A change that
+claims bit-identical outputs is checked by running this script at the
+parent commit and at the change and diffing the two outputs:
+
+    python3 scripts/output_digest.py > after.txt
+    (in a checkout of the parent) python3 scripts/output_digest.py > before.txt
+    diff before.txt after.txt
+
+The script imports `ksat` from the `src/` beside it, so each checkout
+digests its own code. It takes no arguments.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+# before the ksat imports: each checkout must digest its own code
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+
+from ksat.corpus import default_synthetic_spec, generate_synthetic
+from ksat.embeddings import EmbeddingConfig
+from ksat.knowledge import default_tree
+from ksat.model import ARRAY_BLOCKS, KsatModel, LayerPass, forward
+from ksat.training import TrainConfig, backward, finite_diff_check, train
+
+SEED = 3
+
+
+def _digest(values) -> str:
+    """SHA-256 over each value's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for value in values:
+        arr = np.ascontiguousarray(value)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _corpus(tree, n_posts: int, sentences: tuple[int, int]):
+    spec = dataclasses.replace(
+        default_synthetic_spec(n_posts, SEED, tree), sentences_per_post=sentences
+    )
+    return generate_synthetic(spec, tree)
+
+
+def _model(tree, dimension: int, **kwargs) -> KsatModel:
+    return KsatModel.initialize(
+        tree, EmbeddingConfig(dimension=dimension, seed=SEED), seed=SEED, **kwargs
+    )
+
+
+def _parameters(model: KsatModel) -> list:
+    return [
+        value
+        for layer in model.layers
+        for value in (*(getattr(layer, name) for name in ARRAY_BLOCKS), layer.a_raw)
+    ]
+
+
+def digest_lines() -> list[str]:
+    """``"<output> <sha256>"`` lines, one per output, in a fixed order."""
+    tree = default_tree()
+    lines = []
+    # forward with the penalty live: posts of 1-8 sentences, and two of
+    # 95-100 whose pairs fill more than one penalty block
+    posts = _corpus(tree, 24, (1, 8)).posts + _corpus(tree, 2, (95, 100)).posts
+    model = _model(tree, 16, epsilon=1.0, value_scale=0.25)
+    runs = [forward(model, post) for post in posts]
+    lines.append(("forward.final", _digest(final for final, _ in runs)))
+    for f in dataclasses.fields(LayerPass):
+        values = (getattr(lp, f.name) for _, passes in runs for lp in passes)
+        lines.append((f"forward.pass.{f.name}", _digest(values)))
+    # train: a few full-batch epochs, penalty off and on
+    train_set = _corpus(tree, 48, (1, 4))
+    for label, enabled in (("off", False), ("on", True)):
+        config = TrainConfig(epochs=5, learning_rate=0.05, kg_bias_enabled=enabled)
+        result = train(model, train_set, config)
+        lines.append((f"train.penalty_{label}.losses", _digest(result.losses)))
+        lines.append((f"train.penalty_{label}.alphas", _digest(result.alphas)))
+        lines.append((f"train.penalty_{label}.params", _digest(_parameters(result.model))))
+    # backward on the training batch
+    batch = [(p, p.sentence_presence, p.gold) for p in train_set.posts]
+    grads = backward(model, batch)
+    lines.append(("backward.gradients", _digest(value for _, value in grads.blocks())))
+    # finite differences at d = 4 on three posts
+    small = _model(tree, 4, epsilon=1.0, value_scale=0.25)
+    report = finite_diff_check(small, batch[:3], TrainConfig())
+    errors = [report.block_errors[name] for name in sorted(report.block_errors)]
+    lines.append(("finite_diff_check.block_errors", _digest(errors)))
+    return [f"{name} {digest}" for name, digest in lines]
+
+
+def main() -> int:
+    if len(sys.argv) > 1:
+        print("usage: output_digest.py (takes no arguments)", file=sys.stderr)
+        return 2
+    for line in digest_lines():
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

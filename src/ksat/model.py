@@ -50,22 +50,31 @@ def sigmoid(z):
 
     Preserves floating dtype (the finite-difference checker evaluates the
     loss in extended precision); non-float input is computed in float64.
+    Scalars, 0-d arrays included, return a NumPy scalar by the same
+    arithmetic as the array path.
     """
-    z = np.asarray(z)
-    if z.dtype.kind != "f":
-        z = z.astype(np.float64)
-    e = np.exp(-np.abs(z))
-    if z.ndim == 0:
-        # a branch costs less than np.where on a scalar; same arithmetic
-        return 1 / (1 + e) if z >= 0 else e / (1 + e)
-    return np.where(z >= 0, 1, e) / (1 + e)
+    if not isinstance(z, (float, np.floating)):
+        z = np.asarray(z)
+        if z.dtype.kind != "f":
+            z = z.astype(np.float64)
+        if z.ndim:
+            e = np.exp(-np.abs(z))
+            # signbit picks the numerator as `z >= 0` does below; they
+            # differ only at -0.0, where e is 1
+            out = np.where(np.signbit(z), e, 1.0)
+            e += 1.0
+            out /= e
+            return out
+        z = z[()]
+    e = np.exp(-abs(z))
+    return 1 / (1 + e) if z >= 0 else e / (1 + e)
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift stabilization."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=1, keepdims=True))
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def block_shapes(d: int) -> dict[str, tuple[int, ...]]:
@@ -327,7 +336,7 @@ def compile_post(
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class LayerPass:
     """One layer's forward pass: what analysis reports and what the
     backward pass reads. Shared by every caller; treat it as read-only."""
@@ -399,9 +408,11 @@ def _layer_core(
     q = x.dot(layer.w_query)
     k = x.dot(layer.w_key)
     v = x.dot(layer.w_value)
-    scores = q.dot(k.T) * inv_sqrt_d
+    scores = q.dot(k.T)
+    scores *= inv_sqrt_d
     attn = softmax_rows(scores)
-    y = attn.dot(v) + x
+    y = attn.dot(v)
+    y += x
     contribs = attn[1, 2:, None] * v[2:]
     if kg_enabled and pi.size:
         kg = _penalty(contribs, pi, pj, inv_dist)

@@ -104,16 +104,33 @@ def compile_batch(model: KsatModel, batch, embeddings_table=None) -> list[Compil
     return compiled
 
 
-def _post_log_product(passes: list[LayerPass], post_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """(log product vector, final raw product) with the collapse guard."""
-    dtype = passes[0].log_probs.dtype
-    log_f = np.zeros(N_OUTCOMES, dtype=dtype)
-    final = np.ones(N_OUTCOMES, dtype=dtype)
-    for lp in passes:
-        log_f += lp.log_probs
-        final *= lp.layer_probs
-    if (final < COLLAPSE_FLOOR).all():
-        peaks = [float(lp.log_probs.max()) for lp in passes]
+def _loss_terms(model: KsatModel, compiled: list[CompiledPost], below=None):
+    """Mean loss, each post's layer passes, and the ``(posts, outcomes)`` log
+    normalized products.
+
+    ``below[i]``, when given, holds post i's reusable lower-layer passes
+    (see `run_layers`). The layer stacks run post by post; the head over
+    their outputs runs once for the batch. It adds the layers in stack order
+    and the posts' loss terms in post order, so each post's numbers are the
+    ones a per-post head would give, bit for bit.
+    """
+    # dtype-preserving throughout: the finite-difference checker runs this
+    # same code on an extended-precision model clone
+    passes = [run_layers(model, cp, below[i] if below else ()) for i, cp in enumerate(compiled)]
+    flat = [lp for post in passes for lp in post]
+    shape = (len(compiled), len(model.layers), N_OUTCOMES)
+    log_probs = np.concatenate([lp.log_probs for lp in flat]).reshape(shape)
+    probs = np.concatenate([lp.layer_probs for lp in flat]).reshape(shape)
+    log_f = np.zeros((shape[0], N_OUTCOMES), dtype=log_probs.dtype)
+    final = np.ones_like(log_f)
+    for li in range(shape[1]):
+        log_f += log_probs[:, li]
+        final *= probs[:, li]
+    collapsed = (final < COLLAPSE_FLOOR).all(axis=1)
+    if collapsed.any():
+        first = int(collapsed.argmax())
+        post_id = compiled[first].post_id
+        peaks = log_probs[first].max(axis=1).astype(np.float64)
         worst = int(np.argmin(peaks))
         raise NumericalError(
             f"numerical collapse in post {post_id!r}: every final product "
@@ -121,29 +138,13 @@ def _post_log_product(passes: list[LayerPass], post_id: str) -> tuple[np.ndarray
             f"maximum log-probability ({peaks[worst]:.6g})",
             post_id=post_id,
             layer=worst,
-            log_peak=peaks[worst],
+            log_peak=float(peaks[worst]),
         )
-    return log_f, final
-
-
-def _loss_terms(model: KsatModel, compiled: list[CompiledPost], below=None):
-    """Mean loss and, per post, its layer passes and log normalized product.
-
-    ``below[i]``, when given, holds post i's reusable lower-layer passes
-    (see `run_layers`).
-    """
-    # dtype-preserving throughout: the finite-difference checker runs this
-    # same code on an extended-precision model clone
-    total = 0.0
-    per_post = []
-    for i, cp in enumerate(compiled):
-        passes = run_layers(model, cp, below[i] if below else ())
-        log_f, _ = _post_log_product(passes, cp.post_id)
-        m = log_f.max()
-        lse = m + np.log(np.exp(log_f - m).sum())
-        total += lse - log_f[cp.gold]
-        per_post.append((passes, log_f - lse))
-    return total / len(compiled), per_post
+    m = log_f.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(log_f - m).sum(axis=1, keepdims=True))
+    terms = lse[:, 0] - log_f[np.arange(shape[0]), [cp.gold for cp in compiled]]
+    # a running sum, as the per-post loop added them; `sum` would pair them up
+    return np.add.accumulate(terms)[-1] / len(compiled), passes, log_f - lse
 
 
 def loss(model: KsatModel, batch, embeddings_table=None) -> float:
@@ -154,8 +155,7 @@ def loss(model: KsatModel, batch, embeddings_table=None) -> float:
 
 
 def _loss_compiled(model: KsatModel, compiled: list[CompiledPost]) -> float:
-    value, _ = _loss_terms(model, compiled)
-    return value
+    return _loss_terms(model, compiled)[0]
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -269,17 +269,19 @@ def loss_and_gradients(
 ) -> tuple[float, Gradients]:
     """Analytic mean loss and gradients over pre-compiled posts.
 
-    The forward runs post by post; the backward runs once per sentence
-    count, over all posts of that length together, shortest first.
+    The layer stacks run post by post and the loss head once for the batch;
+    the backward runs once per sentence count, over all posts of that
+    length together, shortest first.
     """
     if not compiled:
         raise ValueError("need a nonempty batch")
-    value, per_post = _loss_terms(model, compiled)
+    value, passes, log_r = _loss_terms(model, compiled)
+    ratios = np.exp(log_r)
     grads = _zero_gradients(model)
     inv_batch = 1.0 / len(compiled)
     buckets: dict[int, list] = {}
-    for cp, (passes, log_r) in zip(compiled, per_post):
-        buckets.setdefault(cp.n_sentences, []).append((cp, passes, np.exp(log_r)))
+    for cp, post_passes, r in zip(compiled, passes, ratios):
+        buckets.setdefault(cp.n_sentences, []).append((cp, post_passes, r))
     for n in sorted(buckets):
         _accumulate_bucket_gradients(model, buckets[n], inv_batch, grads)
     return float(value), grads
@@ -374,8 +376,7 @@ def _fd_gradients(
 
     def evaluate(reusable: int):
         """Loss, reusing the last evaluation's passes below layer `reusable`."""
-        value, per_post = _loss_terms(work, compiled, [p[:reusable] for p in latest])
-        latest[:] = [passes for passes, _ in per_post]
+        value, latest[:], _ = _loss_terms(work, compiled, [p[:reusable] for p in latest])
         return value
 
     for li, layer in enumerate(work.layers):

@@ -86,6 +86,31 @@ class TestSigmoid:
             assert sigmoid(zi) == ai
             assert type(sigmoid(zi)) is dtype
 
+    @given(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 750.0, -750.0]),
+            st.floats(-800.0, 800.0),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        st.sampled_from(["float", "int", "float64", "longdouble", "0-d float64", "0-d longdouble"]),
+    )
+    def test_scalar_path_matches_a_one_element_array(self, z, kind):
+        dtype = np.longdouble if "longdouble" in kind else np.float64
+        if kind == "int":
+            z = int(max(min(z, 1e6), -1e6))
+        scalar = {
+            "float": float,
+            "int": int,
+            "float64": np.float64,
+            "longdouble": np.longdouble,
+            "0-d float64": lambda v: np.array(v, dtype=np.float64),
+            "0-d longdouble": lambda v: np.array(v, dtype=np.longdouble),
+        }[kind](z)
+        got = sigmoid(scalar)
+        want = sigmoid(np.array([z], dtype=dtype))[0]
+        assert type(got) is type(want) is dtype
+        assert got == want and np.signbit(got) == np.signbit(want)
+
 
 class TestSoftmaxRows:
     def test_rows_sum_to_one(self, rng):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -47,3 +48,28 @@ def test_ablation_compare_reports_both_modes(monkeypatch, capsys):
     assert "=== penalty ON ===" in printed
     assert "=== penalty OFF ===" in printed
     assert "=== summary ===" in printed
+
+
+def test_ablation_compare_refuses_a_split_without_same_outcome_pairs(monkeypatch, capsys):
+    # 24 posts leave one held-out post per outcome; the check runs before
+    # either mode trains, so no mode header is printed
+    assert run_script(monkeypatch, "ablation_compare", "--n-posts", "24", *TINY) == 2
+    captured = capsys.readouterr()
+    assert "===" not in captured.out
+    (message,) = captured.err.splitlines()
+    assert "20 train / 4 test" in message
+
+
+def test_output_digest_prints_the_same_lines_twice_in_one_process(monkeypatch, capsys):
+    start = time.perf_counter()
+    printed = []
+    for _ in range(2):
+        assert run_script(monkeypatch, "output_digest") == 0
+        printed.append(capsys.readouterr().out.splitlines())
+    assert time.perf_counter() - start < 10.0
+    assert printed[0] == printed[1]
+    names = [line.split()[0] for line in printed[0]]
+    assert len(set(names)) == len(names)
+    assert "forward.pass.log_probs" in names
+    assert "finite_diff_check.block_errors" in names
+    assert all(len(line.split()[1]) == 64 for line in printed[0])

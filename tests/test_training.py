@@ -11,7 +11,7 @@ from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_syntheti
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
 from ksat.knowledge import N_OUTCOMES, Outcome
-from ksat.model import KsatModel, forward
+from ksat.model import KsatModel, forward, run_layers
 from ksat import training
 from ksat.training import (
     GRADIENT_FLOOR,
@@ -156,6 +156,83 @@ class TestLoss:
         )
         with pytest.raises(NumericalError, match="collapse"):
             loss(model, as_batch(post))
+
+
+def per_post_reference(model: KsatModel, compiled):
+    """Mean loss and log normalized products, one post at a time: each
+    post's layers added in stack order, the loss terms summed in post order."""
+    total = 0.0
+    rows = []
+    for cp in compiled:
+        passes = run_layers(model, cp)
+        log_f = np.zeros(N_OUTCOMES, dtype=passes[0].log_probs.dtype)
+        for lp in passes:
+            log_f += lp.log_probs
+        m = log_f.max()
+        lse = m + np.log(np.exp(log_f - m).sum())
+        total += lse - log_f[cp.gold]
+        rows.append(log_f - lse)
+    return total / len(compiled), rows
+
+
+def collapsing_post(post_id: str, n_sentences: int) -> Post:
+    """Sentences at Hamming distance 0 in every layer: with identity value
+    projections the pair penalty drives every layer to ~-1e6."""
+    return Post(
+        id=post_id,
+        sentences=[f"wish to be dead {i}." for i in range(n_sentences)],
+        gold=Outcome.IDEATION_1,
+        sentence_presence=[(1, 0, 0)] * n_sentences,
+    )
+
+
+class TestBatchedLossHead:
+    """`_loss_terms` runs the head over all posts at once; each number is
+    the one a per-post head gives, bit for bit."""
+
+    def _batch(self, tree):
+        spec = default_synthetic_spec(48, 11, tree)
+        spec.sentences_per_post = (1, 5)
+        posts = generate_synthetic(spec, tree).posts
+        assert len({len(p.sentences) for p in posts}) > 3
+        return as_batch(*posts)
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_loss_equals_the_per_post_sum_in_post_order(self, make_model, tree, extended):
+        model = checkable_model(make_model, seed=4)
+        compiled = compile_batch(model, self._batch(tree))
+        if extended:
+            model = _extended_precision_clone(model)
+        value, passes, log_r = training._loss_terms(model, compiled)
+        want, rows = per_post_reference(model, compiled)
+        assert type(value) is type(want)
+        assert value == want
+        assert len(passes) == len(compiled)
+        np.testing.assert_array_equal(log_r, np.stack(rows))
+        if not extended:
+            assert loss(model, self._batch(tree)) == float(want)
+
+    def test_collapse_names_the_first_collapsed_post(self, make_model):
+        model = make_model(dimension=8, seed=0, value_scale=0.0)
+        for layer in model.layers:
+            layer.w_value[:] = np.eye(8)
+        first, second = collapsing_post("z1", 2), collapsing_post("z2", 4)
+        compiled = compile_batch(model, as_batch(POST_B, first, second))
+        assert training._loss_terms(model, compiled[:1])[0] < 10.0  # healthy
+        peaks = [float(lp.log_probs.max()) for lp in run_layers(model, compiled[1])]
+        worst = int(np.argmin(peaks))
+        for evaluate in (training._loss_terms, loss_and_gradients):
+            with pytest.raises(NumericalError, match="collapse") as info:
+                evaluate(model, compiled)
+            error = info.value
+            assert error.post_id == "z1"
+            assert error.layer == worst
+            assert error.log_peak == peaks[worst] < -1e3
+            assert str(error) == (
+                "numerical collapse in post 'z1': every final product "
+                "probability fell below 1e-300; layer "
+                f"{worst} has the lowest maximum log-probability ({peaks[worst]:.6g})"
+            )
 
 
 class TestBackward:

@@ -3,7 +3,8 @@
 
 The outputs are forward finals and every `LayerPass` field, short `train`
 traces and parameters with the graph-context penalty on and off, `backward`
-gradients, and a small `finite_diff_check`'s block errors. A change that
+gradients, a small `finite_diff_check`'s block errors, and what the loss's
+collapse guard reports on a batch crafted to collapse. A change that
 claims bit-identical outputs is checked by running this script at the
 parent commit and at the change and diffing the two outputs:
 
@@ -27,11 +28,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from ksat.corpus import default_synthetic_spec, generate_synthetic
+from ksat.corpus import Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig
-from ksat.knowledge import default_tree
+from ksat.errors import NumericalError
+from ksat.knowledge import Outcome, default_tree
 from ksat.model import ARRAY_BLOCKS, KsatModel, LayerPass, forward
-from ksat.training import TrainConfig, backward, finite_diff_check, train
+from ksat.training import TrainConfig, backward, finite_diff_check, loss, train
 
 SEED = 3
 
@@ -97,6 +99,27 @@ def digest_lines() -> list[str]:
     report = finite_diff_check(small, batch[:3], TrainConfig())
     errors = [report.block_errors[name] for name in sorted(report.block_errors)]
     lines.append(("finite_diff_check.block_errors", _digest(errors)))
+    # the collapse guard: identity value projections and sentences at
+    # Hamming distance 0 drive the second post's layers to ~-1e5
+    collapsing = _model(tree, 8)
+    for layer in collapsing.layers:
+        layer.w_value[:] = np.eye(8)
+    crafted = [
+        Post(
+            id=f"c{n}",
+            sentences=[f"wish to be dead {i}." for i in range(n)],
+            gold=Outcome.IDEATION_1,
+            sentence_presence=[(1, 0, 0)] * n,
+        )
+        for n in (1, 3)
+    ]
+    try:
+        loss(collapsing, [(p, p.sentence_presence, p.gold) for p in crafted])
+    except NumericalError as exc:
+        facts = [str(exc), exc.post_id, exc.layer, exc.log_peak]
+    else:
+        facts = ["no collapse"]
+    lines.append(("loss.collapse", _digest(facts)))
     return [f"{name} {digest}" for name, digest in lines]
 
 

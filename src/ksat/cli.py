@@ -11,6 +11,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -68,8 +69,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="annotated JSONL output")
     p.add_argument("--grid-search", action="store_true")
     p.add_argument("--thetas", help="comma-separated per-concept thresholds")
-    p.add_argument("--frag-size", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--theta-step", type=float, default=0.1)
+    p.add_argument("--frag-size", type=int, choices=(1, 2, 3))
+    p.add_argument("--theta-step", type=float)
 
     p = sub.add_parser("train", help="train a model on an annotated corpus")
     _add_globals(p)
@@ -150,11 +151,16 @@ def _cmd_synth(args) -> int:
 def _cmd_annotate(args) -> int:
     tree = _tree(args)
     config = _embed_config(args)
-    dataset = load_jsonl(args.data)
     if args.grid_search and args.thetas:
         raise ValueError("--grid-search and --thetas are mutually exclusive")
+    if args.grid_search and args.frag_size is not None:
+        raise ValueError("--frag-size does not apply to --grid-search, which fits it")
+    if not args.grid_search and args.theta_step is not None:
+        raise ValueError("--theta-step applies only to --grid-search")
+    dataset = load_jsonl(args.data)
     if args.grid_search:
-        result = grid_search(dataset, tree, config, theta_step=args.theta_step)
+        options = {} if args.theta_step is None else {"theta_step": args.theta_step}
+        result = grid_search(dataset, tree, config, **options)
         params = result.params
         _say(
             args,
@@ -168,9 +174,11 @@ def _cmd_annotate(args) -> int:
             thetas = tuple(float(t) for t in args.thetas.split(","))
         except ValueError as exc:
             raise ValueError(f"bad --thetas value: {exc}") from None
-        params = AnnotationParams(thetas=thetas, frag_size=args.frag_size)
+        params = AnnotationParams(thetas=thetas)
     else:
         params = default_params()
+    if args.frag_size is not None:
+        params = dataclasses.replace(params, frag_size=args.frag_size)
     annotated = apply_annotations(dataset, tree, params, config)
     save_jsonl(annotated, args.out)
     _say(args, f"annotated {len(annotated)} posts -> {args.out}")

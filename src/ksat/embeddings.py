@@ -99,8 +99,8 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
 
     ``#``-prefixed lines are comments and blank lines are skipped. Every
     loaded vector is re-normalized to unit length (all-zero vectors are kept
-    as-is), all rows must agree on one dimension, and duplicate ids are
-    rejected. Errors carry the offending line number.
+    as-is), all rows must agree on one dimension, and duplicate ids and
+    non-finite values are rejected. Errors carry the offending line number.
     """
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -121,6 +121,8 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                 vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad float value ({exc})") from exc
+            if not np.isfinite(vec).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:

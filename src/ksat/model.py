@@ -120,8 +120,8 @@ class KsatModel:
     kg_bias_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if tuple(l.outcome for l in self.layers) != LAYER_ORDER:
             raise DataFormatError("model layers must follow the fixed outcome order")
         shapes = block_shapes(self.embedding_config.dimension)
@@ -600,15 +600,15 @@ def load_model(path, tree: KnowledgeTree) -> KsatModel:
                     outcome=Outcome(entry["outcome"]),
                 )
             )
+        return KsatModel(
+            layers=layers,
+            tree=tree,
+            embedding_config=cfg,
+            epsilon=float(data.get("epsilon", DEFAULT_EPSILON)),
+            kg_bias_enabled=bool(data.get("kg_bias_enabled", True)),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed model JSON ({exc})") from exc
-    return KsatModel(
-        layers=layers,
-        tree=tree,
-        embedding_config=cfg,
-        epsilon=float(data.get("epsilon", DEFAULT_EPSILON)),
-        kg_bias_enabled=bool(data.get("kg_bias_enabled", True)),
-    )
 
 
 def clone_model(model: KsatModel) -> KsatModel:

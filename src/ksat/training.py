@@ -34,6 +34,7 @@ from .model import (
 )
 
 COLLAPSE_FLOOR = 1e-300
+LOG_COLLAPSE_FLOOR = math.log(COLLAPSE_FLOOR)
 
 
 @dataclass
@@ -50,12 +51,12 @@ class TrainConfig:
     kg_bias_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "fd_step", "grad_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.fd_step <= 0 or self.grad_tolerance <= 0:
-            raise ValueError("fd_step and grad_tolerance must be positive")
 
 
 @dataclass
@@ -120,13 +121,12 @@ def _loss_terms(model: KsatModel, compiled: list[CompiledPost], below=None):
     flat = [lp for post in passes for lp in post]
     shape = (len(compiled), len(model.layers), N_OUTCOMES)
     log_probs = np.concatenate([lp.log_probs for lp in flat]).reshape(shape)
-    probs = np.concatenate([lp.layer_probs for lp in flat]).reshape(shape)
     log_f = np.zeros((shape[0], N_OUTCOMES), dtype=log_probs.dtype)
-    final = np.ones_like(log_f)
     for li in range(shape[1]):
         log_f += log_probs[:, li]
-        final *= probs[:, li]
-    collapsed = (final < COLLAPSE_FLOOR).all(axis=1)
+    # the guard reads the log product: the raw one underflows to 0.0 long
+    # before its log leaves the float range
+    collapsed = (log_f < LOG_COLLAPSE_FLOOR).all(axis=1)
     if collapsed.any():
         first = int(collapsed.argmax())
         post_id = compiled[first].post_id
@@ -151,39 +151,12 @@ def loss(model: KsatModel, batch, embeddings_table=None) -> float:
     """Mean negative log normalized-product probability of the gold outcome."""
     if not batch:
         raise ValueError("loss needs a nonempty batch")
-    return float(_loss_compiled(model, compile_batch(model, batch, embeddings_table)))
-
-
-def _loss_compiled(model: KsatModel, compiled: list[CompiledPost]) -> float:
-    return _loss_terms(model, compiled)[0]
+    return float(_loss_terms(model, compile_batch(model, batch, embeddings_table))[0])
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """Same-shape arrays stacked along a new leading axis (one copy)."""
     return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
-
-
-def _accumulate_bucket_gradients(
-    model: KsatModel,
-    bucket: list[tuple[CompiledPost, list[LayerPass], np.ndarray]],
-    inv_batch: float,
-    grads: Gradients,
-) -> None:
-    """Backward through the stack for posts of one length, adding into `grads`.
-
-    The posts share their sentence count, hence their token count and their
-    pair indices, so each layer's forward state stacks into ``(B, t, .)``
-    arrays without padding and every step runs once per bucket.
-    """
-    cps = [cp for cp, _, _ in bucket]
-    b, d = len(cps), model.dimension
-    onehot = np.zeros((b, N_OUTCOMES))
-    onehot[np.arange(b), [cp.gold for cp in cps]] = 1.0
-    g_log_probs = _stack([r for _, _, r in bucket]) - onehot
-    g_y = np.zeros((b, cps[0].n_sentences + 2, d))  # wrt the top layer's output
-    for li in range(len(model.layers) - 1, -1, -1):
-        lps = [passes[li] for _, passes, _ in bucket]
-        g_y = _layer_backward(model, li, cps, lps, g_log_probs, inv_batch, g_y, grads)
 
 
 def _layer_backward(
@@ -208,9 +181,10 @@ def _layer_backward(
     b, t, d = g_y.shape
     inv_sqrt_d = 1.0 / math.sqrt(d)
     probs = _stack([lp.layer_probs for lp in lps])
-    mix = _stack([lp.mix for lp in lps])
     z = _stack([lp.y[:2] for lp in lps])  # the CLS and KCLS outputs
     alpha = lps[0].alpha  # sigmoid(a_raw): the same for every post
+    # the forward's own elementwise step, so the same bits as `lp.mix`
+    mix = alpha * z[:, 1] + (1.0 - alpha) * z[:, 0]
     # readout head
     g_u = g_log_probs * (1.0 - probs) * inv_batch
     gl.w_out += mix.T @ g_u
@@ -226,7 +200,7 @@ def _layer_backward(
     g_attn = np.zeros((b, t, t))
     pi, pj = cps[0].pairs
     if model.kg_bias_enabled and pi.size:
-        contribs = _stack([lp.kcls_contribs for lp in lps])
+        contribs = attn[:, 1, 2:, None] * v[:, 2:]  # as the forward forms them
         inv_dist = _stack([cp.inv_dist[li] for cp in cps])
         g_kg = g_u.sum(axis=1)
         diffs = contribs[:, pi] - contribs[:, pj]
@@ -276,14 +250,24 @@ def loss_and_gradients(
     if not compiled:
         raise ValueError("need a nonempty batch")
     value, passes, log_r = _loss_terms(model, compiled)
-    ratios = np.exp(log_r)
+    # dL/d log p_{l,y} = r_y - [y == gold], the same for every layer
+    g_log_probs = np.exp(log_r)
+    g_log_probs[np.arange(len(compiled)), [cp.gold for cp in compiled]] -= 1.0
     grads = _zero_gradients(model)
     inv_batch = 1.0 / len(compiled)
-    buckets: dict[int, list] = {}
-    for cp, post_passes, r in zip(compiled, passes, ratios):
-        buckets.setdefault(cp.n_sentences, []).append((cp, post_passes, r))
+    buckets: dict[int, list[int]] = {}
+    for i, cp in enumerate(compiled):
+        buckets.setdefault(cp.n_sentences, []).append(i)
     for n in sorted(buckets):
-        _accumulate_bucket_gradients(model, buckets[n], inv_batch, grads)
+        # posts of one length share their token count and pair indices, so
+        # each layer's state stacks into (B, t, .) arrays without padding
+        rows = buckets[n]
+        cps = [compiled[i] for i in rows]
+        g_bucket = g_log_probs[rows]
+        g_y = np.zeros((len(rows), n + 2, model.dimension))  # wrt the top layer's output
+        for li in range(len(model.layers) - 1, -1, -1):
+            lps = [passes[i][li] for i in rows]
+            g_y = _layer_backward(model, li, cps, lps, g_bucket, inv_batch, g_y, grads)
     return float(value), grads
 
 
@@ -462,7 +446,7 @@ def train(
                     block -= config.learning_rate * getattr(gl, name)
                 layer.a_raw -= config.learning_rate * gl.a_raw
         if config.epochs > 0:
-            losses.append(float(_loss_compiled(model, compiled)))
+            losses.append(float(_loss_terms(model, compiled)[0]))
             alphas.append([layer.alpha for layer in model.layers])
     except NumericalError as exc:
         # the loss trace index of the evaluation that failed

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from ksat.annotation import default_params
 from ksat.cli import run
 from ksat.corpus import Dataset, Post, load_jsonl, save_jsonl
 from ksat.embeddings import EmbeddingConfig
@@ -111,6 +112,37 @@ class TestAnnotate:
             "--thetas", "0,0,0",
         )
         assert code == 1
+
+    def test_frag_size_without_thetas_uses_the_default_thetas(self, tmp_path, corpus_path):
+        default, chosen = tmp_path / "default.jsonl", tmp_path / "chosen.jsonl"
+        explicit = tmp_path / "explicit.jsonl"
+        args = ["--data", str(corpus_path), "--dim", "16"]
+        thetas = ",".join(repr(t) for t in default_params().thetas)
+        assert invoke("annotate", *args, "--out", str(default)) == 0
+        assert invoke("annotate", *args, "--frag-size", "3", "--out", str(chosen)) == 0
+        assert invoke(
+            "annotate", *args, "--thetas", thetas, "--frag-size", "3", "--out", str(explicit)
+        ) == 0
+        assert chosen.read_bytes() == explicit.read_bytes()
+        assert chosen.read_bytes() != default.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--grid-search", "--frag-size", "1"], "--frag-size"),
+            (["--theta-step", "0.5"], "--theta-step"),
+            (["--thetas", "0,0,0", "--theta-step", "0.5"], "--theta-step"),
+        ],
+    )
+    def test_a_flag_that_would_be_ignored_is_a_usage_error(
+        self, tmp_path, corpus_path, capsys, flags, named
+    ):
+        out = tmp_path / "x.jsonl"
+        code = invoke("annotate", "--data", str(corpus_path), "--out", str(out), *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ksat: error:") and named in err
+        assert not out.exists()
 
     def test_grid_search_reports_selected_parameters(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "annotated.jsonl"
@@ -227,6 +259,30 @@ class TestTrainEvalReport:
             "--model", str(tmp_path / "absent.json"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate_is_a_usage_error(self, tmp_path, annotated_path, capsys, lr):
+        model_path = tmp_path / "model.json"
+        code = invoke(
+            "train", "--data", str(annotated_path), "--out", str(model_path),
+            "--epochs", "1", "--dim", "16", f"--lr={lr}",
+        )
+        assert code == 1
+        assert "learning_rate must be finite and positive" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_model_file_with_zero_epsilon_is_a_data_error(
+        self, tmp_path, annotated_path, capsys
+    ):
+        model_path = tmp_path / "model.json"
+        save_model(KsatModel.initialize(default_tree(), EmbeddingConfig(dimension=16)), model_path)
+        data = json.loads(model_path.read_text())
+        data["epsilon"] = 0
+        model_path.write_text(json.dumps(data))
+        code = invoke("eval", "--data", str(annotated_path), "--model", str(model_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model_path) in err and "epsilon" in err
 
     def test_saturated_model_eval_is_a_numerical_error(self, tmp_path, capsys):
         # two sentences with identical concept flags sit at taxonomy distance

@@ -181,6 +181,13 @@ class TestLoadEmbeddings:
         with pytest.raises(DataFormatError, match=":2:"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_raises_with_line_number(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"s1 1.0 0.0\ns2 {value} 0.0\n")
+        with pytest.raises(DataFormatError, match=r":2: non-finite"):
+            load_embeddings(path)
+
     def test_id_without_values_raises(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("s1\n")

@@ -418,7 +418,7 @@ class TestPairPath:
         # over all 44,850 pairs would take 23 MB at d = 64
         model = make_model(dimension=64, epsilon=1.0)
         post = long_post(300)
-        forward(model, post)  # fills the embedding cache
+        forward(model, post)  # warm-up only: forward caches no embeddings
         tracemalloc.start()
         try:
             forward(model, post)
@@ -560,6 +560,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             KsatModel.initialize(tree, EmbeddingConfig(dimension=4, seed=0), epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, tree, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            KsatModel.initialize(tree, EmbeddingConfig(dimension=4, seed=0), epsilon=epsilon)
+
     def test_layer_order_enforced(self, tree, make_model):
         model = make_model(dimension=4)
         layers = list(model.layers)
@@ -658,6 +663,17 @@ class TestPersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(DataFormatError):
             load_model(path, tree)
+
+    @pytest.mark.parametrize("epsilon", [0, -1.0, "NaN"])
+    def test_load_rejects_a_bad_epsilon_naming_the_file(self, tree, make_model, tmp_path, epsilon):
+        path = tmp_path / "model.json"
+        save_model(make_model(dimension=4), path)
+        text = path.read_text().replace('"epsilon": 1e-06', f'"epsilon": {epsilon}')
+        assert f'"epsilon": {epsilon}' in text
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="epsilon must be finite") as info:
+            load_model(path, tree)
+        assert str(path) in str(info.value)
 
     def test_load_rejects_foreign_json(self, tree, tmp_path):
         path = tmp_path / "model.json"

@@ -22,7 +22,6 @@ from ksat.training import (
     _extended_precision_clone,
     _fd_gradients,
     _is_extended_precision,
-    _loss_compiled,
     backward,
     compile_batch,
     finite_diff_check,
@@ -117,6 +116,12 @@ class TestTrainConfig:
             TrainConfig(fd_step=0.0)
         with pytest.raises(ValueError):
             TrainConfig(grad_tolerance=-1.0)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "fd_step", "grad_tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            TrainConfig(**{name: value})
 
 
 class TestLoss:
@@ -232,6 +237,93 @@ class TestBatchedLossHead:
                 "numerical collapse in post 'z1': every final product "
                 "probability fell below 1e-300; layer "
                 f"{worst} has the lowest maximum log-probability ({peaks[worst]:.6g})"
+            )
+
+
+# Per-layer (rows) target logits for each outcome (columns), before scaling.
+# Every outcome's column sums to at most -7, so at scale s the best
+# outcome's log product is about -7 s.
+AIMED_LOGITS = -np.array(
+    [
+        [1.0, 2.0, 2.0, 2.5],
+        [2.0, 1.5, 2.5, 2.0],
+        [1.5, 2.5, 1.0, 2.0],
+        [2.5, 1.5, 2.5, 2.0],
+    ]
+)
+
+
+def aimed_model(make_model, post: Post, logits: np.ndarray):
+    """A penalty-free model whose w_out gives `post` the per-layer `logits`,
+    and the compiled post. `mix` does not depend on w_out, so each layer's
+    w_out is aimed along its own `mix`."""
+    model = make_model(dimension=8, seed=2, kg_bias_enabled=False)
+    compiled = compile_batch(model, as_batch(post))
+    for layer, lp, row in zip(model.layers, run_layers(model, compiled[0]), logits):
+        layer.w_out[:] = np.outer(lp.mix / lp.mix.dot(lp.mix), row)
+    return model, compiled
+
+
+def collapse_message(post_id: str, passes) -> tuple[int, float, str]:
+    peaks = [float(lp.log_probs.max()) for lp in passes]
+    worst = int(np.argmin(peaks))
+    return worst, peaks[worst], (
+        f"numerical collapse in post {post_id!r}: every final product "
+        "probability fell below 1e-300; layer "
+        f"{worst} has the lowest maximum log-probability ({peaks[worst]:.6g})"
+    )
+
+
+class TestLogSpaceGuard:
+    """The guard compares the log product with ln 1e-300; it must decide
+    as a guard on the raw product of the layer probabilities would."""
+
+    def test_fires_exactly_when_the_raw_product_falls_below_the_floor(self, make_model):
+        model, compiled = aimed_model(make_model, POST_C, AIMED_LOGITS)
+        aimed = [layer.w_out.copy() for layer in model.layers]
+        best_logs, decisions = [], []
+        for scale in np.linspace(680.0, 700.0, 41) / 7.0:
+            for layer, w_out in zip(model.layers, aimed):
+                layer.w_out[:] = scale * w_out
+            passes = run_layers(model, compiled[0])
+            raw = np.ones(N_OUTCOMES)
+            log_f = np.zeros(N_OUTCOMES)
+            for lp in passes:
+                raw *= lp.layer_probs
+                log_f += lp.log_probs
+            best_logs.append(float(log_f.max()))
+            raw_fails = bool((raw < training.COLLAPSE_FLOOR).all())
+            try:
+                training._loss_terms(model, compiled)
+            except NumericalError as exc:
+                assert raw_fails, scale
+                worst, peak, message = collapse_message(POST_C.id, passes)
+                assert (exc.post_id, exc.layer, exc.log_peak) == (POST_C.id, worst, peak)
+                assert str(exc) == message
+            else:
+                assert not raw_fails, scale
+            decisions.append(raw_fails)
+        assert -701.0 < min(best_logs) < training.LOG_COLLAPSE_FLOOR < max(best_logs) < -679.0
+        assert training.LOG_COLLAPSE_FLOOR == math.log(1e-300)
+        assert True in decisions and False in decisions
+
+    def test_a_layer_probability_underflowing_to_zero_still_collapses(self, make_model):
+        # layer 2's logits are -760: their probabilities underflow to 0.0
+        # while their logs stay finite
+        logits = np.full((4, N_OUTCOMES), -0.5)
+        logits[2] = -760.0
+        model, compiled = aimed_model(make_model, POST_C, logits)
+        passes = run_layers(model, compiled[0])
+        assert (passes[2].layer_probs == 0.0).all()
+        assert np.isfinite(passes[2].log_probs).all()
+        worst, peak, message = collapse_message(POST_C.id, passes)
+        assert worst == 2 and -761.0 < peak < -759.0
+        for evaluate in (training._loss_terms, loss_and_gradients):
+            with pytest.raises(NumericalError) as info:
+                evaluate(model, compiled)
+            assert str(info.value) == message
+            assert (info.value.post_id, info.value.layer, info.value.log_peak) == (
+                POST_C.id, worst, peak
             )
 
 
@@ -393,9 +485,9 @@ class TestFiniteDifferenceAgreement:
 
         def central(set_value, orig):
             set_value(orig + step)
-            up = _loss_compiled(work, compiled)
+            up = training._loss_terms(work, compiled)[0]
             set_value(orig - step)
-            down = _loss_compiled(work, compiled)
+            down = training._loss_terms(work, compiled)[0]
             set_value(orig)
             return float((up - down) / (2.0 * step))
 

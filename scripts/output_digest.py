@@ -4,7 +4,8 @@
 The outputs are forward finals and every `LayerPass` field, short `train`
 traces and parameters with the graph-context penalty on and off, `backward`
 gradients, a small `finite_diff_check`'s block errors, and what the loss's
-collapse guard reports on a batch crafted to collapse. A change that
+collapse guard reports on a batch crafted to collapse, through `loss` and
+through `train`. A change that
 claims bit-identical outputs is checked by running this script at the
 parent commit and at the change and diffing the two outputs:
 
@@ -28,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from ksat.corpus import Post, default_synthetic_spec, generate_synthetic
+from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import NumericalError
 from ksat.knowledge import Outcome, default_tree
@@ -120,6 +121,14 @@ def digest_lines() -> list[str]:
     else:
         facts = ["no collapse"]
     lines.append(("loss.collapse", _digest(facts)))
+    # the same batch through `train`, whose loss runs per length bucket
+    try:
+        train(collapsing, Dataset(posts=crafted), TrainConfig(epochs=1))
+    except NumericalError as exc:
+        facts = [exc.epoch, exc.post_id, exc.layer, exc.log_peak]
+    else:
+        facts = ["no collapse"]
+    lines.append(("train.collapse", _digest(facts)))
     return [f"{name} {digest}" for name, digest in lines]
 
 

@@ -273,12 +273,13 @@ def _cmd_gradcheck(args) -> int:
     _say(
         args,
         f"gradcheck {'PASS' if report.passed else 'FAIL'}: "
-        f"max rel err {report.max_error!r} at {worst} "
-        f"(tolerance {report.tolerance!r})",
+        f"max rel err {report.max_error!r} at {worst}, "
+        f"loss rel err {report.loss_error!r} (tolerance {report.tolerance!r})",
     )
     if not report.passed:
         raise NumericalError(
-            f"gradient check failed: {worst} rel err {report.max_error!r}"
+            f"gradient check failed: {worst} rel err {report.max_error!r}, "
+            f"loss rel err {report.loss_error!r}"
         )
     return 0
 

@@ -27,6 +27,7 @@ from .model import (
     CompiledPost,
     KsatModel,
     LayerPass,
+    _run_bucket,
     block_shapes,
     clone_model,
     compile_post,
@@ -105,28 +106,43 @@ def compile_batch(model: KsatModel, batch, embeddings_table=None) -> list[Compil
     return compiled
 
 
-def _loss_terms(model: KsatModel, compiled: list[CompiledPost], below=None):
-    """Mean loss, each post's layer passes, and the ``(posts, outcomes)`` log
-    normalized products.
-
-    ``below[i]``, when given, holds post i's reusable lower-layer passes
-    (see `run_layers`). The layer stacks run post by post; the head over
-    their outputs runs once for the batch. It adds the layers in stack order
-    and the posts' loss terms in post order, so each post's numbers are the
-    ones a per-post head would give, bit for bit.
-    """
+def _log_products(log_probs: np.ndarray) -> np.ndarray:
+    """``(posts, outcomes)`` log final products from ``(posts, layers,
+    outcomes)`` per-layer log-probabilities, the layers added in stack
+    order."""
     # dtype-preserving throughout: the finite-difference checker runs this
     # same code on an extended-precision model clone
-    passes = [run_layers(model, cp, below[i] if below else ()) for i, cp in enumerate(compiled)]
-    flat = [lp for post in passes for lp in post]
-    shape = (len(compiled), len(model.layers), N_OUTCOMES)
-    log_probs = np.concatenate([lp.log_probs for lp in flat]).reshape(shape)
-    log_f = np.zeros((shape[0], N_OUTCOMES), dtype=log_probs.dtype)
-    for li in range(shape[1]):
+    log_f = np.zeros((log_probs.shape[0], N_OUTCOMES), dtype=log_probs.dtype)
+    for li in range(log_probs.shape[1]):
         log_f += log_probs[:, li]
+    return log_f
+
+
+def _collapsed(log_f: np.ndarray) -> np.ndarray:
+    """Per post: every outcome's final product is below 1e-300."""
     # the guard reads the log product: the raw one underflows to 0.0 long
     # before its log leaves the float range
-    collapsed = (log_f < LOG_COLLAPSE_FLOOR).all(axis=1)
+    return (log_f < LOG_COLLAPSE_FLOOR).all(axis=1)
+
+
+def _log_normalized(log_f: np.ndarray) -> np.ndarray:
+    """Log normalized products, each row by its own log-sum-exp."""
+    m = log_f.max(axis=1, keepdims=True)
+    return log_f - (m + np.log(np.exp(log_f - m).sum(axis=1, keepdims=True)))
+
+
+def _loss_head(compiled: list[CompiledPost], log_probs: np.ndarray):
+    """Mean loss and the ``(posts, outcomes)`` log normalized products, from
+    the ``(posts, layers, outcomes)`` per-layer log-probabilities in post
+    order.
+
+    The head runs once for the batch. Every step but the mean works row by
+    row, and the mean adds the posts' loss terms in post order, so each
+    post's numbers are the ones a per-post head would give, bit for bit. A
+    collapse names the first collapsed post in batch order.
+    """
+    log_f = _log_products(log_probs)
+    collapsed = _collapsed(log_f)
     if collapsed.any():
         first = int(collapsed.argmax())
         post_id = compiled[first].post_id
@@ -140,11 +156,60 @@ def _loss_terms(model: KsatModel, compiled: list[CompiledPost], below=None):
             layer=worst,
             log_peak=float(peaks[worst]),
         )
-    m = log_f.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(log_f - m).sum(axis=1, keepdims=True))
-    terms = lse[:, 0] - log_f[np.arange(shape[0]), [cp.gold for cp in compiled]]
+    log_r = _log_normalized(log_f)
+    # -log r_gold = lse - log f_gold, bit for bit
+    terms = -log_r[np.arange(len(compiled)), [cp.gold for cp in compiled]]
     # a running sum, as the per-post loop added them; `sum` would pair them up
-    return np.add.accumulate(terms)[-1] / len(compiled), passes, log_f - lse
+    return np.add.accumulate(terms)[-1] / len(compiled), log_r
+
+
+def _loss_terms(model: KsatModel, compiled: list[CompiledPost], below=None):
+    """Mean loss, each post's layer passes, and the ``(posts, outcomes)`` log
+    normalized products, with the layer stacks run post by post.
+
+    ``below[i]``, when given, holds post i's reusable lower-layer passes
+    (see `run_layers`).
+    """
+    passes = [run_layers(model, cp, below[i] if below else ()) for i, cp in enumerate(compiled)]
+    shape = (len(compiled), len(model.layers), N_OUTCOMES)
+    log_probs = np.concatenate([lp.log_probs for post in passes for lp in post]).reshape(shape)
+    value, log_r = _loss_head(compiled, log_probs)
+    return value, passes, log_r
+
+
+def _buckets(compiled: list[CompiledPost]) -> list[list[int]]:
+    """The batch's post indices grouped by sentence count, shortest first."""
+    buckets: dict[int, list[int]] = {}
+    for i, cp in enumerate(compiled):
+        buckets.setdefault(cp.n_sentences, []).append(i)
+    return [buckets[n] for n in sorted(buckets)]
+
+
+def _bucket_forward(
+    model: KsatModel, compiled: list[CompiledPost], rows: list[int], log_probs: np.ndarray
+) -> list[LayerPass]:
+    """The layer stack over the posts `rows` of one length (see
+    `_run_bucket`); copies their per-layer log-probabilities into their rows
+    of the ``(posts, layers, outcomes)`` array `log_probs`."""
+    passes = _run_bucket(model, [compiled[i] for i in rows])
+    for li, lp in enumerate(passes):
+        log_probs[rows, li] = lp.log_probs
+    return passes
+
+
+def _log_probs_array(model: KsatModel, compiled: list[CompiledPost]) -> np.ndarray:
+    """An empty ``(posts, layers, outcomes)`` array in the parameters' dtype."""
+    shape = (len(compiled), len(model.layers), N_OUTCOMES)
+    return np.empty(shape, dtype=model.layers[0].w_query.dtype)
+
+
+def _bucket_loss(model: KsatModel, compiled: list[CompiledPost]):
+    """Mean loss with the layer stacks run per length bucket; the number
+    `_loss_terms` gives, bit for bit."""
+    log_probs = _log_probs_array(model, compiled)
+    for rows in _buckets(compiled):
+        _bucket_forward(model, compiled, rows, log_probs)
+    return _loss_head(compiled, log_probs)[0]
 
 
 def loss(model: KsatModel, batch, embeddings_table=None) -> float:
@@ -154,16 +219,11 @@ def loss(model: KsatModel, batch, embeddings_table=None) -> float:
     return float(_loss_terms(model, compile_batch(model, batch, embeddings_table))[0])
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Same-shape arrays stacked along a new leading axis (one copy)."""
-    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
-
-
 def _layer_backward(
     model: KsatModel,
     li: int,
     cps: list[CompiledPost],
-    lps: list[LayerPass],
+    lp: LayerPass,
     g_log_probs: np.ndarray,
     inv_batch: float,
     g_y: np.ndarray,
@@ -171,37 +231,33 @@ def _layer_backward(
 ) -> np.ndarray:
     """One layer of a length bucket's backward, adding into `grads`.
 
-    Turns `g_y`, the gradient wrt the layer's output tokens, in place into
-    the gradient wrt its input tokens and returns it. The bucket's stacked
-    copies of the activations are the backward's main memory cost, so each
-    is made just before its first use and dropped after its last.
+    `lp` is the layer's pass over the bucket's posts `cps` (see
+    `_run_bucket`). Turns `g_y`, the gradient wrt the layer's output tokens,
+    in place into the gradient wrt its input tokens and returns it.
     """
     layer = model.layers[li]
     gl = grads.layers[li]
     b, t, d = g_y.shape
     inv_sqrt_d = 1.0 / math.sqrt(d)
-    probs = _stack([lp.layer_probs for lp in lps])
-    z = _stack([lp.y[:2] for lp in lps])  # the CLS and KCLS outputs
-    alpha = lps[0].alpha  # sigmoid(a_raw): the same for every post
-    # the forward's own elementwise step, so the same bits as `lp.mix`
-    mix = alpha * z[:, 1] + (1.0 - alpha) * z[:, 0]
+    z = lp.y[:, :2]  # the CLS and KCLS outputs
+    alpha = lp.alpha
     # readout head
-    g_u = g_log_probs * (1.0 - probs) * inv_batch
-    gl.w_out += mix.T @ g_u
+    g_u = g_log_probs * (1.0 - lp.layer_probs) * inv_batch
+    gl.w_out += lp.mix.T @ g_u
     g_m = g_u @ layer.w_out.T
     g_alpha = float((g_m * (z[:, 1] - z[:, 0])).sum())
     gl.a_raw += g_alpha * alpha * (1.0 - alpha)
     g_y[:, 1] += alpha * g_m
     g_y[:, 0] += (1.0 - alpha) * g_m
     # graph-context bias quotient path
-    v = _stack([lp.v for lp in lps])
-    attn = _stack([lp.attention for lp in lps])
+    v = lp.v
+    attn = lp.attention
     g_v = np.zeros((b, t, d))
     g_attn = np.zeros((b, t, t))
     pi, pj = cps[0].pairs
     if model.kg_bias_enabled and pi.size:
-        contribs = attn[:, 1, 2:, None] * v[:, 2:]  # as the forward forms them
-        inv_dist = _stack([cp.inv_dist[li] for cp in cps])
+        contribs = lp.kcls_contribs
+        inv_dist = np.stack([cp.inv_dist[li] for cp in cps])
         g_kg = g_u.sum(axis=1)
         diffs = contribs[:, pi] - contribs[:, pj]
         g_diffs = (-2.0 * g_kg)[:, None, None] * (inv_dist[:, :, None] * diffs)
@@ -213,20 +269,18 @@ def _layer_backward(
         g_v[:, 2:] += attn[:, 1, 2:, None] * g_c
     # attention output plus residual
     g_attn += g_y @ v.transpose(0, 2, 1)
-    del v
     g_v += attn.transpose(0, 2, 1) @ g_y
     g_s = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
-    g_q = g_s @ _stack([lp.k for lp in lps])
+    g_q = g_s @ lp.k
     g_q *= inv_sqrt_d
-    g_k = g_s.transpose(0, 2, 1) @ _stack([lp.q for lp in lps])
+    g_k = g_s.transpose(0, 2, 1) @ lp.q
     g_k *= inv_sqrt_d
     # weight blocks: one GEMM each over the bucket's (b*t, d) token rows
-    x = _stack([lp.x for lp in lps]).reshape(b * t, d)
+    x = lp.x.reshape(b * t, d)
     g_q, g_k, g_v = (a.reshape(b * t, d) for a in (g_q, g_k, g_v))
     gl.w_query += x.T @ g_q
     gl.w_key += x.T @ g_k
     gl.w_value += x.T @ g_v
-    del x
     g_x = g_y.reshape(b * t, d)  # a view: g_y becomes the input gradient
     g_x += g_q @ layer.w_query.T
     g_x += g_k @ layer.w_key.T
@@ -243,31 +297,37 @@ def loss_and_gradients(
 ) -> tuple[float, Gradients]:
     """Analytic mean loss and gradients over pre-compiled posts.
 
-    The layer stacks run post by post and the loss head once for the batch;
-    the backward runs once per sentence count, over all posts of that
-    length together, shortest first.
+    Forward and backward run once per sentence count, over all posts of
+    that length together, shortest first. A bucket's backward runs right
+    after its forward, so one bucket's activations are alive at a time; it
+    reads only its posts' rows of the loss head, which works row by row.
+    The head itself runs once for the batch at the end, so a collapse names
+    the first collapsed post in batch order; after a bucket with a
+    collapsed post only the forwards run.
     """
     if not compiled:
         raise ValueError("need a nonempty batch")
-    value, passes, log_r = _loss_terms(model, compiled)
-    # dL/d log p_{l,y} = r_y - [y == gold], the same for every layer
-    g_log_probs = np.exp(log_r)
-    g_log_probs[np.arange(len(compiled)), [cp.gold for cp in compiled]] -= 1.0
+    log_probs = _log_probs_array(model, compiled)
     grads = _zero_gradients(model)
     inv_batch = 1.0 / len(compiled)
-    buckets: dict[int, list[int]] = {}
-    for i, cp in enumerate(compiled):
-        buckets.setdefault(cp.n_sentences, []).append(i)
-    for n in sorted(buckets):
-        # posts of one length share their token count and pair indices, so
-        # each layer's state stacks into (B, t, .) arrays without padding
-        rows = buckets[n]
-        cps = [compiled[i] for i in rows]
-        g_bucket = g_log_probs[rows]
-        g_y = np.zeros((len(rows), n + 2, model.dimension))  # wrt the top layer's output
-        for li in range(len(model.layers) - 1, -1, -1):
-            lps = [passes[i][li] for i in rows]
-            g_y = _layer_backward(model, li, cps, lps, g_bucket, inv_batch, g_y, grads)
+    healthy = True
+    for rows in _buckets(compiled):
+        passes = _bucket_forward(model, compiled, rows, log_probs)
+        log_f = _log_products(log_probs[rows])
+        # after a collapse only the forwards run: the head below raises
+        healthy = healthy and not _collapsed(log_f).any()
+        if healthy:
+            # dL/d log p_{l,y} = r_y - [y == gold], the same for every layer
+            g_log_probs = np.exp(_log_normalized(log_f))
+            g_log_probs[np.arange(len(rows)), [compiled[i].gold for i in rows]] -= 1.0
+            cps = [compiled[i] for i in rows]
+            g_y = np.zeros(passes[-1].y.shape)  # wrt the top layer's output
+            for li in range(len(model.layers) - 1, -1, -1):
+                g_y = _layer_backward(
+                    model, li, cps, passes[li], g_log_probs, inv_batch, g_y, grads
+                )
+        del passes  # the next bucket's forward runs without these activations
+    value, _ = _loss_head(compiled, log_probs)
     return float(value), grads
 
 
@@ -280,11 +340,17 @@ def backward(model: KsatModel, batch, embeddings_table=None) -> Gradients:
 
 @dataclass
 class GradientReport:
-    """Per-parameter-block max relative error between analytic and numeric."""
+    """Per-parameter-block max relative error between analytic and numeric.
+
+    `finite_diff_check` also sets `loss_error`, the relative error between
+    the loss value training computes and the per-post driver's, and folds
+    it into `passed`.
+    """
 
     block_errors: dict[str, float]
     tolerance: float
     passed: bool
+    loss_error: float = 0.0
 
     @property
     def max_error(self) -> float:
@@ -292,6 +358,15 @@ class GradientReport:
 
 
 GRADIENT_FLOOR = 1e-8
+
+
+def _max_relative_error(val_a, val_b) -> float:
+    """Largest |a - b| / max(|a|, |b|, GRADIENT_FLOOR) over the entries; 0
+    when there are none."""
+    a = np.atleast_1d(np.asarray(val_a, dtype=np.float64)).ravel()
+    b = np.atleast_1d(np.asarray(val_b, dtype=np.float64)).ravel()
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), GRADIENT_FLOOR)
+    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
 def gradient_report(
@@ -309,10 +384,7 @@ def gradient_report(
     errors: dict[str, float] = {}
     for (name_a, val_a), (name_n, val_n) in zip(analytic.blocks(), numeric.blocks()):
         assert name_a == name_n
-        a = np.atleast_1d(np.asarray(val_a, dtype=np.float64)).ravel()
-        b = np.atleast_1d(np.asarray(val_n, dtype=np.float64)).ravel()
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), GRADIENT_FLOOR)
-        errors[name_a] = float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+        errors[name_a] = _max_relative_error(val_a, val_n)
     passed = all(err < tolerance for err in errors.values())
     return GradientReport(block_errors=errors, tolerance=tolerance, passed=passed)
 
@@ -392,11 +464,23 @@ def _fd_gradients(
 
 
 def finite_diff_check(model: KsatModel, batch, config: TrainConfig) -> GradientReport:
-    """Verify analytic gradients against central differences, blockwise."""
+    """Verify analytic gradients against central differences, blockwise,
+    and the loss value against the per-post driver's.
+
+    Training runs its layer stacks per length bucket; the finite-difference
+    evaluations run them post by post (`_loss_terms`). Their loss values at
+    the same float64 parameters are compared with the gradient entries'
+    error formula and tolerance, so a bucket row that reaches the wrong
+    post fails the check.
+    """
     compiled = compile_batch(model, batch)
-    _, analytic = loss_and_gradients(model, compiled)
+    value, analytic = loss_and_gradients(model, compiled)
+    loss_error = _max_relative_error(value, _loss_terms(model, compiled)[0])
     numeric = _fd_gradients(model, compiled, config.fd_step)
-    return gradient_report(analytic, numeric, config.grad_tolerance)
+    report = gradient_report(analytic, numeric, config.grad_tolerance)
+    report.loss_error = loss_error
+    report.passed = report.passed and loss_error < config.grad_tolerance
+    return report
 
 
 @dataclass
@@ -446,7 +530,7 @@ def train(
                     block -= config.learning_rate * getattr(gl, name)
                 layer.a_raw -= config.learning_rate * gl.a_raw
         if config.epochs > 0:
-            losses.append(float(_loss_terms(model, compiled)[0]))
+            losses.append(float(_bucket_loss(model, compiled)))
             alphas.append([layer.alpha for layer in model.layers])
     except NumericalError as exc:
         # the loss trace index of the evaluation that failed

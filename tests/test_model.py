@@ -37,6 +37,7 @@ from ksat.model import (
     sigmoid,
     softmax_rows,
 )
+from ksat.training import _extended_precision_clone
 
 TWO_SENTENCE_POST = Post(
     id="p1",
@@ -555,6 +556,32 @@ class TestCompilePost:
             compile_post(model, post, embeddings_table={"p:0": np.ones(3)})
 
 
+BAD_EPSILONS = [math.nan, math.inf, 0.0, -0.5]
+
+
+class TestEpsilonCheck:
+    """`KsatModel`, `kg_bias` and `layer_forward` share one check: epsilon
+    must be finite and positive. A NaN would poison the penalty, and inf
+    would switch it off without a word."""
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_model_refuses(self, tree, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            KsatModel.initialize(tree, EmbeddingConfig(dimension=4, seed=0), epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_kg_bias_refuses(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            kg_bias(np.eye(2, 3), [(1,), (1,)], epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_layer_forward_refuses(self, rng, epsilon):
+        layer = zero_layer(4)
+        layer.w_value = rng.normal(size=(4, 4))
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            layer_forward(rng.normal(size=(4, 4)), layer, [(1,), (1,)], epsilon=epsilon)
+
+
 class TestModelValidation:
     def test_non_positive_epsilon_rejected(self, tree):
         with pytest.raises(ValueError):
@@ -777,3 +804,77 @@ class TestOneLayerPath:
         assert_same_pass(record, first)
         assert new_reps is record.y
         assert reps.tobytes() == before.tobytes()
+
+
+def assert_identical(got, want, name: str) -> None:
+    """Same dtype, shape, values and signs. `np.longdouble`'s padding bytes
+    are arbitrary, so bytes are not compared."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert np.array_equal(got, want), name
+    assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+def assert_bucket_row(bucket: LayerPass, b: int, single: LayerPass) -> None:
+    """Row `b` of a bucket pass equals one post's pass, every field."""
+    for f in dataclasses.fields(LayerPass):
+        got = getattr(bucket, f.name)
+        assert_identical(got if f.name == "alpha" else got[b], getattr(single, f.name), f.name)
+
+
+class TestBucketPass:
+    """`_run_bucket` runs one `_layer_core` call per layer over all posts
+    of one length; each post's numbers are the ones `run_layers` gives it."""
+
+    @pytest.fixture
+    def by_length(self):
+        """Three or four posts of each length from 1 to 5 sentences, with
+        random presence bits, so some pairs sit at Hamming distance 0."""
+        rng = np.random.default_rng(8)
+        return {
+            n: [
+                Post(
+                    id=f"n{n}-{i}",
+                    sentences=[f"post {i} of length {n} says thing {j}." for j in range(n)],
+                    sentence_presence=[
+                        tuple(int(bit) for bit in rng.integers(0, 2, 3)) for _ in range(n)
+                    ],
+                )
+                for i in range(3 + n % 2)
+            ]
+            for n in range(1, 6)
+        }
+
+    @pytest.mark.parametrize("kg_bias_enabled", [True, False])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_every_field_equals_the_per_post_pass(
+        self, make_model, by_length, kg_bias_enabled, extended
+    ):
+        model = make_model(dimension=8, seed=6, epsilon=1.0, kg_bias_enabled=kg_bias_enabled)
+        if extended:
+            model = _extended_precision_clone(model)
+        for n, posts in by_length.items():
+            cps = [compile_post(model, post) for post in posts]
+            bucket = model_module._run_bucket(model, cps)
+            assert len(bucket) == len(model.layers)
+            for lp in bucket:
+                assert lp.x.shape == (len(cps), n + 2, model.dimension)
+                assert np.shape(lp.kg_bias) == (len(cps),)
+            for b, cp in enumerate(cps):
+                for bucket_lp, single in zip(bucket, run_layers(model, cp)):
+                    assert_bucket_row(bucket_lp, b, single)
+            if kg_bias_enabled and n > 1:
+                assert all((lp.kg_bias < 0.0).all() for lp in bucket)
+
+    def test_a_post_does_not_depend_on_its_bucket(self, make_model, by_length):
+        model = make_model(dimension=8, seed=6, epsilon=1.0)
+        cps = [compile_post(model, post) for post in by_length[4]]
+        full = model_module._run_bucket(model, cps)
+        for b, cp in enumerate(cps):
+            alone = model_module._run_bucket(model, [cp])
+            for lp_alone, lp_full in zip(alone, full):
+                for f in dataclasses.fields(LayerPass):
+                    got, want = getattr(lp_alone, f.name), getattr(lp_full, f.name)
+                    if f.name != "alpha":
+                        got, want = got[0], want[b]
+                    assert_identical(got, want, f.name)

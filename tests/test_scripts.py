@@ -73,4 +73,5 @@ def test_output_digest_prints_the_same_lines_twice_in_one_process(monkeypatch, c
     assert "forward.pass.log_probs" in names
     assert "finite_diff_check.block_errors" in names
     assert "loss.collapse" in names
+    assert "train.collapse" in names
     assert all(len(line.split()[1]) == 64 for line in printed[0])

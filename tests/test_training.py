@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_syntheti
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
 from ksat.knowledge import N_OUTCOMES, Outcome
-from ksat.model import KsatModel, forward, run_layers
+from ksat.model import KsatModel, LayerPass, forward, run_layers
 from ksat import training
 from ksat.training import (
     GRADIENT_FLOOR,
@@ -216,6 +218,41 @@ class TestBatchedLossHead:
         np.testing.assert_array_equal(log_r, np.stack(rows))
         if not extended:
             assert loss(model, self._batch(tree)) == float(want)
+
+    def test_bucketed_training_loss_equals_the_per_post_loss(self, make_model, tree):
+        # `loss` runs the stacks post by post; `loss_and_gradients` and the
+        # final entry of `train`'s trace run them per length bucket
+        model = checkable_model(make_model, seed=4)
+        batch = self._batch(tree)
+        value, _ = loss_and_gradients(model, compile_batch(model, batch))
+        assert value == loss(model, batch)
+        posts = sorted((post for post, _, _ in batch), key=lambda p: p.id)
+        result = train(model, Dataset(posts=posts), TrainConfig(epochs=2))
+        assert result.final_loss == loss(result.model, as_batch(*posts))
+
+    def test_collapse_in_a_longer_bucket_is_named_first(self, make_model, monkeypatch):
+        # buckets run shortest first, but the head names the first collapsed
+        # post in batch order; the backward stops at the first collapsed
+        # bucket, here the second of three
+        model = make_model(dimension=8, seed=0, value_scale=0.0)
+        for layer in model.layers:
+            layer.w_value[:] = np.eye(8)
+        first, second = collapsing_post("z4", 4), collapsing_post("z2", 2)
+        compiled = compile_batch(model, as_batch(POST_B, first, second))
+        backward_calls = []
+        real = training._layer_backward
+        monkeypatch.setattr(
+            training,
+            "_layer_backward",
+            lambda *args: backward_calls.append(args[1]) or real(*args),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evaluate in (training._loss_terms, loss_and_gradients):
+                with pytest.raises(NumericalError, match="collapse in post 'z4'") as info:
+                    evaluate(model, compiled)
+                assert info.value.post_id == "z4"
+        assert backward_calls == [3, 2, 1, 0]  # POST_B's bucket only
 
     def test_collapse_names_the_first_collapsed_post(self, make_model):
         model = make_model(dimension=8, seed=0, value_scale=0.0)
@@ -499,6 +536,39 @@ class TestFiniteDifferenceAgreement:
                     assert getattr(fd.layers[li], name).ravel()[j] == expected
             expected = central(lambda v: setattr(layer, "a_raw", v), layer.a_raw)
             assert fd.layers[li].a_raw == expected
+
+    def test_loss_value_matches_the_per_post_driver(self, make_model):
+        model = checkable_model(make_model, seed=6, dimension=4)
+        report = finite_diff_check(model, as_batch(*MIXED_LENGTHS), TrainConfig())
+        assert report.passed, (report.loss_error, report.block_errors)
+        assert report.loss_error == 0.0  # bit for bit
+
+    def test_a_misrouted_bucket_row_fails_the_check(self, make_model, monkeypatch):
+        # reversing the rows of the two-sentence bucket hands post a's layer
+        # passes to post d and back; only the loss comparison ties the
+        # bucket driver's rows to their posts independently of it
+        real = training._run_bucket
+
+        def reversed_rows(model, cps):
+            passes = real(model, cps)
+            if cps[0].n_sentences != 2:
+                return passes
+            assert len(cps) == 2
+            return [
+                LayerPass(
+                    **{
+                        f.name: getattr(lp, f.name)[::-1] if f.name != "alpha" else lp.alpha
+                        for f in dataclasses.fields(LayerPass)
+                    }
+                )
+                for lp in passes
+            ]
+
+        monkeypatch.setattr(training, "_run_bucket", reversed_rows)
+        model = checkable_model(make_model, seed=6, dimension=4)
+        report = finite_diff_check(model, as_batch(*MIXED_LENGTHS), TrainConfig())
+        assert not report.passed
+        assert report.loss_error > 100 * report.tolerance
 
     def test_float64_is_not_extended_precision(self):
         assert not _is_extended_precision(np.float64)

@@ -5,9 +5,10 @@ The outputs are forward finals and every `LayerPass` field, short `train`
 traces and parameters with the graph-context penalty on and off, `backward`
 gradients, a small `finite_diff_check`'s block errors, and what the loss's
 collapse guard reports on a batch crafted to collapse, through `loss` and
-through `train`. A change that
-claims bit-identical outputs is checked by running this script at the
-parent commit and at the change and diffing the two outputs:
+through `train`, annotations at each fragment size, and a lattice search's
+result. A change that claims bit-identical outputs is checked by running
+this script at the parent commit and at the change and diffing the two
+outputs:
 
     python3 scripts/output_digest.py > after.txt
     (in a checkout of the parent) python3 scripts/output_digest.py > before.txt
@@ -29,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+from ksat.annotation import AnnotationParams, apply_annotations, grid_search
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import NumericalError
@@ -129,6 +131,33 @@ def digest_lines() -> list[str]:
     else:
         facts = ["no collapse"]
     lines.append(("train.collapse", _digest(facts)))
+    # annotation: the training posts plus one post of 100 distinct sentences
+    # that mixes trigger phrases with filler
+    spec = default_synthetic_spec(1, SEED, tree)
+    phrases = [p for bank in spec.keyword_bank.values() for p in bank] + spec.noise_phrases
+    long_post = Post(
+        id="long", sentences=[f"{phrases[i % len(phrases)]} {i}" for i in range(100)]
+    )
+    config = EmbeddingConfig(dimension=64, seed=SEED)
+    annotate_set = Dataset(posts=[*train_set.posts, long_post])
+    # at thresholds 0.7 every pair of fragment sizes disagrees on some posts
+    for frag_size in (1, 2, 3):
+        params = AnnotationParams(thetas=(0.7, 0.7, 0.7), frag_size=frag_size)
+        annotated = apply_annotations(annotate_set, tree, params, config)
+        values = [
+            value
+            for p in annotated.posts
+            for value in (p.sentence_presence, p.extras["post_presence"], p.extras["predicted"])
+        ]
+        lines.append((f"annotate.frag{frag_size}", _digest(values)))
+    result = grid_search(train_set, tree, config, theta_step=0.5)
+    facts = [
+        result.params.thetas,
+        result.params.frag_size,
+        result.log_likelihood.hex(),
+        result.n_candidates,
+    ]
+    lines.append(("grid_search", _digest(facts)))
     return [f"{name} {digest}" for name, digest in lines]
 
 

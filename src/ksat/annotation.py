@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,36 +49,32 @@ def default_params() -> AnnotationParams:
     return AnnotationParams(thetas=(0.3, 0.5, 0.3), frag_size=1)
 
 
-@lru_cache(maxsize=65536)
-def _cached_embedding(text: str, config: EmbeddingConfig):
-    vec = embed_text(text, config)
-    vec.setflags(write=False)
-    return vec
-
-
 def concept_present(
     fragment_text: str, concept: Concept, theta: float, config: EmbeddingConfig
 ) -> bool:
     """True when cosine(embed(fragment), embed(query_text)) >= theta."""
-    return _cosine(fragment_text, concept, config) >= theta
+    fragment = embed_text(fragment_text, config)
+    return cosine_similarity(fragment, embed_text(concept.query_text, config)) >= theta
 
 
-def _cosine(text: str, concept: Concept, config: EmbeddingConfig) -> float:
-    return cosine_similarity(
-        _cached_embedding(text, config), _cached_embedding(concept.query_text, config)
-    )
+def _cosine_rows(tree: KnowledgeTree, config: EmbeddingConfig):
+    """``row(text)``: the text's cosine to each concept's query text, in order.
 
-
-def _max_cosines(
-    sentences: list[str], tree: KnowledgeTree, frag_size: int, config: EmbeddingConfig
-) -> np.ndarray:
-    """Largest fragment cosine to each concept's query text, shape ``(K,)``.
-
-    A concept is present in the post at threshold theta exactly when this
-    maximum reaches theta; annotation and lattice search both test it here.
+    The query texts are embedded once, and each distinct text once, while the
+    caller holds ``row``; nothing outlives it. Rows are Python lists of floats,
+    which ``np.array`` stacks faster than small arrays.
     """
-    frags = fragments(sentences, frag_size)
-    return np.array([max(_cosine(f, c, config) for f in frags) for c in tree.concepts])
+    queries = [embed_text(c.query_text, config) for c in tree.concepts]
+    memo: dict[str, list[float]] = {}
+
+    def row(text: str) -> list[float]:
+        cosines = memo.get(text)
+        if cosines is None:
+            vec = embed_text(text, config)
+            cosines = memo[text] = [cosine_similarity(vec, q) for q in queries]
+        return cosines
+
+    return row
 
 
 def fragments(sentences: list[str], frag_size: int) -> list[str]:
@@ -119,17 +114,14 @@ def annotate_post(
     k = tree.num_concepts
     if len(params.thetas) != k:
         raise ValueError(f"expected {k} thetas for this taxonomy, got {len(params.thetas)}")
-    cosines = np.array(
-        [[_cosine(sentence, c, config) for c in tree.concepts] for sentence in post.sentences],
-        dtype=np.float64,
-    ).reshape(len(post.sentences), k)
+    row = _cosine_rows(tree, config)
+    cosines = np.array([row(s) for s in post.sentences])
     sentence_presence = [
-        tuple(int(bit) for bit in row) for row in (cosines >= np.array(params.thetas))
+        tuple(int(bit) for bit in bits) for bits in (cosines >= np.array(params.thetas))
     ]
-    if params.frag_size == 1 and post.sentences:
-        max_cos = cosines.max(axis=0)
-    else:
-        max_cos = _max_cosines(post.sentences, tree, params.frag_size, config)
+    if params.frag_size > 1:
+        cosines = np.array([row(f) for f in fragments(post.sentences, params.frag_size)])
+    max_cos = cosines.max(axis=0)
     post_presence = tuple(int(m >= t) for m, t in zip(max_cos.tolist(), params.thetas))
     predicted = outcome_for_assignment(tree, post_presence)
     return AnnotatedPost(
@@ -212,8 +204,8 @@ class GridSearchResult:
 
 def theta_lattice(theta_step: float) -> list[float]:
     """Values -1, -1+step, ..., 1; the step must divide 2 into whole steps."""
-    if theta_step <= 0:
-        raise ValueError("theta_step must be positive")
+    if not (math.isfinite(theta_step) and theta_step > 0):
+        raise ValueError(f"theta_step must be finite and positive, got {theta_step}")
     count = int(round(2.0 / theta_step))
     if abs(count * theta_step - 2.0) > 1e-9:
         raise ValueError(f"theta_step {theta_step} does not divide [-1, 1] evenly")
@@ -254,8 +246,11 @@ def grid_search(
 
     v, n_frag = len(values), len(FRAG_SIZES)
     scores = np.zeros((v,) * k + (n_frag,))
+    row = _cosine_rows(tree, config)
     for post in dataset.posts:
-        max_cos = np.array([_max_cosines(post.sentences, tree, f, config) for f in FRAG_SIZES])
+        max_cos = np.array(
+            [np.max([row(t) for t in fragments(post.sentences, f)], axis=0) for f in FRAG_SIZES]
+        )
         codes = np.zeros(scores.shape, dtype=np.intp)
         for i in range(k):
             shape = (1,) * i + (v,) + (1,) * (k - 1 - i) + (n_frag,)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -32,6 +34,7 @@ from ksat.knowledge import (
     Concept,
     KnowledgeTree,
     Outcome,
+    default_tree,
     outcome_for_assignment,
 )
 
@@ -40,6 +43,12 @@ DELTA = 1e-9
 
 SENTENCES = st.lists(
     st.text(alphabet="abcdef gun life", min_size=1, max_size=20), min_size=1, max_size=5
+)
+# sentences of query words and filler, so cosines spread over [-1, 1]
+QUERY_WORDS = sorted({w for c in default_tree().concepts for w in c.query_text.split()})
+WORDS = st.sampled_from(QUERY_WORDS + ["rain", "calm", "late"])
+WORDY_SENTENCES = st.lists(
+    st.lists(WORDS, min_size=1, max_size=6).map(" ".join), min_size=1, max_size=6
 )
 
 
@@ -186,6 +195,30 @@ class TestAnnotatePost:
         for loose, strict in zip(low, high):
             assert strict <= loose
 
+    @given(
+        sentences=WORDY_SENTENCES,
+        offsets=st.tuples(*[st.floats(-0.1, 0.1)] * 3),
+        frag_size=st.sampled_from(FRAG_SIZES),
+    )
+    def test_bits_match_direct_cosines_at_every_fragment_size(
+        self, tree, sentences, offsets, frag_size
+    ):
+        def bits(text, thetas):
+            vec = embed_text(text, CFG64)
+            return tuple(
+                int(cosine_similarity(vec, embed_text(c.query_text, CFG64)) >= t)
+                for c, t in zip(tree.concepts, thetas)
+            )
+
+        # one threshold per concept, swept together across [-1, 1]
+        for base in theta_lattice(0.1):
+            thetas = tuple(min(1.0, max(-1.0, base + d)) for d in offsets)
+            params = AnnotationParams(thetas=thetas, frag_size=frag_size)
+            result = annotate_post(Post(id="p", sentences=sentences), tree, params, CFG64)
+            assert result.sentence_presence == [bits(s, thetas) for s in sentences]
+            frag_bits = [bits(f, thetas) for f in fragments(sentences, frag_size)]
+            assert result.post_presence == tuple(max(col) for col in zip(*frag_bits))
+
     def test_determinism(self, tree):
         post = Post(id="p", sentences=["a gun and my life.", "wake up."])
         a = annotate_post(post, tree, default_params(), CFG64)
@@ -308,8 +341,13 @@ class TestThetaLattice:
 
     def test_non_positive_step_rejected(self):
         for bad in (0.0, -0.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="theta_step"):
                 theta_lattice(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, bad):
+        with pytest.raises(ValueError, match="theta_step must be finite and positive"):
+            theta_lattice(bad)
 
 
 def brute_force_grid_search(
@@ -441,3 +479,34 @@ class TestGridSearch:
         assert default_score == pytest.approx(240 * math.log(0.25 + DELTA), rel=1e-12)
         assert round(default_score, 2) == -332.71
         assert default_score < result.log_likelihood
+
+
+def test_annotation_keeps_nothing_after_a_call(tree):
+    """Memory held after annotating and searching returns to where it began."""
+
+    def unique_posts(tag: str, n_posts: int, n_sentences: int) -> list[Post]:
+        return [
+            Post(
+                id=f"{tag}{i}",
+                sentences=[f"note {tag} {i} {j} on a gun and my life" for j in range(n_sentences)],
+                gold=LAYER_ORDER[i % len(LAYER_ORDER)],
+            )
+            for i in range(n_posts)
+        ]
+
+    # warm up one-time allocations (imports, regex and hash state) first
+    annotate_post(unique_posts("w", 1, 3)[0], tree, default_params(), CFG64)
+    annotated_posts = unique_posts("a", 10, 50)
+    searched = Dataset(posts=unique_posts("g", 40, 5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        annotated = [annotate_post(p, tree, default_params(), CFG64) for p in annotated_posts]
+        result = grid_search(searched, tree, CFG64, theta_step=0.5)
+        del annotated, result
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024

@@ -144,6 +144,21 @@ class TestAnnotate:
         assert err.startswith("ksat: error:") and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_theta_step_is_a_usage_error(self, tmp_path, corpus_path, capsys, step):
+        out = tmp_path / "x.jsonl"
+        code = invoke(
+            "annotate",
+            "--data", str(corpus_path),
+            "--out", str(out),
+            "--grid-search",
+            "--theta-step", step,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ksat: error:") and "theta_step" in err
+        assert not out.exists()
+
     def test_grid_search_reports_selected_parameters(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "annotated.jsonl"
         code = invoke(

@@ -58,23 +58,28 @@ def concept_present(
 
 
 def _cosine_rows(tree: KnowledgeTree, config: EmbeddingConfig):
-    """``row(text)``: the text's cosine to each concept's query text, in order.
+    """``rows(sentences, frag_size)``: ``(n_fragments, K)`` cosines to the query texts.
 
-    The query texts are embedded once, and each distinct text once, while the
-    caller holds ``row``; nothing outlives it. Rows are Python lists of floats,
-    which ``np.array`` stacks faster than small arrays.
+    The query texts are embedded once. Sentence rows are memoized while the caller
+    holds ``rows``; their keys are the corpus's own strings, so the memo adds a few
+    floats per distinct sentence. Longer fragments are new joined strings, never kept.
     """
     queries = [embed_text(c.query_text, config) for c in tree.concepts]
     memo: dict[str, list[float]] = {}
 
-    def row(text: str) -> list[float]:
-        cosines = memo.get(text)
-        if cosines is None:
-            vec = embed_text(text, config)
-            cosines = memo[text] = [cosine_similarity(vec, q) for q in queries]
-        return cosines
+    def cosines(text: str) -> list[float]:
+        vec = embed_text(text, config)
+        return [cosine_similarity(vec, q) for q in queries]
 
-    return row
+    def rows(sentences: list[str], frag_size: int) -> np.ndarray:
+        if frag_size > 1 and len(sentences) > 1:
+            return np.array([cosines(f) for f in fragments(sentences, frag_size)])
+        for s in sentences:
+            if s not in memo:
+                memo[s] = cosines(s)
+        return np.array([memo[s] for s in sentences])
+
+    return rows
 
 
 def fragments(sentences: list[str], frag_size: int) -> list[str]:
@@ -107,29 +112,27 @@ def annotate_post(
 
     ``sentence_presence`` always uses single-sentence tests regardless of the
     fragment size; ``post_presence`` tests each concept's largest fragment
-    cosine, which is the OR of the fragment-level tests. Single-sentence
-    fragments are the sentences themselves, so at ``frag_size`` 1 both come
-    from one ``(n, K)`` table of sentence cosines.
+    cosine, which is the OR of the fragment-level tests.
     """
+    return _annotate(post, tree, params, _cosine_rows(tree, config))
+
+
+def _annotate(
+    post: Post, tree: KnowledgeTree, params: AnnotationParams, rows
+) -> AnnotatedPost:
+    """``annotate_post`` with the cosines read through the caller's ``rows``."""
     k = tree.num_concepts
     if len(params.thetas) != k:
         raise ValueError(f"expected {k} thetas for this taxonomy, got {len(params.thetas)}")
-    row = _cosine_rows(tree, config)
-    cosines = np.array([row(s) for s in post.sentences])
-    sentence_presence = [
-        tuple(int(bit) for bit in bits) for bits in (cosines >= np.array(params.thetas))
-    ]
+    cosines = rows(post.sentences, 1)
+    thetas = np.array(params.thetas)
+    sentence_presence = [tuple(bits) for bits in (cosines >= thetas).astype(int).tolist()]
     if params.frag_size > 1:
-        cosines = np.array([row(f) for f in fragments(post.sentences, params.frag_size)])
+        cosines = rows(post.sentences, params.frag_size)
     max_cos = cosines.max(axis=0)
     post_presence = tuple(int(m >= t) for m, t in zip(max_cos.tolist(), params.thetas))
     predicted = outcome_for_assignment(tree, post_presence)
-    return AnnotatedPost(
-        post_id=post.id,
-        sentence_presence=sentence_presence,
-        post_presence=post_presence,
-        predicted=predicted,
-    )
+    return AnnotatedPost(post.id, sentence_presence, post_presence, predicted)
 
 
 def apply_annotations(
@@ -143,8 +146,10 @@ def apply_annotations(
     Presence lands in the ``sentence_presence`` field; post-level bits and the
     predicted outcome ride along as extra JSONL keys.
     """
+    rows = _cosine_rows(tree, config)
+
     def one(post: Post) -> Post:
-        ann = annotate_post(post, tree, params, config)
+        ann = _annotate(post, tree, params, rows)
         extras = dict(post.extras)
         extras["post_presence"] = list(ann.post_presence)
         extras["predicted"] = ann.predicted.value
@@ -188,9 +193,10 @@ def bernoulli_log_likelihood(
     probability is the dataset frequency of the *predicted* outcome.
     """
     freqs = outcome_frequencies(dataset)
+    rows = _cosine_rows(tree, config)
     total = 0.0
     for post in dataset.posts:
-        predicted = annotate_post(post, tree, params, config).predicted
+        predicted = _annotate(post, tree, params, rows).predicted
         total += match_log_likelihood(predicted == post.gold, freqs[predicted])
     return total
 
@@ -246,11 +252,9 @@ def grid_search(
 
     v, n_frag = len(values), len(FRAG_SIZES)
     scores = np.zeros((v,) * k + (n_frag,))
-    row = _cosine_rows(tree, config)
+    rows = _cosine_rows(tree, config)
     for post in dataset.posts:
-        max_cos = np.array(
-            [np.max([row(t) for t in fragments(post.sentences, f)], axis=0) for f in FRAG_SIZES]
-        )
+        max_cos = np.array([rows(post.sentences, f).max(axis=0) for f in FRAG_SIZES])
         codes = np.zeros(scores.shape, dtype=np.intp)
         for i in range(k):
             shape = (1,) * i + (v,) + (1,) * (k - 1 - i) + (n_frag,)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import gc
 import itertools
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ksat import annotation
 from ksat.annotation import (
     FRAG_SIZES,
     AnnotationParams,
@@ -203,20 +205,24 @@ class TestAnnotatePost:
     def test_bits_match_direct_cosines_at_every_fragment_size(
         self, tree, sentences, offsets, frag_size
     ):
-        def bits(text, thetas):
-            vec = embed_text(text, CFG64)
-            return tuple(
-                int(cosine_similarity(vec, embed_text(c.query_text, CFG64)) >= t)
-                for c, t in zip(tree.concepts, thetas)
-            )
+        queries = [embed_text(c.query_text, CFG64) for c in tree.concepts]
 
+        def cosines(text):
+            return [cosine_similarity(embed_text(text, CFG64), q) for q in queries]
+
+        sentence_cosines = [cosines(s) for s in sentences]
+        fragment_cosines = [cosines(f) for f in fragments(sentences, frag_size)]
         # one threshold per concept, swept together across [-1, 1]
         for base in theta_lattice(0.1):
             thetas = tuple(min(1.0, max(-1.0, base + d)) for d in offsets)
+
+            def bits(row):
+                return tuple(int(c >= t) for c, t in zip(row, thetas))
+
             params = AnnotationParams(thetas=thetas, frag_size=frag_size)
             result = annotate_post(Post(id="p", sentences=sentences), tree, params, CFG64)
-            assert result.sentence_presence == [bits(s, thetas) for s in sentences]
-            frag_bits = [bits(f, thetas) for f in fragments(sentences, frag_size)]
+            assert result.sentence_presence == [bits(r) for r in sentence_cosines]
+            frag_bits = [bits(r) for r in fragment_cosines]
             assert result.post_presence == tuple(max(col) for col in zip(*frag_bits))
 
     def test_determinism(self, tree):
@@ -481,19 +487,19 @@ class TestGridSearch:
         assert default_score < result.log_likelihood
 
 
+def unique_posts(tag: str, n_posts: int, n_sentences: int) -> list[Post]:
+    return [
+        Post(
+            id=f"{tag}{i}",
+            sentences=[f"note {tag} {i} {j} on a gun and my life" for j in range(n_sentences)],
+            gold=LAYER_ORDER[i % len(LAYER_ORDER)],
+        )
+        for i in range(n_posts)
+    ]
+
+
 def test_annotation_keeps_nothing_after_a_call(tree):
     """Memory held after annotating and searching returns to where it began."""
-
-    def unique_posts(tag: str, n_posts: int, n_sentences: int) -> list[Post]:
-        return [
-            Post(
-                id=f"{tag}{i}",
-                sentences=[f"note {tag} {i} {j} on a gun and my life" for j in range(n_sentences)],
-                gold=LAYER_ORDER[i % len(LAYER_ORDER)],
-            )
-            for i in range(n_posts)
-        ]
-
     # warm up one-time allocations (imports, regex and hash state) first
     annotate_post(unique_posts("w", 1, 3)[0], tree, default_params(), CFG64)
     annotated_posts = unique_posts("a", 10, 50)
@@ -510,3 +516,51 @@ def test_annotation_keeps_nothing_after_a_call(tree):
     finally:
         tracemalloc.stop()
     assert retained < 64 * 1024
+
+
+def test_grid_search_peak_stays_small_on_unique_sentences(tree):
+    """While a search runs it keeps a few floats per sentence, not fragment texts.
+
+    A memo of every fragment's joined text and row would hold about 850 bytes
+    per sentence here; sentence rows alone hold about 200.
+    """
+    annotate_post(unique_posts("w", 1, 3)[0], tree, default_params(), CFG64)
+    dataset = Dataset(posts=unique_posts("u", 20, 50))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        grid_search(dataset, tree, CFG64, theta_step=0.5)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 20 * 50
+
+
+def test_one_call_embeds_each_query_and_sentence_once(tree, monkeypatch):
+    """Posts in one call share the query embeddings and repeated sentences' rows."""
+    embedded = collections.Counter()
+
+    def counting_embed(text, config):
+        embedded[text] += 1
+        return embed_text(text, config)
+
+    monkeypatch.setattr(annotation, "embed_text", counting_embed)
+    posts = [
+        Post(id=str(i), sentences=["a gun.", f"calm day {i % 2}."], gold=LAYER_ORDER[i % 4])
+        for i in range(6)
+    ]
+    dataset = Dataset(posts=posts)
+    texts = {c.query_text for c in tree.concepts} | {s for p in posts for s in p.sentences}
+    params = AnnotationParams(thetas=(0.3, 0.5, 0.3), frag_size=2)
+    calls = {
+        "apply_annotations": lambda: apply_annotations(dataset, tree, params, CFG64),
+        "bernoulli_log_likelihood": lambda: bernoulli_log_likelihood(
+            dataset, tree, params, CFG64
+        ),
+        "grid_search": lambda: grid_search(dataset, tree, CFG64, theta_step=1.0),
+    }
+    for name, call in calls.items():
+        embedded.clear()
+        call()
+        assert {t: embedded[t] for t in texts} == dict.fromkeys(texts, 1), name

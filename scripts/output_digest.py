@@ -2,7 +2,8 @@
 """Print one SHA-256 line per model output at fixed seeds and sizes.
 
 The outputs are forward finals and every `LayerPass` field, short `train`
-traces and parameters with the graph-context penalty on and off, `backward`
+traces and parameters with the graph-context penalty on and off, at two
+sizes (the larger fills length buckets past 128 KiB per array), `backward`
 gradients, a small `finite_diff_check`'s block errors, and what the loss's
 collapse guard reports on a batch crafted to collapse, through `loss` and
 through `train`, annotations at each fragment size, and a lattice search's
@@ -93,6 +94,16 @@ def digest_lines() -> list[str]:
         lines.append((f"train.penalty_{label}.losses", _digest(result.losses)))
         lines.append((f"train.penalty_{label}.alphas", _digest(result.alphas)))
         lines.append((f"train.penalty_{label}.params", _digest(_parameters(result.model))))
+    # train at d = 64 on posts of 1-5 sentences: the two-sentence bucket is
+    # the largest, and its token-sized arrays take over 128 KiB each
+    buckets_set = _corpus(tree, 150, (1, 5))
+    wide = _model(tree, 64, epsilon=1.0, value_scale=0.25)
+    traces = []
+    for enabled in (False, True):
+        config = TrainConfig(epochs=4, learning_rate=0.05, kg_bias_enabled=enabled)
+        result = train(wide, buckets_set, config)
+        traces += [result.losses, *_parameters(result.model)]
+    lines.append(("train.buckets", _digest(traces)))
     # backward on the training batch
     batch = [(p, p.sentence_presence, p.gold) for p in train_set.posts]
     grads = backward(model, batch)

@@ -208,14 +208,20 @@ class GridSearchResult:
     n_candidates: int
 
 
-def theta_lattice(theta_step: float) -> list[float]:
-    """Values -1, -1+step, ..., 1; the step must divide 2 into whole steps."""
+def _lattice_steps(theta_step: float) -> int:
+    """How many steps of `theta_step` lead from -1 to 1; the step must be
+    finite, positive and divide 2 into whole steps."""
     if not (math.isfinite(theta_step) and theta_step > 0):
         raise ValueError(f"theta_step must be finite and positive, got {theta_step}")
     count = int(round(2.0 / theta_step))
     if abs(count * theta_step - 2.0) > 1e-9:
         raise ValueError(f"theta_step {theta_step} does not divide [-1, 1] evenly")
-    return [round(-1.0 + i * theta_step, 12) for i in range(count + 1)]
+    return count
+
+
+def theta_lattice(theta_step: float) -> list[float]:
+    """Values -1, -1+step, ..., 1; the step must divide 2 into whole steps."""
+    return [round(-1.0 + i * theta_step, 12) for i in range(_lattice_steps(theta_step) + 1)]
 
 
 def grid_search(
@@ -235,13 +241,28 @@ def grid_search(
     Scores are laid out in lexicographic (thetas, frag_size) order and the
     first maximum wins, so ties resolve to the lexicographically smallest
     parameters.
+
+    The scores, the codes and the picked terms are three candidate-sized
+    arrays made once per call, before anything else is built, so a step too
+    fine for them to fit in memory is refused at once.
     """
     if len(dataset) == 0:
         raise ValueError("grid search needs a nonempty dataset")
     freqs = outcome_frequencies(dataset)
+    k = tree.num_concepts
+    n_frag = len(FRAG_SIZES)
+    grid_shape = (_lattice_steps(theta_step) + 1,) * k + (n_frag,)
+    try:
+        scores = np.zeros(grid_shape)
+        codes = np.empty(grid_shape, dtype=np.intp)
+        picked = np.empty(grid_shape)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(
+            f"theta_step {theta_step} gives {math.prod(grid_shape):.3g} candidates, "
+            "too many to allocate"
+        ) from exc
     values = theta_lattice(theta_step)
     lattice = np.array(values)
-    k = tree.num_concepts
     code_outcomes = [
         tree.outcome_map[presence] for presence in itertools.product((0, 1), repeat=k)
     ]
@@ -250,16 +271,16 @@ def grid_search(
         for gold in Outcome
     }
 
-    v, n_frag = len(values), len(FRAG_SIZES)
-    scores = np.zeros((v,) * k + (n_frag,))
+    v = len(values)
     rows = _cosine_rows(tree, config)
     for post in dataset.posts:
         max_cos = np.array([rows(post.sentences, f).max(axis=0) for f in FRAG_SIZES])
-        codes = np.zeros(scores.shape, dtype=np.intp)
+        codes.fill(0)
         for i in range(k):
             shape = (1,) * i + (v,) + (1,) * (k - 1 - i) + (n_frag,)
             codes += (max_cos[:, i] >= lattice[:, None]).reshape(shape) * (1 << (k - 1 - i))
-        scores += terms[post.gold][codes]
+        # "clip" writes straight into `out`; the codes are all in range
+        scores += np.take(terms[post.gold], codes, out=picked, mode="clip")
 
     best = np.unravel_index(np.argmax(scores), scores.shape)
     return GridSearchResult(

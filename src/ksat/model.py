@@ -214,6 +214,41 @@ def _pair_weights(restricted: list[tuple[int, ...]], epsilon: float) -> np.ndarr
     return 1.0 / (dists + epsilon)
 
 
+class _Arena:
+    """Scratch arrays for the length-bucket passes of one public call.
+
+    `take` hands out arrays in order; a caller gives back everything taken
+    after a point by setting `used` back to what it read there. Unfitted,
+    `take` makes fresh arrays and records the most elements ever in use at
+    once; `fit` then makes one buffer of that size, and later arrays are
+    views carved out of it. glibc serves a fresh array of 128 KiB or more
+    (its initial mmap threshold) from a new mapping, whose pages the kernel
+    faults in and zeroes on first touch; a loop that repeats the same
+    passes fits its arena once and reuses those pages. An array that would
+    overrun the buffer is made fresh, as before `fit`.
+    """
+
+    def __init__(self, dtype) -> None:
+        self.dtype = dtype
+        self.buffer = np.empty(0, dtype)
+        self.used = 0
+        self.high = 0
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialized array of `shape` in the arena's dtype."""
+        lo = self.used
+        self.used += math.prod(shape)
+        self.high = max(self.high, self.used)
+        if self.used > self.buffer.size:
+            return np.empty(shape, self.dtype)
+        return self.buffer[lo : self.used].reshape(shape)
+
+    def fit(self) -> None:
+        """Grow the buffer to the high-water mark, in one allocation."""
+        if self.high > self.buffer.size:
+            self.buffer = np.empty(self.high, self.dtype)
+
+
 # Pairs per block of the penalty: bounds its (pairs, d) temporaries (2 MiB
 # each at d = 64) on long posts.
 _PAIR_BLOCK = 4096
@@ -228,15 +263,23 @@ def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.
     checker can run it in extended precision. The squared norms are taken
     `_PAIR_BLOCK` pairs at a time into one array; each row's sum and the
     final dot product are the same as in one pass over all pairs, so the
-    result is too, bit for bit.
+    result is too, bit for bit. The first block's two gathers make the two
+    block buffers, which every later block refills; the last block, when
+    shorter, uses their leading part.
     """
     sq = np.empty(contribs.shape[:-2] + pi.shape, dtype=contribs.dtype)
+    a = b = None
     for lo in range(0, pi.size, _PAIR_BLOCK):
         s = slice(lo, lo + _PAIR_BLOCK)
-        diffs = contribs.take(pi[s], axis=-2)
-        diffs -= contribs.take(pj[s], axis=-2)
-        diffs *= diffs
-        diffs.sum(axis=-1, out=sq[..., s])
+        if a is not None and pi[s].size < _PAIR_BLOCK:
+            shape = contribs.shape[:-2] + (pi[s].size, contribs.shape[-1])
+            a, b = (buf.reshape(-1)[: math.prod(shape)].reshape(shape) for buf in (a, b))
+        # "clip" writes straight into `out`; "raise" would buffer it
+        a = contribs.take(pi[s], axis=-2, out=a, mode="clip")
+        b = contribs.take(pj[s], axis=-2, out=b, mode="clip")
+        a -= b
+        a *= a
+        a.sum(axis=-1, out=sq[..., s])
     if sq.ndim == 1:
         return -np.dot(inv_dist, sq)
     # one dot product per post, as `np.dot` makes for one
@@ -412,6 +455,7 @@ def _layer_core(
     pj: np.ndarray,
     inv_dist: np.ndarray,
     kg_enabled: bool,
+    arena: _Arena | None = None,
 ) -> LayerPass:
     """One layer on incoming token matrix `reps`, which is left unchanged:
     the layer reads a copy whose KCLS row is overwritten by its knowledge
@@ -422,31 +466,38 @@ def _layer_core(
     a bucket's posts share `pi`, `pj`. A bucket gives each post the numbers
     its own pass gives, bit for bit: the projections are one GEMM over all
     token rows, and ``np.matmul`` makes, post by post, the BLAS calls that
-    ``ndarray.dot`` makes for one post. One post stays on ``dot`` without
-    reshapes: on the finite-difference checker's tiny extended-precision
-    posts that saves about 3% of a check.
+    ``ndarray.dot`` makes for one post. A bucket's token-sized arrays are
+    taken from `arena`. One post stays on ``dot`` without reshapes and
+    takes no arena: on the finite-difference checker's tiny
+    extended-precision posts that saves about 3% of a check.
     """
-    x = reps.copy()
-    x[..., 1, :] = layer.kcls_init
-    d = x.shape[-1]
+    d = reps.shape[-1]
     inv_sqrt_d = 1.0 / math.sqrt(d)
-    if x.ndim == 2:
+    if reps.ndim == 2:
+        x = reps.copy()
+        x[..., 1, :] = layer.kcls_init
         q = x.dot(layer.w_query)
         k = x.dot(layer.w_key)
         v = x.dot(layer.w_value)
         scores = q.dot(k.T)
     else:
+        x = arena.take(reps.shape)
+        np.copyto(x, reps)
+        x[:, 1] = layer.kcls_init
         rows = x.reshape(-1, d)
-        q, k, v = (
-            rows.dot(w).reshape(x.shape)
-            for w in (layer.w_query, layer.w_key, layer.w_value)
-        )
+        q, k, v = (arena.take(x.shape) for _ in range(3))
+        for w, out in ((layer.w_query, q), (layer.w_key, k), (layer.w_value, v)):
+            rows.dot(w, out=out.reshape(-1, d))
         scores = np.matmul(q, k.transpose(0, 2, 1))
     scores *= inv_sqrt_d
     attn = softmax_rows(scores)
-    y = attn.dot(v) if x.ndim == 2 else np.matmul(attn, v)
+    if x.ndim == 2:
+        y = attn.dot(v)
+        contribs = attn[..., 1, 2:, None] * v[..., 2:, :]
+    else:
+        y = np.matmul(attn, v, out=arena.take(x.shape))
+        contribs = np.multiply(attn[:, 1, 2:, None], v[:, 2:], out=arena.take(v[:, 2:].shape))
     y += x
-    contribs = attn[..., 1, 2:, None] * v[..., 2:, :]
     if kg_enabled and pi.size:
         kg = _penalty(contribs, pi, pj, inv_dist)
     elif x.ndim == 2:
@@ -491,29 +542,33 @@ def layer_forward(
     return lp.y, lp
 
 
+def _param_dtype(model: KsatModel):
+    """The dtype the layer stack computes in: the parameters'. Token
+    matrices follow it so the finite-difference checker can evaluate the
+    identical code path in extended precision."""
+    return model.layers[0].w_query.dtype
+
+
 def _run_from(
     model: KsatModel,
-    embeddings: np.ndarray,
+    reps: np.ndarray,
     pairs: np.ndarray,
     inv_dist: np.ndarray,
     passes: list[LayerPass],
+    arena: _Arena | None = None,
 ) -> list[LayerPass]:
-    """Run the layers above `passes` and append their passes.
+    """Run the layers above `passes` on `reps`, their input tokens, and
+    append their passes.
 
-    `embeddings` (``(n, d)``, or ``(B, n, d)`` for a bucket) and `inv_dist`
-    (``(L, P)``, or ``(L, B, P)``) are the posts' compiled constants.
+    `reps` (``(T, d)``, or ``(B, T, d)`` for a bucket) and `inv_dist`
+    (``(L, P)``, or ``(L, B, P)``) come from the posts' compiled constants;
+    a bucket's passes take their arrays from `arena`.
     """
-    if passes:
-        reps = passes[-1].y
-    else:
-        # token matrix follows the parameter dtype so the finite-difference
-        # checker can evaluate the identical code path in extended precision
-        shape = embeddings.shape[:-2] + (embeddings.shape[-2] + 2, model.dimension)
-        reps = np.zeros(shape, dtype=model.layers[0].w_query.dtype)
-        reps[..., 2:, :] = embeddings
     pi, pj = pairs
     for li in range(len(passes), len(model.layers)):
-        lp = _layer_core(reps, model.layers[li], pi, pj, inv_dist[li], model.kg_bias_enabled)
+        lp = _layer_core(
+            reps, model.layers[li], pi, pj, inv_dist[li], model.kg_bias_enabled, arena
+        )
         passes.append(lp)
         reps = lp.y
     return passes
@@ -529,26 +584,32 @@ def run_layers(
     the stack resumes above them. The finite-difference checker passes the
     layers beneath the one it perturbs.
     """
-    return _run_from(
-        model, compiled.embeddings, compiled.pairs, compiled.inv_dist, list(below)
-    )
+    passes = list(below)
+    if passes:
+        reps = passes[-1].y
+    else:
+        reps = np.zeros((compiled.n_sentences + 2, model.dimension), _param_dtype(model))
+        reps[2:] = compiled.embeddings
+    return _run_from(model, reps, compiled.pairs, compiled.inv_dist, passes)
 
 
-def _run_bucket(model: KsatModel, cps: Sequence[CompiledPost]) -> list[LayerPass]:
+def _run_bucket(
+    model: KsatModel, cps: Sequence[CompiledPost], arena: _Arena
+) -> list[LayerPass]:
     """Full stack on a bucket of compiled posts of one sentence count, one
-    `_layer_core` call per layer; training's forward.
+    `_layer_core` call per layer; training's forward. The token matrix and
+    every pass's token-sized arrays are taken from `arena`, so they live
+    until the caller gives them back.
 
     Posts of one length share their token count and sentence pairs, so they
     stack without padding or masks. Row b of every field is what
     `run_layers` gives ``cps[b]``, bit for bit.
     """
-    return _run_from(
-        model,
-        np.stack([cp.embeddings for cp in cps]),
-        cps[0].pairs,
-        np.stack([cp.inv_dist for cp in cps], axis=1),
-        [],
-    )
+    reps = arena.take((len(cps), cps[0].n_sentences + 2, model.dimension))
+    reps[:, :2] = 0.0
+    np.stack([cp.embeddings for cp in cps], out=reps[:, 2:])
+    inv_dist = np.stack([cp.inv_dist for cp in cps], axis=1)
+    return _run_from(model, reps, cps[0].pairs, inv_dist, [], arena)
 
 
 def aggregate_probs(prob_rows) -> np.ndarray:

@@ -27,6 +27,8 @@ from .model import (
     CompiledPost,
     KsatModel,
     LayerPass,
+    _Arena,
+    _param_dtype,
     _run_bucket,
     block_shapes,
     clone_model,
@@ -186,12 +188,16 @@ def _buckets(compiled: list[CompiledPost]) -> list[list[int]]:
 
 
 def _bucket_forward(
-    model: KsatModel, compiled: list[CompiledPost], rows: list[int], log_probs: np.ndarray
+    model: KsatModel,
+    compiled: list[CompiledPost],
+    rows: list[int],
+    log_probs: np.ndarray,
+    arena: _Arena,
 ) -> list[LayerPass]:
     """The layer stack over the posts `rows` of one length (see
     `_run_bucket`); copies their per-layer log-probabilities into their rows
     of the ``(posts, layers, outcomes)`` array `log_probs`."""
-    passes = _run_bucket(model, [compiled[i] for i in rows])
+    passes = _run_bucket(model, [compiled[i] for i in rows], arena)
     for li, lp in enumerate(passes):
         log_probs[rows, li] = lp.log_probs
     return passes
@@ -200,15 +206,16 @@ def _bucket_forward(
 def _log_probs_array(model: KsatModel, compiled: list[CompiledPost]) -> np.ndarray:
     """An empty ``(posts, layers, outcomes)`` array in the parameters' dtype."""
     shape = (len(compiled), len(model.layers), N_OUTCOMES)
-    return np.empty(shape, dtype=model.layers[0].w_query.dtype)
+    return np.empty(shape, dtype=_param_dtype(model))
 
 
-def _bucket_loss(model: KsatModel, compiled: list[CompiledPost]):
+def _bucket_loss(model: KsatModel, compiled: list[CompiledPost], arena: _Arena):
     """Mean loss with the layer stacks run per length bucket; the number
     `_loss_terms` gives, bit for bit."""
     log_probs = _log_probs_array(model, compiled)
     for rows in _buckets(compiled):
-        _bucket_forward(model, compiled, rows, log_probs)
+        arena.used = 0  # the previous bucket's passes are dead
+        _bucket_forward(model, compiled, rows, log_probs, arena)
     return _loss_head(compiled, log_probs)[0]
 
 
@@ -217,6 +224,16 @@ def loss(model: KsatModel, batch, embeddings_table=None) -> float:
     if not batch:
         raise ValueError("loss needs a nonempty batch")
     return float(_loss_terms(model, compile_batch(model, batch, embeddings_table))[0])
+
+
+def _project_back(x, g_tokens, g_weight, weight, g_x, product) -> None:
+    """Backward of one projection ``tokens = x @ weight`` over a bucket's
+    ``(b*t, d)`` token rows `x`: adds the weight gradient into `g_weight`,
+    one GEMM, and the input-gradient term into `g_x`, computed in
+    `product`."""
+    g_tokens = g_tokens.reshape(x.shape)
+    g_weight += x.T @ g_tokens
+    g_x += np.matmul(g_tokens, weight.T, out=product)
 
 
 def _layer_backward(
@@ -228,12 +245,14 @@ def _layer_backward(
     inv_batch: float,
     g_y: np.ndarray,
     grads: Gradients,
+    arena: _Arena,
 ) -> np.ndarray:
     """One layer of a length bucket's backward, adding into `grads`.
 
     `lp` is the layer's pass over the bucket's posts `cps` (see
     `_run_bucket`). Turns `g_y`, the gradient wrt the layer's output tokens,
-    in place into the gradient wrt its input tokens and returns it.
+    in place into the gradient wrt its input tokens and returns it. Its
+    token-sized scratch is taken from `arena`.
     """
     layer = model.layers[li]
     gl = grads.layers[li]
@@ -252,7 +271,8 @@ def _layer_backward(
     # graph-context bias quotient path
     v = lp.v
     attn = lp.attention
-    g_v = np.zeros((b, t, d))
+    g_v = arena.take((b, t, d))
+    g_v.fill(0.0)
     g_attn = np.zeros((b, t, t))
     pi, pj = cps[0].pairs
     if model.kg_bias_enabled and pi.size:
@@ -269,22 +289,23 @@ def _layer_backward(
         g_v[:, 2:] += attn[:, 1, 2:, None] * g_c
     # attention output plus residual
     g_attn += g_y @ v.transpose(0, 2, 1)
-    g_v += attn.transpose(0, 2, 1) @ g_y
+    # one product buffer serves this product and the three input-gradient
+    # terms below
+    product = arena.take((b, t, d))
+    g_v += np.matmul(attn.transpose(0, 2, 1), g_y, out=product)
     g_s = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
-    g_q = g_s @ lp.k
-    g_q *= inv_sqrt_d
-    g_k = g_s.transpose(0, 2, 1) @ lp.q
-    g_k *= inv_sqrt_d
-    # weight blocks: one GEMM each over the bucket's (b*t, d) token rows
     x = lp.x.reshape(b * t, d)
-    g_q, g_k, g_v = (a.reshape(b * t, d) for a in (g_q, g_k, g_v))
-    gl.w_query += x.T @ g_q
-    gl.w_key += x.T @ g_k
-    gl.w_value += x.T @ g_v
     g_x = g_y.reshape(b * t, d)  # a view: g_y becomes the input gradient
-    g_x += g_q @ layer.w_query.T
-    g_x += g_k @ layer.w_key.T
-    g_x += g_v @ layer.w_value.T
+    product = product.reshape(b * t, d)
+    g_qk = arena.take((b, t, d))  # g_q, then g_k
+    for g_scores, other, g_weight, weight in (
+        (g_s, lp.k, gl.w_query, layer.w_query),
+        (g_s.transpose(0, 2, 1), lp.q, gl.w_key, layer.w_key),
+    ):
+        np.matmul(g_scores, other, out=g_qk)
+        g_qk *= inv_sqrt_d
+        _project_back(x, g_qk, g_weight, weight, g_x, product)
+    _project_back(x, g_v, gl.w_value, layer.w_value, g_x, product)
     # the KCLS slot was overwritten at layer entry: its gradient belongs
     # to this layer's knowledge token, not the previous layer's output
     gl.kcls_init += g_y[:, 1].sum(axis=0)
@@ -293,7 +314,7 @@ def _layer_backward(
 
 
 def loss_and_gradients(
-    model: KsatModel, compiled: list[CompiledPost]
+    model: KsatModel, compiled: list[CompiledPost], arena: _Arena | None = None
 ) -> tuple[float, Gradients]:
     """Analytic mean loss and gradients over pre-compiled posts.
 
@@ -304,15 +325,24 @@ def loss_and_gradients(
     The head itself runs once for the batch at the end, so a collapse names
     the first collapsed post in batch order; after a bucket with a
     collapsed post only the forwards run.
+
+    A bucket's token-sized arrays come from `arena`, `train`'s when it
+    passes one and otherwise one made for this call. Each bucket starts it
+    empty, and each layer's backward gives its scratch back, so the arena
+    at its fullest holds the largest bucket's forward and one layer's
+    backward.
     """
     if not compiled:
         raise ValueError("need a nonempty batch")
+    if arena is None:
+        arena = _Arena(_param_dtype(model))
     log_probs = _log_probs_array(model, compiled)
     grads = _zero_gradients(model)
     inv_batch = 1.0 / len(compiled)
     healthy = True
     for rows in _buckets(compiled):
-        passes = _bucket_forward(model, compiled, rows, log_probs)
+        arena.used = 0  # the previous bucket's arrays are dead
+        passes = _bucket_forward(model, compiled, rows, log_probs, arena)
         log_f = _log_products(log_probs[rows])
         # after a collapse only the forwards run: the head below raises
         healthy = healthy and not _collapsed(log_f).any()
@@ -321,11 +351,14 @@ def loss_and_gradients(
             g_log_probs = np.exp(_log_normalized(log_f))
             g_log_probs[np.arange(len(rows)), [compiled[i].gold for i in rows]] -= 1.0
             cps = [compiled[i] for i in rows]
-            g_y = np.zeros(passes[-1].y.shape)  # wrt the top layer's output
+            g_y = arena.take(passes[-1].y.shape)  # wrt the top layer's output
+            g_y.fill(0.0)
             for li in range(len(model.layers) - 1, -1, -1):
+                scratch = arena.used
                 g_y = _layer_backward(
-                    model, li, cps, passes[li], g_log_probs, inv_batch, g_y, grads
+                    model, li, cps, passes[li], g_log_probs, inv_batch, g_y, grads, arena
                 )
+                arena.used = scratch  # the layer's scratch is dead; g_y lives on
         del passes  # the next bucket's forward runs without these activations
     value, _ = _loss_head(compiled, log_probs)
     return float(value), grads
@@ -519,9 +552,13 @@ def train(
     compiled = compile_batch(model, batch, embeddings_table)
     losses: list[float] = []
     alphas: list[list[float]] = []
+    # every epoch runs the same buckets, so after the first one the arena
+    # holds them all in one buffer; it goes when this call returns
+    arena = _Arena(_param_dtype(model))
     try:
         for _ in range(config.epochs):
-            value, grads = loss_and_gradients(model, compiled)
+            value, grads = loss_and_gradients(model, compiled, arena)
+            arena.fit()
             losses.append(value)
             alphas.append([layer.alpha for layer in model.layers])
             for layer, gl in zip(model.layers, grads.layers):
@@ -530,7 +567,7 @@ def train(
                     block -= config.learning_rate * getattr(gl, name)
                 layer.a_raw -= config.learning_rate * gl.a_raw
         if config.epochs > 0:
-            losses.append(float(_bucket_loss(model, compiled)))
+            losses.append(float(_bucket_loss(model, compiled, arena)))
             alphas.append([layer.alpha for layer in model.layers])
     except NumericalError as exc:
         # the loss trace index of the evaluation that failed

@@ -6,6 +6,7 @@ import collections
 import gc
 import itertools
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -442,6 +443,15 @@ class TestGridSearch:
     def test_empty_dataset_rejected(self, tree):
         with pytest.raises(ValueError):
             grid_search(Dataset(posts=[]), tree, CFG64, theta_step=1.0)
+
+    def test_a_lattice_too_large_to_allocate_fails_fast(self, tree):
+        # step 1e-12 divides [-1, 1], but its lattice has 2e12 + 1 values per
+        # concept: the candidate arrays are refused before any list is built
+        ds = Dataset(posts=[Post(id="a", sentences=["a gun."], gold=Outcome.IDEATION_1)])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"theta_step 1e-12 gives 2.4e\+37 candidates"):
+            grid_search(ds, tree, CFG64, theta_step=1e-12)
+        assert time.perf_counter() - start < 1.0
 
     def test_lattice_membership_of_result(self, tree):
         ds = Dataset(

@@ -159,6 +159,21 @@ class TestAnnotate:
         assert err.startswith("ksat: error:") and "theta_step" in err
         assert not out.exists()
 
+    def test_a_lattice_too_large_to_allocate_is_an_error(self, tmp_path, corpus_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code = invoke(
+            "annotate",
+            "--data", str(corpus_path),
+            "--out", str(out),
+            "--grid-search",
+            "--theta-step", "1e-12",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ksat: error:") and "theta_step" in err
+        assert "candidates" in err
+        assert not out.exists()
+
     def test_grid_search_reports_selected_parameters(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "annotated.jsonl"
         code = invoke(

@@ -414,6 +414,28 @@ class TestPairPath:
         assert got.dtype == expected.dtype == dtype
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("lead", [(), (3,)])  # one post, a bucket of three
+    # 6, 15 and 28 pairs in blocks of 7: one block, a partial last block,
+    # four full blocks
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_reused_block_buffers_equal_one_pass(self, rng, monkeypatch, dtype, lead, n):
+        monkeypatch.setattr(model_module, "_PAIR_BLOCK", 7)
+        pi, pj = model_module._pairs(n)
+        contribs = rng.standard_normal(lead + (n, 16)).astype(dtype)
+        inv_dist = 1.0 / (rng.integers(0, 4, lead + pi.shape) + 1e-6)
+        diffs = contribs[..., pi, :] - contribs[..., pj, :]
+        # C order, as `_penalty` lays out its squared norms: a bucket's
+        # indexing above leaves them pair-major, and the per-post dot
+        # products would then take another BLAS path
+        sq = np.ascontiguousarray((diffs * diffs).sum(axis=-1))
+        if lead:
+            expected = -np.matmul(inv_dist[:, None, :], sq[:, :, None])[:, 0, 0]
+        else:
+            expected = -np.dot(inv_dist, sq)
+        got = model_module._penalty(contribs, pi, pj, inv_dist)
+        assert_identical(got, expected, "penalty")
+
     def test_forward_on_a_300_sentence_post_stays_small(self, make_model):
         # the pair path works in fixed-size blocks; one (pairs, d) temporary
         # over all 44,850 pairs would take 23 MB at d = 64
@@ -822,6 +844,14 @@ def assert_bucket_row(bucket: LayerPass, b: int, single: LayerPass) -> None:
         assert_identical(got if f.name == "alpha" else got[b], getattr(single, f.name), f.name)
 
 
+def run_bucket(model, cps):
+    """`_run_bucket` with a fresh arena, as one call of `loss_and_gradients`
+    makes."""
+    return model_module._run_bucket(
+        model, cps, model_module._Arena(model_module._param_dtype(model))
+    )
+
+
 class TestBucketPass:
     """`_run_bucket` runs one `_layer_core` call per layer over all posts
     of one length; each post's numbers are the ones `run_layers` gives it."""
@@ -855,7 +885,7 @@ class TestBucketPass:
             model = _extended_precision_clone(model)
         for n, posts in by_length.items():
             cps = [compile_post(model, post) for post in posts]
-            bucket = model_module._run_bucket(model, cps)
+            bucket = run_bucket(model, cps)
             assert len(bucket) == len(model.layers)
             for lp in bucket:
                 assert lp.x.shape == (len(cps), n + 2, model.dimension)
@@ -869,9 +899,9 @@ class TestBucketPass:
     def test_a_post_does_not_depend_on_its_bucket(self, make_model, by_length):
         model = make_model(dimension=8, seed=6, epsilon=1.0)
         cps = [compile_post(model, post) for post in by_length[4]]
-        full = model_module._run_bucket(model, cps)
+        full = run_bucket(model, cps)
         for b, cp in enumerate(cps):
-            alone = model_module._run_bucket(model, [cp])
+            alone = run_bucket(model, [cp])
             for lp_alone, lp_full in zip(alone, full):
                 for f in dataclasses.fields(LayerPass):
                     got, want = getattr(lp_alone, f.name), getattr(lp_full, f.name)

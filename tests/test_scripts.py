@@ -74,6 +74,7 @@ def test_output_digest_prints_the_same_lines_twice_in_one_process(monkeypatch, c
     assert "finite_diff_check.block_errors" in names
     assert "loss.collapse" in names
     assert "train.collapse" in names
+    assert "train.buckets" in names
     assert {"annotate.frag1", "annotate.frag2", "annotate.frag3", "grid_search"} <= set(names)
     annotate_digests = {line.split()[1] for line in printed[0] if line.startswith("annotate.")}
     assert len(annotate_digests) == 3

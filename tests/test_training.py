@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
-from ksat.knowledge import N_OUTCOMES, Outcome
+from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome
 from ksat.model import KsatModel, LayerPass, forward, run_layers
 from ksat import training
 from ksat.training import (
@@ -549,8 +551,8 @@ class TestFiniteDifferenceAgreement:
         # bucket driver's rows to their posts independently of it
         real = training._run_bucket
 
-        def reversed_rows(model, cps):
-            passes = real(model, cps)
+        def reversed_rows(model, cps, arena):
+            passes = real(model, cps, arena)
             if cps[0].n_sentences != 2:
                 return passes
             assert len(cps) == 2
@@ -698,6 +700,86 @@ class TestTrain:
         ds = Dataset(posts=[Post(id="u", sentences=["x."], sentence_presence=[(0, 0, 0)])])
         with pytest.raises(DataFormatError):
             train(make_model(), ds, TrainConfig(epochs=1))
+
+
+def three_sentence_posts(n_posts: int) -> list[Post]:
+    """Posts of three sentences with random presence bits, every outcome
+    gold in turn."""
+    rng = np.random.default_rng(5)
+    return [
+        Post(
+            id=f"t{i:03d}",
+            sentences=[f"post {i} says thing {j}." for j in range(3)],
+            gold=LAYER_ORDER[i % len(LAYER_ORDER)],
+            sentence_presence=[tuple(int(b) for b in rng.integers(0, 2, 3)) for _ in range(3)],
+        )
+        for i in range(n_posts)
+    ]
+
+
+class TestArena:
+    """`train` fits one arena after its first epoch and reuses it; the
+    numbers are the ones fresh arrays give, and nothing outlives the call.
+
+    150 posts of three sentences at d = 64 make one bucket whose
+    token-sized arrays take 150 * 5 * 64 * 8 B = 375 KiB each, above the
+    128 KiB from which an allocation is a fresh mapping.
+    """
+
+    def test_a_fitted_arena_changes_nothing_and_allocates_little(self, make_model):
+        model = checkable_model(make_model, seed=2, dimension=64)
+        compiled = compile_batch(model, as_batch(*three_sentence_posts(150)))
+        arena = training._Arena(np.float64)
+        loss_and_gradients(model, compiled, arena)
+        arena.fit()
+        results, rises = [], []
+        for given in (None, arena):  # a fresh arena, then the fitted one
+            gc.collect()
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                results.append(loss_and_gradients(model, compiled, given))
+                rises.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert arena.high <= arena.buffer.size  # every array was a view
+        (fresh_value, fresh), (fitted_value, fitted) = results
+        assert fitted_value.hex() == fresh_value.hex()
+        for (name, want), (_, got) in zip(fresh.blocks(), fitted.blocks()):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        assert rises[1] < rises[0] / 4, rises
+
+    def test_train_fits_one_arena_to_its_high_water(self, make_model, monkeypatch):
+        made = []
+
+        class Recorded(training._Arena):
+            def __init__(self, dtype) -> None:
+                super().__init__(dtype)
+                made.append(self)
+
+        monkeypatch.setattr(training, "_Arena", Recorded)
+        model = checkable_model(make_model, seed=2, dimension=64)
+        train(model, Dataset(posts=three_sentence_posts(150)), TrainConfig(epochs=2))
+        (arena,) = made
+        assert arena.buffer.size == arena.high > 0
+
+    def test_train_keeps_nothing_after_it_returns(self, make_model):
+        model = checkable_model(make_model, seed=2, dimension=64)
+        dataset = Dataset(posts=three_sentence_posts(150))
+        config = TrainConfig(epochs=2)
+        train(model, dataset, config)  # warm-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = train(model, dataset, config)
+            assert len(result.losses) == 3
+            del result
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
 
 class TestForwardAfterTraining:

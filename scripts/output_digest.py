@@ -4,12 +4,12 @@
 The outputs are forward finals and every `LayerPass` field, short `train`
 traces and parameters with the graph-context penalty on and off, at two
 sizes (the larger fills length buckets past 128 KiB per array), `backward`
-gradients, a small `finite_diff_check`'s block errors, and what the loss's
-collapse guard reports on a batch crafted to collapse, through `loss` and
-through `train`, annotations at each fragment size, and a lattice search's
-result. A change that claims bit-identical outputs is checked by running
-this script at the parent commit and at the change and diffing the two
-outputs:
+gradients on short posts and on a bucket of long ones, a small
+`finite_diff_check`'s block errors, and what the loss's collapse guard
+reports on a batch crafted to collapse, through `loss` and through `train`,
+annotations at each fragment size, and a lattice search's result. A
+change that claims bit-identical outputs is checked by running this script
+at the parent commit and at the change and diffing the two outputs:
 
     python3 scripts/output_digest.py > after.txt
     (in a checkout of the parent) python3 scripts/output_digest.py > before.txt
@@ -108,6 +108,11 @@ def digest_lines() -> list[str]:
     batch = [(p, p.sentence_presence, p.gold) for p in train_set.posts]
     grads = backward(model, batch)
     lines.append(("backward.gradients", _digest(value for _, value in grads.blocks())))
+    # backward, penalty on, over one bucket of four 60-sentence posts: its
+    # 1,770 pairs fill several pair blocks
+    long_set = _corpus(tree, 4, (60, 60))
+    grads = backward(model, [(p, p.sentence_presence, p.gold) for p in long_set.posts])
+    lines.append(("backward.long_bucket", _digest(value for _, value in grads.blocks())))
     # finite differences at d = 4 on three posts
     small = _model(tree, 4, epsilon=1.0, value_scale=0.25)
     report = finite_diff_check(small, batch[:3], TrainConfig())

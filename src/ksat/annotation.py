@@ -60,26 +60,55 @@ def concept_present(
 def _cosine_rows(tree: KnowledgeTree, config: EmbeddingConfig):
     """``rows(sentences, frag_size)``: ``(n_fragments, K)`` cosines to the query texts.
 
-    The query texts are embedded once. Sentence rows are memoized while the caller
-    holds ``rows``; their keys are the corpus's own strings, so the memo adds a few
-    floats per distinct sentence. Longer fragments are new joined strings, never kept.
+    The query texts are embedded once. Rows are memoized while the caller holds
+    ``rows``: a sentence's under the corpus's own string, a longer fragment's under
+    the tuple of corpus strings in its window, so the memo keeps no new text. A
+    window can recur only if each of its sentences does, so a window's row is kept
+    only once every sentence in it has been met more than once; on text whose
+    sentences are unique the memo holds sentence rows alone.
     """
     queries = [embed_text(c.query_text, config) for c in tree.concepts]
-    memo: dict[str, list[float]] = {}
+    memo: dict[str | tuple[str, ...], list[float]] = {}
+    repeated: set[str] = set()  # sentences met more than once
 
     def cosines(text: str) -> list[float]:
         vec = embed_text(text, config)
         return [cosine_similarity(vec, q) for q in queries]
 
+    def window_row(window: tuple[str, ...]) -> list[float]:
+        row = memo.get(window)
+        if row is None:
+            row = cosines(" ".join(window))
+            if repeated.issuperset(window):
+                memo[window] = row
+        return row
+
     def rows(sentences: list[str], frag_size: int) -> np.ndarray:
         if frag_size > 1 and len(sentences) > 1:
-            return np.array([cosines(f) for f in fragments(sentences, frag_size)])
+            return np.array([window_row(w) for w in _windows(sentences, frag_size)])
         for s in sentences:
-            if s not in memo:
+            if s in memo:
+                repeated.add(s)
+            else:
                 memo[s] = cosines(s)
         return np.array([memo[s] for s in sentences])
 
     return rows
+
+
+def _windows(sentences: list[str], frag_size: int) -> list[tuple[str, ...]]:
+    """Stride-1 windows of `frag_size` sentences, as tuples of the sentences.
+
+    A post with fewer sentences than the window is one whole-post window.
+    """
+    if frag_size not in FRAG_SIZES:
+        raise ValueError(f"frag_size must be one of {FRAG_SIZES}, got {frag_size}")
+    if len(sentences) <= frag_size:
+        return [tuple(sentences)]
+    return [
+        tuple(sentences[i : i + frag_size])
+        for i in range(len(sentences) - frag_size + 1)
+    ]
 
 
 def fragments(sentences: list[str], frag_size: int) -> list[str]:
@@ -87,14 +116,7 @@ def fragments(sentences: list[str], frag_size: int) -> list[str]:
 
     A post with fewer sentences than the window is one whole-post fragment.
     """
-    if frag_size not in FRAG_SIZES:
-        raise ValueError(f"frag_size must be one of {FRAG_SIZES}, got {frag_size}")
-    if len(sentences) <= frag_size:
-        return [" ".join(sentences)]
-    return [
-        " ".join(sentences[i : i + frag_size])
-        for i in range(len(sentences) - frag_size + 1)
-    ]
+    return [" ".join(w) for w in _windows(sentences, frag_size)]
 
 
 @dataclass

@@ -249,9 +249,39 @@ class _Arena:
             self.buffer = np.empty(self.high, self.dtype)
 
 
-# Pairs per block of the penalty: bounds its (pairs, d) temporaries (2 MiB
-# each at d = 64) on long posts.
-_PAIR_BLOCK = 4096
+# Bytes per block buffer of the pair work: a block holds as many pairs as
+# fit one ``(posts, pairs, d)`` buffer in this budget. Two such buffers sit
+# well inside a core's L2 cache, and each stays below glibc's initial mmap
+# threshold (128 KiB), so it is served from the heap, not from a fresh
+# mapping whose pages fault in on every call.
+_BLOCK_BYTES = 64 * 1024
+
+
+def _pair_diffs(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray):
+    """Yield ``(s, diffs)`` block by block, in pair order: `s` slices the
+    block's pairs and `diffs` is ``contribs[..., pi[s], :] - contribs[...,
+    pj[s], :]``.
+
+    A block holds as many pairs as fit one `diffs` in `_BLOCK_BYTES`, at
+    least one. `diffs` lives in one of two block buffers that the first
+    block's gathers make and every later block refills; the last block,
+    when shorter, uses their leading part. The caller may overwrite `diffs`
+    but must be done with it before asking for the next block.
+    """
+    lead = contribs.shape[:-2]
+    d = contribs.shape[-1]
+    block = max(1, _BLOCK_BYTES // (math.prod(lead) * d * contribs.itemsize))
+    a = b = None
+    for lo in range(0, pi.size, block):
+        s = slice(lo, lo + block)
+        if a is not None and pi[s].size < block:
+            shape = lead + (pi[s].size, d)
+            a, b = (buf.reshape(-1)[: math.prod(shape)].reshape(shape) for buf in (a, b))
+        # "clip" writes straight into `out`; "raise" would buffer it
+        a = contribs.take(pi[s], axis=-2, out=a, mode="clip")
+        b = contribs.take(pj[s], axis=-2, out=b, mode="clip")
+        a -= b
+        yield s, a
 
 
 def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.ndarray):
@@ -261,25 +291,14 @@ def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.
     bucket of posts of one length they are ``(B, n, d)`` and ``(B, P)``, and
     the result is ``(B,)``. Dtype-preserving, so the finite-difference
     checker can run it in extended precision. The squared norms are taken
-    `_PAIR_BLOCK` pairs at a time into one array; each row's sum and the
+    block by block (`_pair_diffs`) into one array; each row's sum and the
     final dot product are the same as in one pass over all pairs, so the
-    result is too, bit for bit. The first block's two gathers make the two
-    block buffers, which every later block refills; the last block, when
-    shorter, uses their leading part.
+    result is too, bit for bit, whatever the block size.
     """
     sq = np.empty(contribs.shape[:-2] + pi.shape, dtype=contribs.dtype)
-    a = b = None
-    for lo in range(0, pi.size, _PAIR_BLOCK):
-        s = slice(lo, lo + _PAIR_BLOCK)
-        if a is not None and pi[s].size < _PAIR_BLOCK:
-            shape = contribs.shape[:-2] + (pi[s].size, contribs.shape[-1])
-            a, b = (buf.reshape(-1)[: math.prod(shape)].reshape(shape) for buf in (a, b))
-        # "clip" writes straight into `out`; "raise" would buffer it
-        a = contribs.take(pi[s], axis=-2, out=a, mode="clip")
-        b = contribs.take(pj[s], axis=-2, out=b, mode="clip")
-        a -= b
-        a *= a
-        a.sum(axis=-1, out=sq[..., s])
+    for s, diffs in _pair_diffs(contribs, pi, pj):
+        diffs *= diffs
+        diffs.sum(axis=-1, out=sq[..., s])
     if sq.ndim == 1:
         return -np.dot(inv_dist, sq)
     # one dot product per post, as `np.dot` makes for one
@@ -595,11 +614,12 @@ def run_layers(
 
 def _run_bucket(
     model: KsatModel, cps: Sequence[CompiledPost], arena: _Arena
-) -> list[LayerPass]:
+) -> tuple[list[LayerPass], np.ndarray]:
     """Full stack on a bucket of compiled posts of one sentence count, one
-    `_layer_core` call per layer; training's forward. The token matrix and
-    every pass's token-sized arrays are taken from `arena`, so they live
-    until the caller gives them back.
+    `_layer_core` call per layer; training's forward. Returns the passes and
+    the posts' pair weights stacked ``(L, B, P)``, which the backward reads.
+    The token matrix and every pass's token-sized arrays are taken from
+    `arena`, so they live until the caller gives them back.
 
     Posts of one length share their token count and sentence pairs, so they
     stack without padding or masks. Row b of every field is what
@@ -609,7 +629,7 @@ def _run_bucket(
     reps[:, :2] = 0.0
     np.stack([cp.embeddings for cp in cps], out=reps[:, 2:])
     inv_dist = np.stack([cp.inv_dist for cp in cps], axis=1)
-    return _run_from(model, reps, cps[0].pairs, inv_dist, [], arena)
+    return _run_from(model, reps, cps[0].pairs, inv_dist, [], arena), inv_dist
 
 
 def aggregate_probs(prob_rows) -> np.ndarray:

@@ -28,6 +28,7 @@ from .model import (
     KsatModel,
     LayerPass,
     _Arena,
+    _pair_diffs,
     _param_dtype,
     _run_bucket,
     block_shapes,
@@ -193,14 +194,15 @@ def _bucket_forward(
     rows: list[int],
     log_probs: np.ndarray,
     arena: _Arena,
-) -> list[LayerPass]:
-    """The layer stack over the posts `rows` of one length (see
-    `_run_bucket`); copies their per-layer log-probabilities into their rows
-    of the ``(posts, layers, outcomes)`` array `log_probs`."""
-    passes = _run_bucket(model, [compiled[i] for i in rows], arena)
+) -> tuple[list[LayerPass], np.ndarray]:
+    """The layer stack over the posts `rows` of one length, and their
+    stacked pair weights (see `_run_bucket`); copies their per-layer
+    log-probabilities into their rows of the ``(posts, layers, outcomes)``
+    array `log_probs`."""
+    passes, inv_dist = _run_bucket(model, [compiled[i] for i in rows], arena)
     for li, lp in enumerate(passes):
         log_probs[rows, li] = lp.log_probs
-    return passes
+    return passes, inv_dist
 
 
 def _log_probs_array(model: KsatModel, compiled: list[CompiledPost]) -> np.ndarray:
@@ -246,12 +248,14 @@ def _layer_backward(
     g_y: np.ndarray,
     grads: Gradients,
     arena: _Arena,
+    inv_dist: np.ndarray,
 ) -> np.ndarray:
     """One layer of a length bucket's backward, adding into `grads`.
 
     `lp` is the layer's pass over the bucket's posts `cps` (see
-    `_run_bucket`). Turns `g_y`, the gradient wrt the layer's output tokens,
-    in place into the gradient wrt its input tokens and returns it. Its
+    `_run_bucket`), and `inv_dist` the posts' ``(B, P)`` pair weights at
+    this layer. Turns `g_y`, the gradient wrt the layer's output tokens, in
+    place into the gradient wrt its input tokens and returns it. Its
     token-sized scratch is taken from `arena`.
     """
     layer = model.layers[li]
@@ -276,17 +280,21 @@ def _layer_backward(
     g_attn = np.zeros((b, t, t))
     pi, pj = cps[0].pairs
     if model.kg_bias_enabled and pi.size:
-        contribs = lp.kcls_contribs
-        inv_dist = np.stack([cp.inv_dist[li] for cp in cps])
-        g_kg = g_u.sum(axis=1)
-        diffs = contribs[:, pi] - contribs[:, pj]
-        g_diffs = (-2.0 * g_kg)[:, None, None] * (inv_dist[:, :, None] * diffs)
-        # sentences repeat in pi and pj, so fancy-index += would drop terms
-        g_c = np.zeros((b, t - 2, d))
-        np.add.at(g_c, (slice(None), pi), g_diffs)
-        np.subtract.at(g_c, (slice(None), pj), g_diffs)
-        g_attn[:, 1, 2:] = (g_c * v[:, 2:]).sum(axis=2)
-        g_v[:, 2:] += attn[:, 1, 2:, None] * g_c
+        g_scale = (-2.0 * g_u.sum(axis=1))[:, None, None]  # -2 dL/d(bias)
+        g_c = arena.take((b, t - 2, d))
+        g_c.fill(0.0)
+        # block by block; every block's additions come before any block's
+        # subtractions, so each entry of g_c takes its terms in the order
+        # one pass over all pairs gives them. Sentences repeat in pi and
+        # pj, so fancy-index += would drop terms.
+        for accumulate, ends in ((np.add.at, pi), (np.subtract.at, pj)):
+            for s, g_diffs in _pair_diffs(lp.kcls_contribs, pi, pj):
+                g_diffs *= inv_dist[:, s, None]
+                g_diffs *= g_scale
+                accumulate(g_c, (slice(None), ends[s]), g_diffs)
+        term = arena.take(g_c.shape)
+        np.multiply(g_c, v[:, 2:], out=term).sum(axis=2, out=g_attn[:, 1, 2:])
+        g_v[:, 2:] += np.multiply(attn[:, 1, 2:, None], g_c, out=term)
     # attention output plus residual
     g_attn += g_y @ v.transpose(0, 2, 1)
     # one product buffer serves this product and the three input-gradient
@@ -342,7 +350,7 @@ def loss_and_gradients(
     healthy = True
     for rows in _buckets(compiled):
         arena.used = 0  # the previous bucket's arrays are dead
-        passes = _bucket_forward(model, compiled, rows, log_probs, arena)
+        passes, inv_dist = _bucket_forward(model, compiled, rows, log_probs, arena)
         log_f = _log_products(log_probs[rows])
         # after a collapse only the forwards run: the head below raises
         healthy = healthy and not _collapsed(log_f).any()
@@ -356,7 +364,8 @@ def loss_and_gradients(
             for li in range(len(model.layers) - 1, -1, -1):
                 scratch = arena.used
                 g_y = _layer_backward(
-                    model, li, cps, passes[li], g_log_probs, inv_batch, g_y, grads, arena
+                    model, li, cps, passes[li], g_log_probs, inv_batch, g_y, grads, arena,
+                    inv_dist[li],
                 )
                 arena.used = scratch  # the layer's scratch is dead; g_y lives on
         del passes  # the next bucket's forward runs without these activations

@@ -574,3 +574,35 @@ def test_one_call_embeds_each_query_and_sentence_once(tree, monkeypatch):
         embedded.clear()
         call()
         assert {t: embedded[t] for t in texts} == dict.fromkeys(texts, 1), name
+
+
+def test_one_call_embeds_a_recurring_fragment_at_most_twice(tree, monkeypatch):
+    """A window's row is kept from the first time all its sentences have been met
+    before, so a fragment that recurs in every post is embedded once or twice."""
+    embedded = collections.Counter()
+
+    def counting_embed(text, config):
+        embedded[text] += 1
+        return embed_text(text, config)
+
+    monkeypatch.setattr(annotation, "embed_text", counting_embed)
+    posts = [
+        Post(
+            id=str(i),
+            sentences=["a gun.", "calm day.", f"note {i % 2}."],
+            gold=LAYER_ORDER[i % 4],
+        )
+        for i in range(20)
+    ]
+    dataset = Dataset(posts=posts)
+    # each fragment text recurs in 10 or 20 posts
+    joined = {t for p in posts for f in (2, 3) for t in fragments(p.sentences, f)}
+    for frag_size in (2, 3):
+        params = AnnotationParams(thetas=(0.3, 0.5, 0.3), frag_size=frag_size)
+        embedded.clear()
+        apply_annotations(dataset, tree, params, CFG64)
+        counts = {t: embedded[t] for t in joined if t.count(".") == frag_size}
+        assert counts and all(1 <= c <= 2 for c in counts.values()), counts
+    embedded.clear()
+    grid_search(dataset, tree, CFG64, theta_step=1.0)
+    assert all(1 <= embedded[t] <= 2 for t in joined), {t: embedded[t] for t in joined}

@@ -123,6 +123,24 @@ class TestHammingDistance:
         with pytest.raises(ValueError):
             hamming_distance((1, 0), (1, 0, 0))
 
+    def test_equal_tuples_give_the_int_zero(self):
+        for bits in [(), (1,), (0, 1, 1), (True, False), (np.int64(1), np.int8(0))]:
+            got = hamming_distance(bits, tuple(bits))
+            assert type(got) is int and got == 0
+
+    def test_a_tuple_and_a_list_of_the_same_bits_give_zero(self):
+        for a, b in [((1, 0, 1), [1, 0, 1]), ([0, 1], (0, 1))]:
+            got = hamming_distance(a, b)
+            assert type(got) is int and got == 0
+
+    def test_arrays_and_tuples_mix(self):
+        # an array compared with `==` gives an array, not a truth value
+        a = np.array([1, 0, 1])
+        for b, expected in [(np.array([1, 0, 1]), 0), ((1, 1, 1), 1), (a, 0)]:
+            for x, y in ((a, b), (b, a)):
+                got = hamming_distance(x, y)
+                assert type(got) is int and got == expected
+
     @given(
         st.integers(0, 12).flatmap(
             lambda k: st.tuples(*[st.lists(st.integers(0, 1), min_size=k, max_size=k)] * 2)

@@ -402,10 +402,11 @@ class TestPairPath:
         assert [tuple(p) for p in pairs.T.tolist()] == loop_pairs
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    @pytest.mark.parametrize("n", [5, 100])  # one block, two blocks
+    @pytest.mark.parametrize("n", [5, 100])  # one block, several blocks
     def test_blocked_penalty_equals_one_pass(self, rng, dtype, n):
         pi, pj = model_module._pairs(n)
-        assert (pi.size > model_module._PAIR_BLOCK) == (n == 100)
+        block = model_module._BLOCK_BYTES // (16 * np.dtype(dtype).itemsize)
+        assert (pi.size > block) == (n == 100)
         contribs = rng.standard_normal((n, 16)).astype(dtype)
         inv_dist = 1.0 / (rng.integers(0, 4, pi.size) + 1e-6)
         diffs = contribs[pi] - contribs[pj]
@@ -420,7 +421,9 @@ class TestPairPath:
     # four full blocks
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_reused_block_buffers_equal_one_pass(self, rng, monkeypatch, dtype, lead, n):
-        monkeypatch.setattr(model_module, "_PAIR_BLOCK", 7)
+        # a budget of exactly seven (posts, pair, d) rows
+        pair_bytes = math.prod(lead) * 16 * np.dtype(dtype).itemsize
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", 7 * pair_bytes)
         pi, pj = model_module._pairs(n)
         contribs = rng.standard_normal(lead + (n, 16)).astype(dtype)
         inv_dist = 1.0 / (rng.integers(0, 4, lead + pi.shape) + 1e-6)
@@ -435,6 +438,36 @@ class TestPairPath:
             expected = -np.dot(inv_dist, sq)
         got = model_module._penalty(contribs, pi, pj, inv_dist)
         assert_identical(got, expected, "penalty")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    # one post, then buckets whose block shrinks as they grow: at 4 KiB a
+    # block holds 32, 16 and 6 pairs of float64 rows at d = 16
+    @pytest.mark.parametrize("lead", [(), (2,), (5,)])
+    def test_penalty_is_the_same_whatever_the_block_size(
+        self, rng, monkeypatch, dtype, lead
+    ):
+        n = 40  # 780 pairs
+        pi, pj = model_module._pairs(n)
+        contribs = rng.standard_normal(lead + (n, 16)).astype(dtype)
+        inv_dist = 1.0 / (rng.integers(0, 4, lead + pi.shape) + 1e-6)
+        pair_bytes = math.prod(lead) * 16 * np.dtype(dtype).itemsize
+        # one block for all pairs: the one-pass reference
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", pi.size * pair_bytes)
+        want = model_module._penalty(contribs, pi, pj, inv_dist)
+        diffs = contribs[..., pi, :] - contribs[..., pj, :]
+        sq = np.ascontiguousarray((diffs * diffs).sum(axis=-1))
+        if lead:
+            expected = -np.matmul(inv_dist[:, None, :], sq[:, :, None])[:, 0, 0]
+        else:
+            expected = -np.dot(inv_dist, sq)
+        assert_identical(want, expected, "one-block penalty")
+        # below one pair's bytes a block still holds one pair
+        for budget in (1, pair_bytes, 3 * pair_bytes, 4096, 64 * pair_bytes):
+            monkeypatch.setattr(model_module, "_BLOCK_BYTES", budget)
+            blocks = list(model_module._pair_diffs(contribs, pi, pj))
+            assert len(blocks) == -(-pi.size // max(1, budget // pair_bytes))
+            got = model_module._penalty(contribs, pi, pj, inv_dist)
+            assert_identical(got, want, f"penalty at {budget} B")
 
     def test_forward_on_a_300_sentence_post_stays_small(self, make_model):
         # the pair path works in fixed-size blocks; one (pairs, d) temporary
@@ -845,11 +878,12 @@ def assert_bucket_row(bucket: LayerPass, b: int, single: LayerPass) -> None:
 
 
 def run_bucket(model, cps):
-    """`_run_bucket` with a fresh arena, as one call of `loss_and_gradients`
-    makes."""
-    return model_module._run_bucket(
+    """`_run_bucket`'s passes with a fresh arena, as one call of
+    `loss_and_gradients` makes."""
+    passes, _ = model_module._run_bucket(
         model, cps, model_module._Arena(model_module._param_dtype(model))
     )
+    return passes
 
 
 class TestBucketPass:

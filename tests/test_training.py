@@ -16,6 +16,7 @@ from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
 from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome
 from ksat.model import KsatModel, LayerPass, forward, run_layers
+from ksat import model as model_module
 from ksat import training
 from ksat.training import (
     GRADIENT_FLOOR,
@@ -552,9 +553,9 @@ class TestFiniteDifferenceAgreement:
         real = training._run_bucket
 
         def reversed_rows(model, cps, arena):
-            passes = real(model, cps, arena)
+            passes, inv_dist = real(model, cps, arena)
             if cps[0].n_sentences != 2:
-                return passes
+                return passes, inv_dist
             assert len(cps) == 2
             return [
                 LayerPass(
@@ -564,7 +565,7 @@ class TestFiniteDifferenceAgreement:
                     }
                 )
                 for lp in passes
-            ]
+            ], inv_dist[:, ::-1]
 
         monkeypatch.setattr(training, "_run_bucket", reversed_rows)
         model = checkable_model(make_model, seed=6, dimension=4)
@@ -715,6 +716,50 @@ def three_sentence_posts(n_posts: int) -> list[Post]:
         )
         for i in range(n_posts)
     ]
+
+
+class TestBlockedBackward:
+    """The backward's pair gradient works through the pairs block by block,
+    in the same byte budget as the forward's penalty; every block size
+    gives the loss and gradients of one unblocked pass over all pairs, bit
+    for bit."""
+
+    @staticmethod
+    def long_posts(n_posts: int, n: int) -> list[Post]:
+        rng = np.random.default_rng(11)
+        return [
+            Post(
+                id=f"long{i}",
+                sentences=[f"post {i} sentence {j}." for j in range(n)],
+                gold=LAYER_ORDER[i % len(LAYER_ORDER)],
+                sentence_presence=[tuple(int(b) for b in rng.integers(0, 2, 3)) for _ in range(n)],
+            )
+            for i in range(n_posts)
+        ]
+
+    def test_every_block_size_matches_an_unblocked_reference(self, make_model, monkeypatch):
+        model = checkable_model(make_model, seed=4, dimension=16)
+        # one bucket of three 40-sentence posts: 780 pairs of 3 * 16 * 8 B
+        compiled = compile_batch(model, as_batch(*self.long_posts(3, 40)))
+        pair_bytes = 3 * 16 * 8
+
+        def unblocked(contribs, pi, pj):
+            yield slice(None), contribs[..., pi, :] - contribs[..., pj, :]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "_pair_diffs", unblocked)
+            patch.setattr(training, "_pair_diffs", unblocked)
+            want_value, want = loss_and_gradients(model, compiled)
+        assert all(np.any(g) for _, g in want.blocks())
+        default = model_module._BLOCK_BYTES
+        # one pair per block, a partial last block, the default, one block
+        for budget in (1, 7 * pair_bytes, default, 780 * pair_bytes):
+            monkeypatch.setattr(model_module, "_BLOCK_BYTES", budget)
+            value, grads = loss_and_gradients(model, compiled)
+            assert value.hex() == want_value.hex(), budget
+            for (name, expected), (_, got) in zip(want.blocks(), grads.blocks()):
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (name, budget)
+        assert 1 < -(-780 // (default // pair_bytes))  # the default takes several blocks
 
 
 class TestArena:

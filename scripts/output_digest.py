@@ -7,8 +7,8 @@ sizes (the larger fills length buckets past 128 KiB per array), `backward`
 gradients on short posts and on a bucket of long ones, a small
 `finite_diff_check`'s block errors, and what the loss's collapse guard
 reports on a batch crafted to collapse, through `loss` and through `train`,
-annotations at each fragment size, and a lattice search's result. A
-change that claims bit-identical outputs is checked by running this script
+annotations at each fragment size, a lattice search's result, and what the
+analysis readers give on a shuffled corpus of mixed lengths. A change that claims bit-identical outputs is checked by running this script
 at the parent commit and at the change and diffing the two outputs:
 
     python3 scripts/output_digest.py > after.txt
@@ -31,6 +31,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+from ksat.analysis import (
+    all_pairs,
+    contribution_report,
+    distance_report,
+    score_posts,
+    within_class_kcls_distance,
+)
 from ksat.annotation import AnnotationParams, apply_annotations, grid_search
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig
@@ -174,6 +181,20 @@ def digest_lines() -> list[str]:
         result.n_candidates,
     ]
     lines.append(("grid_search", _digest(facts)))
+    # the analysis readers, penalty on, over posts of 1-8 sentences in
+    # shuffled order, so the length buckets do not run in dataset order
+    mixed = _corpus(tree, 30, (1, 8)).posts
+    mixed = Dataset(posts=[mixed[i] for i in np.random.default_rng(SEED).permutation(len(mixed))])
+    gold, predicted, scores = score_posts(model, mixed)
+    lines.append(("analysis.score_posts.predicted", _digest([gold, predicted])))
+    lines.append(("analysis.score_posts.rows", _digest([scores])))
+    rows = contribution_report(model, mixed)
+    lines.append(("analysis.contribution_report", _digest(dataclasses.astuple(r) for r in rows)))
+    report = distance_report(model, all_pairs(mixed))
+    facts = [report.threshold, *(dataclasses.astuple(p) for p in report.pairs)]
+    lines.append(("analysis.distance_report", _digest(facts)))
+    within = within_class_kcls_distance(model, mixed)
+    lines.append(("analysis.within_class_kcls_distance", _digest([within])))
     return [f"{name} {digest}" for name, digest in lines]
 
 

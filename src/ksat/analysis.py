@@ -4,7 +4,8 @@ Quantitative side: accuracy, a gold-by-predicted confusion matrix, and a
 macro one-vs-rest ranking AUC computed from midranks (tie-aware, the
 Mann-Whitney formulation). Qualitative side: per-layer knowledge/data
 contribution magnitudes and pairwise final-layer representation distances,
-plus CSV/JSON writers so runs leave inspectable files behind.
+plus CSV/JSON writers so runs leave inspectable files behind. Every
+reader runs its posts per length bucket, through training's driver.
 """
 
 from __future__ import annotations
@@ -12,14 +13,31 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import combinations
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Dataset, Post
 from .errors import DataFormatError
-from .knowledge import LAYER_ORDER, N_OUTCOMES, Outcome
-from .model import KsatModel, forward, normalize_probs
+from .knowledge import LAYER_ORDER, N_OUTCOMES
+from .model import (
+    CompiledPost,
+    KsatModel,
+    _bucket_passes,
+    _log_normalized,
+    _log_probs_array,
+    _log_products,
+    _pair_diffs,
+    _pairs,
+    _ranked,
+    compile_post,
+    forward,
+)
+from .training import compile_batch
+
+_ID = attrgetter("id")
 
 
 @dataclass
@@ -107,24 +125,62 @@ def auc_roc(gold: list[int], scores: np.ndarray) -> float:
     return float(np.mean(per_class))
 
 
+def _compile_labeled(model: KsatModel, dataset: Dataset, embeddings_table=None):
+    """The dataset's posts compiled, each with its gold outcome index."""
+    batch = [(post, post.sentence_presence, post.gold) for post in dataset.posts]
+    return compile_batch(model, batch, embeddings_table)
+
+
+def _run_posts(model: KsatModel, compiled: list[CompiledPost]):
+    """Run compiled posts per length bucket. Returns, in post order, their
+    ``(posts, layers, outcomes)`` log-probabilities, each layer's CLS and
+    KCLS outputs ``(posts, layers, 2, d)`` and its penalty ``(posts,
+    layers)``: the numbers `forward` gives each post, bit for bit."""
+    log_probs = _log_probs_array(model, len(compiled))
+    tokens = np.empty((len(compiled), len(model.layers), 2, model.dimension))
+    kg_bias = np.empty((len(compiled), len(model.layers)))
+    for rows, passes, _ in _bucket_passes(model, compiled, log_probs):
+        tokens[rows] = np.stack([lp.y[:, :2] for lp in passes], axis=1)
+        kg_bias[rows] = np.stack([lp.kg_bias for lp in passes], axis=1)
+        del passes  # the next bucket runs without these
+    return log_probs, tokens, kg_bias
+
+
+def _running_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, added term by term from 0.0 as a per-post
+    loop adds ("+ 0.0": such a loop never ends at -0.0); ``sum`` pairs up."""
+    return np.add.accumulate(values, axis=0)[-1] + 0.0
+
+
+def _pair_norms(reps: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
+    """``||reps[..., pi[p], :] - reps[..., pj[p], :]||`` for every pair p,
+    block by block (`_pair_diffs`). Each is the square root of one dot
+    product, as `np.linalg.norm` of one vector, bit for bit; ``axis=-1``
+    norms sum the squares another way."""
+    out = np.empty(reps.shape[:-2] + pi.shape)
+    for s, diffs in _pair_diffs(reps, pi, pj):
+        squares = np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0]
+        np.sqrt(squares, out=out[..., s])
+    return out
+
+
 def score_posts(
     model: KsatModel, dataset: Dataset, embeddings_table=None
 ) -> tuple[list[int], list[int], np.ndarray]:
-    """(gold indices, predicted indices, normalized score rows) per post."""
+    """(gold indices, predicted indices, normalized score rows) per post.
+
+    A post is predicted by the argmax of its log final product, as
+    `predict` ranks it, and its score row is the exp of its log normalized
+    product. So a post whose raw products all underflow to 0.0 is still
+    ranked; one whose log products are not all finite raises
+    `NumericalError` naming it.
+    """
     if not dataset.posts:
         raise ValueError("dataset is empty")
-    gold: list[int] = []
-    predicted: list[int] = []
-    rows = []
-    for post in dataset.posts:
-        if post.gold is None:
-            raise DataFormatError(f"post {post.id!r} has no gold outcome")
-        final, _ = forward(model, post, embeddings_table=embeddings_table)
-        probs = normalize_probs(final)
-        gold.append(LAYER_ORDER.index(post.gold))
-        predicted.append(int(np.argmax(probs)))
-        rows.append(probs)
-    return gold, predicted, np.vstack(rows)
+    compiled = _compile_labeled(model, dataset, embeddings_table)
+    log_f = _log_products(_run_posts(model, compiled)[0])
+    predicted = _ranked(log_f, [cp.post_id for cp in compiled])
+    return [cp.gold for cp in compiled], predicted.tolist(), np.exp(_log_normalized(log_f))
 
 
 def compute_metrics(model: KsatModel, dataset: Dataset, embeddings_table=None) -> Metrics:
@@ -152,27 +208,27 @@ def contribution_report(
     """Average per-layer magnitudes of the two mixing routes and the bias."""
     if not dataset.posts:
         raise ValueError("dataset is empty")
-    n_layers = len(model.layers)
-    know = np.zeros((n_layers, N_OUTCOMES))
-    data = np.zeros((n_layers, N_OUTCOMES))
-    kg = np.zeros(n_layers)
-    for post in dataset.posts:
-        _, passes = forward(model, post, embeddings_table=embeddings_table)
-        for li, lp in enumerate(passes):
-            layer = model.layers[li]
-            know[li] += np.abs(lp.alpha * (layer.w_out.T @ lp.z_kcls))
-            data[li] += np.abs((1.0 - lp.alpha) * (layer.w_out.T @ lp.z_cls))
-            kg[li] += lp.kg_bias
+    compiled = [compile_post(model, p, embeddings_table=embeddings_table) for p in dataset.posts]
+    _, tokens, kg_bias = _run_posts(model, compiled)
+    alpha = np.array([layer.alpha for layer in model.layers])[:, None]
+    w_out = np.stack([layer.w_out for layer in model.layers])[:, None]  # (L, 1, d, outcomes)
+    # each post's and layer's readout of its two tokens, (posts, L, 2,
+    # outcomes): one vector-matrix product per token, as `w_out.T @ z`
+    # makes for one
+    logits = np.matmul(tokens[..., None, :], w_out)[..., 0, :]
+    know = _running_sum(np.abs(alpha * logits[:, :, 1]))
+    data = _running_sum(np.abs((1.0 - alpha) * logits[:, :, 0]))
+    kg = _running_sum(kg_bias)
     n = len(dataset.posts)
     return [
         LayerContribution(
             layer=li,
-            alpha=model.layers[li].alpha,
+            alpha=layer.alpha,
             knowledge_logit_mean=float(know[li].mean()) / n,
             data_logit_mean=float(data[li].mean()) / n,
             kg_bias_mean=float(kg[li]) / n,
         )
-        for li in range(n_layers)
+        for li, layer in enumerate(model.layers)
     ]
 
 
@@ -194,7 +250,7 @@ class DistanceReport:
     def close_fraction(self) -> float:
         if not self.pairs:
             return 0.0
-        return sum(1 for p in self.pairs if p.close) / len(self.pairs)
+        return sum(map(attrgetter("close"), self.pairs)) / len(self.pairs)
 
 
 def final_layer_outputs(
@@ -217,37 +273,25 @@ def distance_report(
 ) -> DistanceReport:
     """Final-layer distances for the given post pairs.
 
-    The closeness flag marks knowledge-token distances strictly below
+    Posts are told apart by id, as in a corpus file; each runs once. The
+    closeness flag marks knowledge-token distances strictly below
     ``epsilon_report``; when that is None it defaults to the 25th percentile
     of the knowledge-token distances over the evaluated pairs.
     """
     if not post_pairs:
         raise ValueError("distance report needs at least one post pair")
-    cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def outputs(post: Post) -> tuple[np.ndarray, np.ndarray]:
-        if post.id not in cache:
-            cache[post.id] = final_layer_outputs(model, post, embeddings_table)
-        return cache[post.id]
-
-    raw = []
-    for post_a, post_b in post_pairs:
-        cls_a, kcls_a = outputs(post_a)
-        cls_b, kcls_b = outputs(post_b)
-        raw.append(
-            (
-                post_a.id,
-                post_b.id,
-                float(np.linalg.norm(cls_a - cls_b)),
-                float(np.linalg.norm(kcls_a - kcls_b)),
-            )
-        )
+    firsts, seconds = zip(*post_pairs)
+    ids_a, ids_b = list(map(_ID, firsts)), list(map(_ID, seconds))
+    posts = dict(zip(ids_a + ids_b, firsts + seconds))  # each post runs once
+    slot = {post_id: i for i, post_id in enumerate(posts)}
+    pi, pj = (np.fromiter(map(slot.__getitem__, ids), np.intp, len(ids)) for ids in (ids_a, ids_b))
+    compiled = [compile_post(model, p, embeddings_table=embeddings_table) for p in posts.values()]
+    tokens = _run_posts(model, compiled)[1][:, -1]  # the last layer's CLS and KCLS rows
+    d_cls, d_kcls = _pair_norms(tokens.transpose(1, 0, 2), pi, pj)
     if epsilon_report is None:
-        epsilon_report = float(np.percentile([r[3] for r in raw], 25.0))
-    pairs = [
-        PairDistance(post_a=a, post_b=b, d_cls=dc, d_kcls=dk, close=dk < epsilon_report)
-        for a, b, dc, dk in raw
-    ]
+        epsilon_report = float(np.percentile(d_kcls, 25.0))
+    close = (d_kcls < epsilon_report).tolist()
+    pairs = list(map(PairDistance, ids_a, ids_b, d_cls.tolist(), d_kcls.tolist(), close))
     return DistanceReport(pairs=pairs, threshold=float(epsilon_report))
 
 
@@ -255,30 +299,23 @@ def all_pairs(dataset: Dataset) -> list[tuple[Post, Post]]:
     """Every unordered post pair of a dataset, in corpus order."""
     if len(dataset.posts) < 2:
         raise ValueError("pairing needs at least two posts")
-    posts = dataset.posts
-    return [
-        (posts[i], posts[j])
-        for i in range(len(posts))
-        for j in range(i + 1, len(posts))
-    ]
+    return list(combinations(dataset.posts, 2))
 
 
 def within_class_kcls_distance(
     model: KsatModel, dataset: Dataset, embeddings_table=None
 ) -> float:
-    """Mean knowledge-token distance over same-gold-outcome post pairs."""
-    by_outcome: dict[Outcome, list[np.ndarray]] = {}
-    for post in dataset.posts:
-        if post.gold is None:
-            raise DataFormatError(f"post {post.id!r} has no gold outcome")
-        _, kcls = final_layer_outputs(model, post, embeddings_table)
-        by_outcome.setdefault(post.gold, []).append(kcls)
-    dists = []
-    for reps in by_outcome.values():
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                dists.append(float(np.linalg.norm(reps[i] - reps[j])))
-    if not dists:
+    """Mean knowledge-token distance over same-gold-outcome post pairs.
+
+    The pairs are taken outcome by outcome, in the order the outcomes first
+    occur, each outcome's posts in corpus order.
+    """
+    compiled = _compile_labeled(model, dataset, embeddings_table)
+    gold = np.array([cp.gold for cp in compiled], dtype=np.intp)
+    kcls = _run_posts(model, compiled)[1][:, -1, 1]
+    groups = (np.flatnonzero(gold == g) for g in dict.fromkeys(gold.tolist()))
+    dists = np.concatenate([np.empty(0), *(_pair_norms(kcls[m], *_pairs(len(m))) for m in groups)])
+    if not dists.size:
         raise ValueError("no same-outcome pair exists in this dataset")
     return float(np.mean(dists))
 

@@ -616,8 +616,9 @@ def _run_bucket(
     model: KsatModel, cps: Sequence[CompiledPost], arena: _Arena
 ) -> tuple[list[LayerPass], np.ndarray]:
     """Full stack on a bucket of compiled posts of one sentence count, one
-    `_layer_core` call per layer; training's forward. Returns the passes and
-    the posts' pair weights stacked ``(L, B, P)``, which the backward reads.
+    `_layer_core` call per layer; `_bucket_passes` runs it. Returns the
+    passes and the posts' pair weights stacked ``(L, B, P)``, which the
+    training backward reads.
     The token matrix and every pass's token-sized arrays are taken from
     `arena`, so they live until the caller gives them back.
 
@@ -630,6 +631,74 @@ def _run_bucket(
     np.stack([cp.embeddings for cp in cps], out=reps[:, 2:])
     inv_dist = np.stack([cp.inv_dist for cp in cps], axis=1)
     return _run_from(model, reps, cps[0].pairs, inv_dist, [], arena), inv_dist
+
+
+def _buckets(compiled: Sequence[CompiledPost]) -> list[list[int]]:
+    """The posts' indices grouped by sentence count, shortest first."""
+    buckets: dict[int, list[int]] = {}
+    for i, cp in enumerate(compiled):
+        buckets.setdefault(cp.n_sentences, []).append(i)
+    return [buckets[n] for n in sorted(buckets)]
+
+
+def _log_probs_array(model: KsatModel, n_posts: int) -> np.ndarray:
+    """An empty ``(posts, layers, outcomes)`` array in the parameters' dtype."""
+    return np.empty((n_posts, len(model.layers), N_OUTCOMES), dtype=_param_dtype(model))
+
+
+def _bucket_passes(
+    model: KsatModel,
+    compiled: Sequence[CompiledPost],
+    log_probs: np.ndarray,
+    arena: _Arena | None = None,
+):
+    """The one batch driver of training, evaluation and the reports: runs
+    compiled posts per length bucket, shortest first, and yields each
+    bucket's post indices with its `_run_bucket` passes and pair weights,
+    after copying its per-layer log-probabilities into its rows of
+    `log_probs` (`_log_probs_array`). Each bucket starts `arena` (one made
+    for the call when None) empty, so a caller is done with a bucket's
+    passes when it asks for the next."""
+    if arena is None:
+        arena = _Arena(_param_dtype(model))
+    for rows in _buckets(compiled):
+        arena.used = 0  # the previous bucket's passes are dead
+        passes, inv_dist = _run_bucket(model, [compiled[i] for i in rows], arena)
+        log_probs[rows] = np.stack([lp.log_probs for lp in passes], axis=1)
+        yield rows, passes, inv_dist
+        del passes, inv_dist  # the next bucket runs without these
+
+
+def _log_products(log_probs: np.ndarray) -> np.ndarray:
+    """``(posts, outcomes)`` log final products from ``(posts, layers,
+    outcomes)`` per-layer log-probabilities, the layers added in stack
+    order."""
+    # dtype-preserving throughout: the finite-difference checker runs this
+    # same code on an extended-precision model clone
+    log_f = np.zeros((log_probs.shape[0], N_OUTCOMES), dtype=log_probs.dtype)
+    for li in range(log_probs.shape[1]):
+        log_f += log_probs[:, li]
+    return log_f
+
+
+def _log_normalized(log_f: np.ndarray) -> np.ndarray:
+    """Log normalized products, each row by its own log-sum-exp."""
+    m = log_f.max(axis=1, keepdims=True)
+    return log_f - (m + np.log(np.exp(log_f - m).sum(axis=1, keepdims=True)))
+
+
+def _ranked(log_f: np.ndarray, post_ids: Sequence[str]) -> np.ndarray:
+    """Each post's outcome index: the argmax of its log final products, ties
+    to the earliest. A post whose log products are not all finite (a NaN
+    parameter, say) raises `NumericalError` naming it."""
+    bad = ~np.isfinite(log_f).all(axis=1)
+    if bad.any():
+        post_id = post_ids[int(bad.argmax())]
+        raise NumericalError(
+            f"post {post_id!r}: log final products {log_f[bad][0].tolist()} are not all finite",
+            post_id=post_id,
+        )
+    return log_f.argmax(axis=1)
 
 
 def aggregate_probs(prob_rows) -> np.ndarray:
@@ -667,9 +736,12 @@ def predict(
     sentence_presence=None,
     embeddings_table: dict[str, np.ndarray] | None = None,
 ) -> Outcome:
-    """Argmax outcome; ties resolve to the earliest layer-order position."""
-    final, _ = forward(model, post, sentence_presence, embeddings_table)
-    return LAYER_ORDER[int(np.argmax(final))]
+    """Argmax outcome of the log final product, as `score_posts` ranks;
+    ties resolve to the earliest layer-order position. A post whose raw
+    products all underflow to 0.0 still ranks; see `_ranked`."""
+    _, passes = forward(model, post, sentence_presence, embeddings_table)
+    log_f = _log_products(np.stack([lp.log_probs for lp in passes])[None])
+    return LAYER_ORDER[int(_ranked(log_f, [post.id])[0])]
 
 
 def model_to_dict(model: KsatModel) -> dict:

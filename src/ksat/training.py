@@ -15,6 +15,7 @@ which follows from dL/d log p_{l,y} = r_y - [y==g] and d log p/d logit =
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +29,12 @@ from .model import (
     KsatModel,
     LayerPass,
     _Arena,
+    _bucket_passes,
+    _log_normalized,
+    _log_probs_array,
+    _log_products,
     _pair_diffs,
     _param_dtype,
-    _run_bucket,
     block_shapes,
     clone_model,
     compile_post,
@@ -109,29 +113,11 @@ def compile_batch(model: KsatModel, batch, embeddings_table=None) -> list[Compil
     return compiled
 
 
-def _log_products(log_probs: np.ndarray) -> np.ndarray:
-    """``(posts, outcomes)`` log final products from ``(posts, layers,
-    outcomes)`` per-layer log-probabilities, the layers added in stack
-    order."""
-    # dtype-preserving throughout: the finite-difference checker runs this
-    # same code on an extended-precision model clone
-    log_f = np.zeros((log_probs.shape[0], N_OUTCOMES), dtype=log_probs.dtype)
-    for li in range(log_probs.shape[1]):
-        log_f += log_probs[:, li]
-    return log_f
-
-
 def _collapsed(log_f: np.ndarray) -> np.ndarray:
     """Per post: every outcome's final product is below 1e-300."""
     # the guard reads the log product: the raw one underflows to 0.0 long
     # before its log leaves the float range
     return (log_f < LOG_COLLAPSE_FLOOR).all(axis=1)
-
-
-def _log_normalized(log_f: np.ndarray) -> np.ndarray:
-    """Log normalized products, each row by its own log-sum-exp."""
-    m = log_f.max(axis=1, keepdims=True)
-    return log_f - (m + np.log(np.exp(log_f - m).sum(axis=1, keepdims=True)))
 
 
 def _loss_head(compiled: list[CompiledPost], log_probs: np.ndarray):
@@ -180,44 +166,12 @@ def _loss_terms(model: KsatModel, compiled: list[CompiledPost], below=None):
     return value, passes, log_r
 
 
-def _buckets(compiled: list[CompiledPost]) -> list[list[int]]:
-    """The batch's post indices grouped by sentence count, shortest first."""
-    buckets: dict[int, list[int]] = {}
-    for i, cp in enumerate(compiled):
-        buckets.setdefault(cp.n_sentences, []).append(i)
-    return [buckets[n] for n in sorted(buckets)]
-
-
-def _bucket_forward(
-    model: KsatModel,
-    compiled: list[CompiledPost],
-    rows: list[int],
-    log_probs: np.ndarray,
-    arena: _Arena,
-) -> tuple[list[LayerPass], np.ndarray]:
-    """The layer stack over the posts `rows` of one length, and their
-    stacked pair weights (see `_run_bucket`); copies their per-layer
-    log-probabilities into their rows of the ``(posts, layers, outcomes)``
-    array `log_probs`."""
-    passes, inv_dist = _run_bucket(model, [compiled[i] for i in rows], arena)
-    for li, lp in enumerate(passes):
-        log_probs[rows, li] = lp.log_probs
-    return passes, inv_dist
-
-
-def _log_probs_array(model: KsatModel, compiled: list[CompiledPost]) -> np.ndarray:
-    """An empty ``(posts, layers, outcomes)`` array in the parameters' dtype."""
-    shape = (len(compiled), len(model.layers), N_OUTCOMES)
-    return np.empty(shape, dtype=_param_dtype(model))
-
-
 def _bucket_loss(model: KsatModel, compiled: list[CompiledPost], arena: _Arena):
     """Mean loss with the layer stacks run per length bucket; the number
     `_loss_terms` gives, bit for bit."""
-    log_probs = _log_probs_array(model, compiled)
-    for rows in _buckets(compiled):
-        arena.used = 0  # the previous bucket's passes are dead
-        _bucket_forward(model, compiled, rows, log_probs, arena)
+    log_probs = _log_probs_array(model, len(compiled))
+    # run every bucket for its log-probabilities, keeping no passes
+    deque(_bucket_passes(model, compiled, log_probs, arena), maxlen=0)
     return _loss_head(compiled, log_probs)[0]
 
 
@@ -344,13 +298,11 @@ def loss_and_gradients(
         raise ValueError("need a nonempty batch")
     if arena is None:
         arena = _Arena(_param_dtype(model))
-    log_probs = _log_probs_array(model, compiled)
+    log_probs = _log_probs_array(model, len(compiled))
     grads = _zero_gradients(model)
     inv_batch = 1.0 / len(compiled)
     healthy = True
-    for rows in _buckets(compiled):
-        arena.used = 0  # the previous bucket's arrays are dead
-        passes, inv_dist = _bucket_forward(model, compiled, rows, log_probs, arena)
+    for rows, passes, inv_dist in _bucket_passes(model, compiled, log_probs, arena):
         log_f = _log_products(log_probs[rows])
         # after a collapse only the forwards run: the head below raises
         healthy = healthy and not _collapsed(log_f).any()
@@ -368,7 +320,7 @@ def loss_and_gradients(
                     inv_dist[li],
                 )
                 arena.used = scratch  # the layer's scratch is dead; g_y lives on
-        del passes  # the next bucket's forward runs without these activations
+        del passes, inv_dist  # the next bucket's forward runs without these
     value, _ = _loss_head(compiled, log_probs)
     return float(value), grads
 

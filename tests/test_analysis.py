@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -31,10 +32,12 @@ from ksat.analysis import (
     write_distances_csv,
     write_metrics_json,
 )
+from ksat import model as model_module
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
-from ksat.errors import DataFormatError
-from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome
-from ksat.model import clone_model, forward, normalize_probs, predict
+from ksat.embeddings import EmbeddingConfig, sentence_key
+from ksat.errors import DataFormatError, NumericalError
+from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome, default_tree
+from ksat.model import KsatModel, clone_model, forward, predict
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +165,13 @@ class TestScorePosts:
         assert len(gold) == len(corpus.posts)
         assert scores.shape == (len(corpus.posts), N_OUTCOMES)
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, rtol=1e-12)
-        for post, g, p in zip(corpus.posts, gold, predicted):
+        for post, g, p, row in zip(corpus.posts, gold, predicted, scores):
             assert LAYER_ORDER[g] is post.gold
             assert LAYER_ORDER[p] is predict(model, post)
+            # each row is the exp of the post's log normalized product
+            log_f = log_products(forward(model, post)[1])
+            lse = log_f.max() + np.log(np.exp(log_f - log_f.max()).sum())
+            np.testing.assert_array_equal(row, np.exp(log_f - lse))
 
     def test_empty_dataset_rejected(self, model):
         with pytest.raises(ValueError):
@@ -187,6 +194,151 @@ class TestScorePosts:
         assert np.trace(metrics.confusion) == round(
             metrics.accuracy * metrics.n_posts
         )
+
+
+def log_products(passes) -> np.ndarray:
+    """A post's log final products: its layers' log-probabilities added in
+    stack order."""
+    return sum(lp.log_probs for lp in passes)
+
+
+@pytest.fixture(scope="module")
+def underflowing() -> tuple[KsatModel, Dataset]:
+    """The seed-0 40-post corpus with all-zero presence under a d = 16,
+    `value_scale` 3 model: every sentence pair sits at Hamming distance 0,
+    weighs 1/epsilon = 1e6, and drives most posts' four raw final products
+    to exactly 0.0."""
+    tree = default_tree()
+    corpus = generate_synthetic(default_synthetic_spec(40, 0, tree), tree)
+    posts = [
+        dataclasses.replace(p, sentence_presence=[(0,) * tree.num_concepts] * len(p.sentences))
+        for p in corpus.posts
+    ]
+    model = KsatModel.initialize(tree, EmbeddingConfig(dimension=16), seed=0, value_scale=3.0)
+    return model, Dataset(posts=posts)
+
+
+class TestLogSpaceRanking:
+    def test_predict_ranks_posts_whose_raw_products_underflow(self, underflowing):
+        model, dataset = underflowing
+        zero = raw_disagrees = 0
+        for post in dataset.posts:
+            final, passes = forward(model, post)
+            expected = int(np.argmax(log_products(passes)))
+            assert predict(model, post) is LAYER_ORDER[expected]
+            if not final.any():
+                zero += 1
+                raw_disagrees += int(np.argmax(final)) != expected
+        # the probe reaches the case: raw products of 0.0 rank by position
+        assert zero > 0 and raw_disagrees > 0
+
+    def test_metrics_rank_posts_whose_raw_products_underflow(self, underflowing):
+        model, dataset = underflowing
+        gold, predicted, scores = score_posts(model, dataset)
+        assert predicted == [LAYER_ORDER.index(predict(model, p)) for p in dataset.posts]
+        assert np.isfinite(scores).all()
+        # a row's log-sum-exp rounds at the scale of its largest log
+        # product, which reaches -2e11 here
+        for post, row in zip(dataset.posts, scores):
+            peak = abs(log_products(forward(model, post)[1]).max())
+            assert abs(row.sum() - 1.0) <= 2.0 * np.spacing(peak) + 1e-12
+        metrics = compute_metrics(model, dataset)
+        assert metrics.n_posts == len(dataset.posts)
+        assert metrics.accuracy == accuracy_score(gold, predicted)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_log_products_name_the_post(self, tree):
+        # a file-backed model whose table holds a NaN for one sentence of
+        # the third post; the posts' lengths put it in a later bucket than
+        # the others
+        posts = [
+            Post(id=f"p{i}", sentences=["x."] * n, gold=LAYER_ORDER[i % 4],
+                 sentence_presence=[(0, 0, 0)] * n)
+            for i, n in enumerate((1, 2, 3, 2))
+        ]
+        config = EmbeddingConfig(dimension=4, vocabulary_mode="file-backed")
+        model = KsatModel.initialize(tree, config, seed=1, epsilon=1.0, value_scale=0.25)
+        rng = np.random.default_rng(0)
+        table = {
+            sentence_key(p.id, i): rng.standard_normal(4)
+            for p in posts
+            for i in range(len(p.sentences))
+        }
+        table[sentence_key("p2", 1)][0] = np.nan
+        dataset = Dataset(posts=posts)
+        for reader in (score_posts, compute_metrics):
+            with pytest.raises(NumericalError, match="'p2'") as caught:
+                reader(model, dataset, embeddings_table=table)
+            assert caught.value.post_id == "p2"
+        with pytest.raises(NumericalError, match="'p2'"):
+            predict(model, posts[2], embeddings_table=table)
+        assert predict(model, posts[1], embeddings_table=table) in LAYER_ORDER
+
+
+def per_post_reference(model, posts):
+    """Contribution rows, all-pair distances and the within-class mean,
+    computed post by post and pair by pair from `forward`."""
+    passes = {post.id: forward(model, post)[1] for post in posts}
+    n_layers = len(model.layers)
+    know = np.zeros((n_layers, N_OUTCOMES))
+    data = np.zeros((n_layers, N_OUTCOMES))
+    kg = np.zeros(n_layers)
+    for post in posts:
+        for li, lp in enumerate(passes[post.id]):
+            w_out = model.layers[li].w_out
+            know[li] += np.abs(lp.alpha * (w_out.T @ lp.z_kcls))
+            data[li] += np.abs((1.0 - lp.alpha) * (w_out.T @ lp.z_cls))
+            kg[li] += lp.kg_bias
+    n = len(posts)
+    contributions = [
+        LayerContribution(li, model.layers[li].alpha, float(know[li].mean()) / n,
+                          float(data[li].mean()) / n, float(kg[li]) / n)
+        for li in range(n_layers)
+    ]
+    top = {pid: p[-1] for pid, p in passes.items()}
+    distances = [
+        (a.id, b.id,
+         float(np.linalg.norm(top[a.id].z_cls - top[b.id].z_cls)),
+         float(np.linalg.norm(top[a.id].z_kcls - top[b.id].z_kcls)))
+        for i, a in enumerate(posts)
+        for b in posts[i + 1:]
+    ]
+    by_outcome: dict = {}
+    for post in posts:
+        by_outcome.setdefault(post.gold, []).append(top[post.id].z_kcls)
+    within = [
+        float(np.linalg.norm(reps[i] - reps[j]))
+        for reps in by_outcome.values()
+        for i in range(len(reps))
+        for j in range(i + 1, len(reps))
+    ]
+    return contributions, distances, float(np.mean(within))
+
+
+class TestBucketedReaders:
+    """The readers run posts per length bucket and pairs block by block;
+    each number is the one the per-post, per-pair computation gives."""
+
+    def test_readers_match_the_per_post_reference_bit_for_bit(
+        self, make_model, monkeypatch
+    ):
+        corpus = generate_synthetic(
+            dataclasses.replace(default_synthetic_spec(n_posts=30, seed=4), sentences_per_post=(1, 7))
+        )
+        order = np.random.default_rng(2).permutation(len(corpus.posts))
+        dataset = Dataset(posts=[corpus.posts[i] for i in order])
+        lengths = [len(p.sentences) for p in dataset.posts]
+        assert lengths != sorted(lengths)  # bucket order is not dataset order
+        model = make_model(dimension=16, seed=5, value_scale=0.25, epsilon=1.0)
+        contributions, distances, within = per_post_reference(model, dataset.posts)
+        # three pairs to a distance block, six to a within-class one
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", 3 * 2 * 16 * 8)
+        assert contribution_report(model, dataset) == contributions
+        report = distance_report(model, all_pairs(dataset))
+        assert [(p.post_a, p.post_b, p.d_cls, p.d_kcls) for p in report.pairs] == distances
+        assert report.threshold == float(np.percentile([d[3] for d in distances], 25.0))
+        assert within_class_kcls_distance(model, dataset) == within
+        assert all(row.kg_bias_mean < 0.0 for row in contributions)
 
 
 class TestContributionReport:

@@ -13,7 +13,7 @@ from ksat.cli import run
 from ksat.corpus import Dataset, Post, load_jsonl, save_jsonl
 from ksat.embeddings import EmbeddingConfig
 from ksat.knowledge import LAYER_ORDER, Outcome, default_tree
-from ksat.model import KsatModel, save_model
+from ksat.model import KsatModel, forward, save_model
 
 
 def invoke(*argv: str) -> int:
@@ -314,35 +314,56 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert str(model_path) in err and "epsilon" in err
 
-    def test_saturated_model_eval_is_a_numerical_error(self, tmp_path, capsys):
-        # two sentences with identical concept flags sit at taxonomy distance
-        # zero, so an identity value projection drives the pair bias to the
-        # order of -1/epsilon and every outcome probability underflows to zero
+    @staticmethod
+    def saturated_model(tmp_path, corrupt: bool = False):
+        """An identity value projection in every layer: two sentences with
+        identical concept flags sit at taxonomy distance zero, so the pair
+        bias reaches the order of -1/epsilon and every outcome's raw product
+        underflows to 0.0. `corrupt` puts a NaN into layer 1's readout."""
         tree = default_tree()
-        config = EmbeddingConfig(dimension=8, seed=0)
-        model = KsatModel.initialize(tree, config, seed=0)
+        model = KsatModel.initialize(tree, EmbeddingConfig(dimension=8, seed=0), seed=0)
         for layer in model.layers:
             layer.w_value[:] = np.eye(8)
+        if corrupt:
+            model.layers[1].w_out[0, 0] = np.nan
         model_path = tmp_path / "saturated.json"
         save_model(model, model_path)
-        post = Post(
-            id="z",
-            sentences=["wish to be dead.", "a gun nearby."],
-            gold=Outcome.IDEATION_1,
-            sentence_presence=[(1, 0, 0), (1, 0, 0)],
-        )
+        posts = [
+            Post(
+                id=post_id,
+                sentences=["wish to be dead.", sentence],
+                gold=gold,
+                sentence_presence=[flags, flags],
+            )
+            for post_id, sentence, gold, flags in (
+                ("z", "a gun nearby.", Outcome.IDEATION_1, (1, 0, 0)),
+                ("y", "pills in hand.", Outcome.BEHAVIOR_OR_ATTEMPT, (0, 0, 1)),
+            )
+        ]
         data_path = tmp_path / "data.jsonl"
-        save_jsonl(Dataset(posts=[post]), data_path)
+        save_jsonl(Dataset(posts=posts), data_path)
+        return model, posts, model_path, data_path
+
+    def test_saturated_model_eval_ranks_in_log_space(self, tmp_path, capsys):
+        model, posts, model_path, data_path = self.saturated_model(tmp_path)
+        for post in posts:
+            final, _ = forward(model, post)
+            assert not final.any()
         code = invoke(
-            "eval",
-            "--data", str(data_path),
-            "--model", str(model_path),
-            "--dim", "8",
+            "eval", "--data", str(data_path), "--model", str(model_path), "--dim", "8"
         )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("accuracy=") and " auc=" in out and out.endswith(" n=2\n")
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_parameter_eval_is_a_numerical_error(self, tmp_path, capsys):
+        _, _, model_path, data_path = self.saturated_model(tmp_path, corrupt=True)
+        code = invoke("eval", "--data", str(data_path), "--model", str(model_path))
         assert code == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("ksat: error:")
+        assert err.startswith("ksat: error: post 'z'")
 
 
 class TestEmbeddingTable:

@@ -518,10 +518,13 @@ class TestNormalizePredict:
             normalize_probs(np.array([np.nan, 0.1, 0.1, 0.1]))
 
     def test_predict_matches_forward_argmax(self, make_model):
+        # predict ranks by the log final product: the passes' log-probabilities
+        # added in stack order
         for seed in range(5):
             model = make_model(dimension=8, seed=seed, value_scale=0.2)
-            final, _ = forward(model, TWO_SENTENCE_POST)
-            assert predict(model, TWO_SENTENCE_POST) is LAYER_ORDER[int(np.argmax(final))]
+            _, passes = forward(model, TWO_SENTENCE_POST)
+            log_f = sum(lp.log_probs for lp in passes)
+            assert predict(model, TWO_SENTENCE_POST) is LAYER_ORDER[int(np.argmax(log_f))]
 
     def test_tie_break_prefers_earliest_outcome(self):
         # predict resolves argmax ties to the first position in layer order

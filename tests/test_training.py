@@ -550,7 +550,7 @@ class TestFiniteDifferenceAgreement:
         # reversing the rows of the two-sentence bucket hands post a's layer
         # passes to post d and back; only the loss comparison ties the
         # bucket driver's rows to their posts independently of it
-        real = training._run_bucket
+        real = model_module._run_bucket
 
         def reversed_rows(model, cps, arena):
             passes, inv_dist = real(model, cps, arena)
@@ -567,7 +567,7 @@ class TestFiniteDifferenceAgreement:
                 for lp in passes
             ], inv_dist[:, ::-1]
 
-        monkeypatch.setattr(training, "_run_bucket", reversed_rows)
+        monkeypatch.setattr(model_module, "_run_bucket", reversed_rows)
         model = checkable_model(make_model, seed=6, dimension=4)
         report = finite_diff_check(model, as_batch(*MIXED_LENGTHS), TrainConfig())
         assert not report.passed

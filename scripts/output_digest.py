@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Print one SHA-256 line per model output at fixed seeds and sizes.
 
-The outputs are forward finals and every `LayerPass` field, short `train`
-traces and parameters with the graph-context penalty on and off, at two
-sizes (the larger fills length buckets past 128 KiB per array), `backward`
-gradients on short posts and on a bucket of long ones, a small
-`finite_diff_check`'s block errors, and what the loss's collapse guard
-reports on a batch crafted to collapse, through `loss` and through `train`,
-annotations at each fragment size, a lattice search's result, and what the
-analysis readers give on a shuffled corpus of mixed lengths. A change that claims bit-identical outputs is checked by running this script
-at the parent commit and at the change and diffing the two outputs:
+The outputs are forward finals, every `LayerPass` field and its
+`layer_probs` property, short `train` traces and parameters with the
+graph-context penalty on and off, at two sizes (the larger fills length
+buckets past 128 KiB per array), `backward` gradients on short posts and on
+a bucket of long ones, a small `finite_diff_check`'s block errors, and what
+the loss's collapse guard reports on a batch crafted to collapse, through
+`loss` and through `train`, annotations at each fragment size, a lattice
+search's result, and what the analysis readers give on a shuffled corpus of
+mixed lengths. A change that claims bit-identical outputs is checked by
+running this script at the parent commit and at the change and diffing the
+two outputs:
 
     python3 scripts/output_digest.py > after.txt
     (in a checkout of the parent) python3 scripts/output_digest.py > before.txt
@@ -90,9 +92,12 @@ def digest_lines() -> list[str]:
     model = _model(tree, 16, epsilon=1.0, value_scale=0.25)
     runs = [forward(model, post) for post in posts]
     lines.append(("forward.final", _digest(final for final, _ in runs)))
-    for f in dataclasses.fields(LayerPass):
-        values = (getattr(lp, f.name) for _, passes in runs for lp in passes)
-        lines.append((f"forward.pass.{f.name}", _digest(values)))
+    # every field, and the `layer_probs` property where it stood as a field
+    names = [f.name for f in dataclasses.fields(LayerPass)]
+    names.insert(names.index("logits"), "layer_probs")
+    for name in names:
+        values = (getattr(lp, name) for _, passes in runs for lp in passes)
+        lines.append((f"forward.pass.{name}", _digest(values)))
     # train: a few full-batch epochs, penalty off and on
     train_set = _corpus(tree, 48, (1, 4))
     for label, enabled in (("off", False), ("on", True)):

@@ -178,7 +178,10 @@ def score_posts(
     if not dataset.posts:
         raise ValueError("dataset is empty")
     compiled = _compile_labeled(model, dataset, embeddings_table)
-    log_f = _log_products(_run_posts(model, compiled)[0])
+    # a NaN parameter makes NaN logits; `_ranked` reports the post instead
+    # of NumPy warning about them
+    with np.errstate(invalid="ignore"):
+        log_f = _log_products(_run_posts(model, compiled)[0])
     predicted = _ranked(log_f, [cp.post_id for cp in compiled])
     return [cp.gold for cp in compiled], predicted.tolist(), np.exp(_log_normalized(log_f))
 

@@ -417,6 +417,9 @@ class LayerPass:
     The shapes below are one post's. A pass over a bucket of B posts of one
     length gives every array field a leading ``B`` axis, and `kg_bias` is
     then a ``(B,)`` array; `alpha` is the layer's, shared by all posts.
+    `alpha`, `mix`, `logits` and `log_probs` are the readout (`_readout`);
+    `layer_probs` is computed from `logits` when read, since the loss reads
+    only `log_probs`.
     """
 
     x: np.ndarray  # (T, d) layer input, KCLS row overwritten
@@ -429,8 +432,13 @@ class LayerPass:
     kg_bias: float
     alpha: float
     mix: np.ndarray
-    layer_probs: np.ndarray  # (N_OUTCOMES,)
+    logits: np.ndarray  # (N_OUTCOMES,)
     log_probs: np.ndarray
+
+    @property
+    def layer_probs(self) -> np.ndarray:
+        """The outcome probabilities, the logistic of `logits`."""
+        return sigmoid(self.logits)
 
     @property
     def z_cls(self) -> np.ndarray:
@@ -453,18 +461,30 @@ def layer_probabilities(
     logit. The squashing is an elementwise logistic rather than a softmax —
     under a softmax a bias shared by all outcomes would cancel.
     """
-    return sigmoid(_readout(layer, z_cls, z_kcls, kg_bias_value)[2])
+    return sigmoid(_readout(layer, np.stack((z_cls, z_kcls)), kg_bias_value)["logits"])
 
 
-def _readout(layer: KsatLayerParams, z_cls: np.ndarray, z_kcls: np.ndarray, kg):
-    """``(alpha, mix, logits)`` of the readout over the two summary tokens,
-    for one post or, with a leading axis on each argument, a bucket."""
+def _readout(layer: KsatLayerParams, y: np.ndarray, kg) -> dict[str, np.ndarray]:
+    """A pass's readout fields, `alpha`, `mix`, `logits` and `log_probs`,
+    from its output tokens `y` and penalty `kg` by `layer`'s `a_raw` and
+    `w_out`, for one post or, with a leading axis on each argument, a
+    bucket. The one readout: `_layer_core` builds every pass's with it, and
+    `_readout_pass` rebuilds one."""
     alpha = sigmoid(layer.a_raw)
-    mix = alpha * z_kcls + (1.0 - alpha) * z_cls
+    mix = alpha * y[..., 1, :] + (1.0 - alpha) * y[..., 0, :]
     if mix.ndim == 1:
-        return alpha, mix, layer.w_out.T.dot(mix) + kg
-    # one vector-matrix product per post, as `dot` makes for one
-    return alpha, mix, np.matmul(mix[:, None, :], layer.w_out)[:, 0] + kg[:, None]
+        logits = layer.w_out.T.dot(mix) + kg
+    else:
+        # one vector-matrix product per post, as `dot` makes for one
+        logits = np.matmul(mix[:, None, :], layer.w_out)[:, 0] + kg[:, None]
+    return {"alpha": alpha, "mix": mix, "logits": logits, "log_probs": -np.logaddexp(0.0, -logits)}
+
+
+def _readout_pass(layer: KsatLayerParams, lp: LayerPass) -> LayerPass:
+    """A copy of `lp` with its readout rebuilt by `layer`'s current `a_raw`
+    and `w_out`: the pass `_layer_core` makes when only those changed since
+    `lp`, bit for bit, since they enter nothing but the readout."""
+    return replace(lp, **_readout(layer, lp.y, lp.kg_bias))
 
 
 def _layer_core(
@@ -523,11 +543,9 @@ def _layer_core(
         kg = 0.0
     else:
         kg = np.zeros(len(x))
-    alpha, mix, logits = _readout(layer, y[..., 0, :], y[..., 1, :], kg)
     return LayerPass(
         x=x, q=q, k=k, v=v, attention=attn, y=y, kcls_contribs=contribs,
-        kg_bias=kg, alpha=alpha, mix=mix, layer_probs=sigmoid(logits),
-        log_probs=-np.logaddexp(0.0, -logits),
+        kg_bias=kg, **_readout(layer, y, kg),
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .model import (
     _log_products,
     _pair_diffs,
     _param_dtype,
+    _readout_pass,
     block_shapes,
     clone_model,
     compile_post,
@@ -412,10 +414,15 @@ def _fd_gradients(
     estimate — larger than tolerance*floor for near-zero gradient entries,
     so a platform without a wider ``np.longdouble`` is refused.
 
-    A perturbation in one layer leaves the passes through the layers below
-    it unchanged, so each evaluation reuses them from the one before and
-    runs only the perturbed layer and those above. The estimates are the
-    same, bit for bit, as with full-stack evaluations.
+    Each evaluation reuses passes from the one before (`run_layers`'s
+    `below`). A perturbation in one layer leaves the passes through the
+    layers below it unchanged, so it runs only the perturbed layer and those
+    above. A perturbation of a readout parameter (`w_out`, `a_raw`) leaves
+    even the layer's tokens and penalty unchanged, and so every layer above
+    it: it reuses the whole stack, with the layer's readout rebuilt
+    (`_readout_pass`). The first `w_out` evaluation of a layer follows the
+    `kcls_init` ones, whose passes are stale, so it reruns the layer. The
+    estimates are the same, bit for bit, as with full-stack evaluations.
     """
     if not _is_extended_precision(np.longdouble):
         raise NumericalError("finite-difference check needs np.longdouble wider than float64")
@@ -424,36 +431,39 @@ def _fd_gradients(
     ld_step = np.longdouble(step)
     latest = [[] for _ in compiled]  # each post's passes from the last evaluation
 
-    def evaluate(reusable: int):
-        """Loss, reusing the last evaluation's passes below layer `reusable`."""
-        value, latest[:], _ = _loss_terms(work, compiled, [p[:reusable] for p in latest])
-        return value
+    def central(li: int, set_value, orig, readout: bool) -> float:
+        """The central difference of the loss in one scalar of layer li,
+        which `set_value` sets; `readout` marks one of `w_out`, `a_raw`."""
+        nonlocal rerun, refresh
+        values = []
+        for value in (orig + ld_step, orig - ld_step):
+            set_value(value)
+            if readout and refresh:
+                layer = work.layers[li]
+                below = [[*p[:li], _readout_pass(layer, p[li]), *p[li + 1 :]] for p in latest]
+            else:
+                below = [p[:rerun] for p in latest]
+            loss_value, latest[:], _ = _loss_terms(work, compiled, below)
+            values.append(loss_value)
+            # once the scalar is restored, layer li's pass is stale: in its
+            # readout alone when the scalar is a readout parameter
+            rerun, refresh = li, readout
+        set_value(orig)
+        return float((values[0] - values[1]) / (2.0 * ld_step))
 
     for li, layer in enumerate(work.layers):
-        # the last evaluation perturbed layer li - 1; every later one
-        # restores it and perturbs only layer li
-        reusable = max(li - 1, 0)
+        # how the next evaluation reuses `latest`: it runs layer `rerun` and
+        # those above again, unless `refresh` lets a readout evaluation
+        # rebuild layer li's readout and reuse every pass. The last
+        # evaluation perturbed layer li - 1, so the first one here runs it
+        # again.
+        rerun, refresh = max(li - 1, 0), False
         for name in ARRAY_BLOCKS:
-            arr = getattr(layer, name)
-            out = getattr(fd.layers[li], name)
-            flat = arr.ravel()
-            flat_out = out.ravel()
+            flat = getattr(layer, name).ravel()
+            flat_out = getattr(fd.layers[li], name).ravel()
             for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + ld_step
-                lp = evaluate(reusable)
-                reusable = li
-                flat[j] = orig - ld_step
-                lm = evaluate(reusable)
-                flat[j] = orig
-                flat_out[j] = float((lp - lm) / (2.0 * ld_step))
-        orig = layer.a_raw
-        layer.a_raw = orig + ld_step
-        lp = evaluate(reusable)
-        layer.a_raw = orig - ld_step
-        lm = evaluate(reusable)
-        layer.a_raw = orig
-        fd.layers[li].a_raw = float((lp - lm) / (2.0 * ld_step))
+                flat_out[j] = central(li, partial(flat.__setitem__, j), flat[j], name == "w_out")
+        fd.layers[li].a_raw = central(li, partial(setattr, layer, "a_raw"), layer.a_raw, True)
     return fd
 
 

@@ -356,7 +356,7 @@ class TestTrainEvalReport:
         out = capsys.readouterr().out
         assert out.startswith("accuracy=") and " auc=" in out and out.endswith(" n=2\n")
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_parameter_eval_is_a_numerical_error(self, tmp_path, capsys):
         _, _, model_path, data_path = self.saturated_model(tmp_path, corrupt=True)
         code = invoke("eval", "--data", str(data_path), "--model", str(model_path))

@@ -27,6 +27,7 @@ from ksat.training import (
     _extended_precision_clone,
     _fd_gradients,
     _is_extended_precision,
+    _zero_gradients,
     backward,
     compile_batch,
     finite_diff_check,
@@ -516,7 +517,10 @@ class TestFiniteDifferenceAgreement:
     def test_layer_reuse_matches_full_stack_evaluations(self, make_model):
         # each estimate reuses the passes below the perturbed layer; the
         # first entry of a layer follows the last evaluation of the layer
-        # beneath, whose passes that layer must not reuse
+        # beneath, whose passes that layer must not reuse. A readout
+        # parameter (w_out, a_raw) reuses every pass with the layer's
+        # readout rebuilt, except the first w_out entry, which follows the
+        # last kcls_init evaluation and must run the layer again
         model = checkable_model(make_model, seed=7, dimension=4)
         compiled = compile_batch(model, as_batch(POST_A, POST_B, POST_C))
         fd = _fd_gradients(model, compiled, 1e-5)
@@ -532,13 +536,32 @@ class TestFiniteDifferenceAgreement:
             return float((up - down) / (2.0 * step))
 
         for li, layer in enumerate(work.layers):
-            for name in ("w_query", "w_out"):
+            for name, entries in (("w_query", (0, -1)), ("kcls_init", (-1,)), ("w_out", None)):
                 flat = getattr(layer, name).ravel()
-                for j in (0, flat.size - 1):
+                for j in entries or range(flat.size):
                     expected = central(lambda v: flat.__setitem__(j, v), flat[j])
-                    assert getattr(fd.layers[li], name).ravel()[j] == expected
+                    assert getattr(fd.layers[li], name).ravel()[j] == expected, (li, name, j)
             expected = central(lambda v: setattr(layer, "a_raw", v), layer.a_raw)
             assert fd.layers[li].a_raw == expected
+
+    def test_each_evaluation_runs_the_stack_once_per_post(self, make_model, monkeypatch):
+        # one `run_layers` call per post for the loss comparison and for
+        # each of the two evaluations per scalar, however many layers it
+        # reuses: the benchmark's traced gradcheck run pins this count
+        calls = []
+        real = training.run_layers
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "run_layers", counted)
+        model = checkable_model(make_model, seed=7, dimension=4)
+        batch = as_batch(POST_A, POST_B, POST_C)
+        finite_diff_check(model, batch, TrainConfig())
+        n_scalars = sum(np.size(value) for _, value in _zero_gradients(model).blocks())
+        assert n_scalars == len(model.layers) * (3 * 4 * 4 + 4 + 4 * N_OUTCOMES + 1)
+        assert len(calls) == len(batch) * (1 + 2 * n_scalars)
 
     def test_loss_value_matches_the_per_post_driver(self, make_model):
         model = checkable_model(make_model, seed=6, dimension=4)

@@ -8,10 +8,11 @@ buckets past 128 KiB per array), `backward` gradients on short posts and on
 a bucket of long ones, a small `finite_diff_check`'s block errors, and what
 the loss's collapse guard reports on a batch crafted to collapse, through
 `loss` and through `train`, annotations at each fragment size, a lattice
-search's result, and what the analysis readers give on a shuffled corpus of
-mixed lengths. A change that claims bit-identical outputs is checked by
-running this script at the parent commit and at the change and diffing the
-two outputs:
+search's result, the raw annotation cosines at each fragment size and the
+sentence vectors `compile_post` embeds, and what the analysis readers give on
+a shuffled corpus of mixed lengths. A change that claims bit-identical
+outputs is checked by running this script at the parent commit and at the
+change and diffing the two outputs:
 
     python3 scripts/output_digest.py > after.txt
     (in a checkout of the parent) python3 scripts/output_digest.py > before.txt
@@ -40,12 +41,12 @@ from ksat.analysis import (
     score_posts,
     within_class_kcls_distance,
 )
-from ksat.annotation import AnnotationParams, apply_annotations, grid_search
+from ksat.annotation import AnnotationParams, _cosine_rows, apply_annotations, grid_search
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import NumericalError
 from ksat.knowledge import Outcome, default_tree
-from ksat.model import ARRAY_BLOCKS, KsatModel, LayerPass, forward
+from ksat.model import ARRAY_BLOCKS, KsatModel, LayerPass, compile_post, forward
 from ksat.training import TrainConfig, backward, finite_diff_check, loss, train
 
 SEED = 3
@@ -178,6 +179,24 @@ def digest_lines() -> list[str]:
             for value in (p.sentence_presence, p.extras["post_presence"], p.extras["predicted"])
         ]
         lines.append((f"annotate.frag{frag_size}", _digest(values)))
+    # the raw cosines behind those bits, one call's rows at each fragment
+    # size, so a last-bit change that flips no bit still shows
+    rows = _cosine_rows(tree, config)
+    for frag_size in (1, 2, 3):
+        values = [rows(p.sentences, frag_size) for p in annotate_set.posts]
+        lines.append((f"cosine_rows.frag{frag_size}", _digest(values)))
+    # the sentence vectors `compile_post` embeds, at two dimensions, for a
+    # long post whose tokens repeat within and across sentences
+    repeating = Post(
+        id="repeating",
+        sentences=[
+            f"{phrases[i % len(phrases)]} {phrases[3 * i % len(phrases)]} {i % 7} {i % 7}"
+            for i in range(120)
+        ],
+    )
+    presence = [(i % 2, 0, 1) for i in range(len(repeating.sentences))]
+    values = [compile_post(m, repeating, presence).embeddings for m in (model, wide)]
+    lines.append(("compile_post.embeddings", _digest(values)))
     result = grid_search(train_set, tree, config, theta_step=0.5)
     facts = [
         result.params.thetas,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset, Post
-from .embeddings import EmbeddingConfig, cosine_similarity, embed_text
+from .embeddings import EmbeddingConfig, _cosine, _embedder, cosine_similarity, embed_text
 from .errors import DataFormatError
 from .knowledge import Concept, KnowledgeTree, Outcome, outcome_for_assignment
 
@@ -60,20 +60,25 @@ def concept_present(
 def _cosine_rows(tree: KnowledgeTree, config: EmbeddingConfig):
     """``rows(sentences, frag_size)``: ``(n_fragments, K)`` cosines to the query texts.
 
-    The query texts are embedded once. Rows are memoized while the caller holds
-    ``rows``: a sentence's under the corpus's own string, a longer fragment's under
-    the tuple of corpus strings in its window, so the memo keeps no new text. A
-    window can recur only if each of its sentences does, so a window's row is kept
-    only once every sentence in it has been met more than once; on text whose
-    sentences are unique the memo holds sentence rows alone.
+    The texts go through one ``_embedder``, so each distinct token is hashed
+    once per call. The query texts are embedded, and their norms taken, once;
+    each fragment's norm is taken once for its K cosines. Rows are memoized while
+    the caller holds ``rows``: a sentence's under the corpus's own string, a longer
+    fragment's under the tuple of corpus strings in its window, so the memo keeps
+    no new text. A window can recur only if each of its sentences does, so a
+    window's row is kept only once every sentence in it has been met more than
+    once; on text whose sentences are unique the memo holds sentence rows alone.
     """
-    queries = [embed_text(c.query_text, config) for c in tree.concepts]
+    embed = _embedder(config)
+    vectors = [embed(c.query_text) for c in tree.concepts]
+    queries = [(q, float(np.linalg.norm(q))) for q in vectors]
     memo: dict[str | tuple[str, ...], list[float]] = {}
     repeated: set[str] = set()  # sentences met more than once
 
     def cosines(text: str) -> list[float]:
-        vec = embed_text(text, config)
-        return [cosine_similarity(vec, q) for q in queries]
+        vec = embed(text)
+        norm = float(np.linalg.norm(vec))
+        return [_cosine(vec, norm, q, qn) for q, qn in queries]
 
     def window_row(window: tuple[str, ...]) -> list[float]:
         row = memo.get(window)

@@ -47,10 +47,46 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _bucket(token: str, seed: int) -> int:
-    key = int(seed).to_bytes(8, "little")
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
+def _embedder(config: EmbeddingConfig):
+    """``embed(text)``: ``embed_text(text, config)``, with one hash per distinct token.
+
+    The blake2b key is derived once, and each distinct token's signed slot is
+    kept while the caller holds ``embed``: its bucket index when the sign is
+    +1, the bitwise complement of that index when it is -1. The counts are
+    whole numbers, so adding them in any order gives the same vector.
+    """
+    key = int(config.seed).to_bytes(8, "little")
+    dim = config.dimension
+    slots: dict[str, int] = {}
+
+    def bucket(token: str) -> int:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+        return int.from_bytes(digest, "little")
+
+    def embed(text: str) -> np.ndarray:
+        tokens = tokenize(text)
+        counts = [0.0] * dim
+        for token in tokens:
+            slot = slots.get(token)
+            if slot is None:
+                h = bucket(token)
+                slot = (h >> 1) % dim if h & 1 else ~((h >> 1) % dim)
+                slots[token] = slot
+            if slot >= 0:
+                counts[slot] += 1.0
+            else:
+                counts[~slot] -= 1.0
+        vec = np.array(counts)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            if not tokens:
+                return vec
+            h = bucket("\x00".join(tokens))
+            vec[(h >> 1) % dim] = 1.0
+            return vec
+        return vec / norm
+
+    return embed
 
 
 def embed_text(text: str, config: EmbeddingConfig) -> np.ndarray:
@@ -59,39 +95,35 @@ def embed_text(text: str, config: EmbeddingConfig) -> np.ndarray:
     Text with no alphanumeric tokens embeds to the all-zero vector. If the
     signed buckets cancel exactly for a nonempty token list, a deterministic
     fallback basis vector is emitted instead so that nonempty text always has
-    unit norm.
+    unit norm. Callers that embed many texts under one config make one
+    ``_embedder(config)`` and call it, so each distinct token is hashed once.
     """
-    tokens = tokenize(text)
-    vec = np.zeros(config.dimension, dtype=np.float64)
-    for token in tokens:
-        h = _bucket(token, config.seed)
-        index = (h >> 1) % config.dimension
-        vec[index] += 1.0 if h & 1 else -1.0
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        if not tokens:
-            return vec
-        h = _bucket("\x00".join(tokens), config.seed)
-        vec[(h >> 1) % config.dimension] = 1.0
-        return vec
-    return vec / norm
+    return _embedder(config)(text)
+
+
+def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """Cosine of ``a`` and ``b`` given their norms ``na`` and ``nb``, clamped to [-1, 1].
+
+    0 when either norm is 0. Callers that compare one vector with many pass
+    norms they computed once.
+    """
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    value = float(np.dot(a, b) / (na * nb))
+    return min(1.0, max(-1.0, value))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity clamped to [-1, 1]; 0 whenever either vector is zero.
 
-    Symmetric under argument swap down to the last bit.
+    Symmetric under argument swap down to the last bit. Checks the shapes,
+    then gives ``_cosine`` the two ``np.linalg.norm`` norms.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DataFormatError(f"embedding dimensions differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    value = float(np.dot(a, b) / (na * nb))
-    return min(1.0, max(-1.0, value))
+    return _cosine(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:

@@ -130,12 +130,13 @@ def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
     The entries must be 0/1 bits (ints, bools or NumPy integers); they are
     compared as they are, so ``1.5`` and ``1`` or ``"1"`` and ``1`` differ.
     Two equal tuples, the common case for connection vectors, return 0
-    without the loop; other sequences, arrays among them, take the loop.
+    before the length check, which they always pass; other sequences, arrays
+    among them, are checked and take the loop.
     """
-    if len(a) != len(b):
-        raise ValueError(f"hamming distance needs equal lengths, got {len(a)} and {len(b)}")
     if a.__class__ is tuple and b.__class__ is tuple and a == b:
         return 0
+    if len(a) != len(b):
+        raise ValueError(f"hamming distance needs equal lengths, got {len(a)} and {len(b)}")
     return int(sum(map(operator.ne, a, b)))
 
 

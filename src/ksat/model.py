@@ -27,7 +27,7 @@ from itertools import combinations, starmap
 import numpy as np
 
 from .corpus import Post
-from .embeddings import EmbeddingConfig, embed_text, sentence_key
+from .embeddings import EmbeddingConfig, _embedder, sentence_key
 from .errors import DataFormatError, NumericalError
 from .knowledge import (
     LAYER_ORDER,
@@ -388,8 +388,9 @@ def compile_post(
             "an embedding table was supplied but the model embeds by feature hashing"
         )
     else:
+        embed = _embedder(cfg)
         for idx, sentence in enumerate(post.sentences):
-            rows[idx] = embed_text(sentence, cfg)
+            rows[idx] = embed(sentence)
     inv_dist = np.array(
         [
             _pair_weights(

@@ -547,15 +547,27 @@ def test_grid_search_peak_stays_small_on_unique_sentences(tree):
     assert peak < 400 * 20 * 50
 
 
+def _count_embeds(monkeypatch) -> collections.Counter:
+    """Count, per text, the embeddings made through `annotation._embedder`."""
+    embedded = collections.Counter()
+    make = annotation._embedder
+
+    def counting_embedder(config):
+        embed = make(config)
+
+        def counting_embed(text):
+            embedded[text] += 1
+            return embed(text)
+
+        return counting_embed
+
+    monkeypatch.setattr(annotation, "_embedder", counting_embedder)
+    return embedded
+
+
 def test_one_call_embeds_each_query_and_sentence_once(tree, monkeypatch):
     """Posts in one call share the query embeddings and repeated sentences' rows."""
-    embedded = collections.Counter()
-
-    def counting_embed(text, config):
-        embedded[text] += 1
-        return embed_text(text, config)
-
-    monkeypatch.setattr(annotation, "embed_text", counting_embed)
+    embedded = _count_embeds(monkeypatch)
     posts = [
         Post(id=str(i), sentences=["a gun.", f"calm day {i % 2}."], gold=LAYER_ORDER[i % 4])
         for i in range(6)
@@ -579,13 +591,7 @@ def test_one_call_embeds_each_query_and_sentence_once(tree, monkeypatch):
 def test_one_call_embeds_a_recurring_fragment_at_most_twice(tree, monkeypatch):
     """A window's row is kept from the first time all its sentences have been met
     before, so a fragment that recurs in every post is embedded once or twice."""
-    embedded = collections.Counter()
-
-    def counting_embed(text, config):
-        embedded[text] += 1
-        return embed_text(text, config)
-
-    monkeypatch.setattr(annotation, "embed_text", counting_embed)
+    embedded = _count_embeds(monkeypatch)
     posts = [
         Post(
             id=str(i),

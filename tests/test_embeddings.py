@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 from ksat.embeddings import (
     EmbeddingConfig,
+    _cosine,
+    _embedder,
     cosine_similarity,
     embed_text,
     load_embeddings,
@@ -18,6 +23,18 @@ from ksat.embeddings import (
 from ksat.errors import DataFormatError
 
 TEXTS = st.text(alphabet="abcxyz019 .,-!'\t", max_size=40)
+ROUNDS_ABOVE_ONE = [
+    -0.7037352358069926,
+    -1.2654214710460525,
+    -0.6232744625373522,
+    0.0413259793472436,
+]
+ROUNDS_BELOW_MINUS_ONE = [
+    -0.12853466294403426,
+    1.3664634705496859,
+    -0.6651946734866135,
+    0.3515100700930197,
+]
 
 
 class TestTokenize:
@@ -81,6 +98,90 @@ class TestEmbedText:
         assert not np.array_equal(a, b)
 
 
+def _reference_bucket(token: str, seed: int) -> int:
+    key = int(seed).to_bytes(8, "little")
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+    return int.from_bytes(digest, "little")
+
+
+def _reference_embed(text: str, config: EmbeddingConfig) -> np.ndarray:
+    """The loop the embedder replaced: one hash and one array add per token."""
+    tokens = tokenize(text)
+    vec = np.zeros(config.dimension, dtype=np.float64)
+    for token in tokens:
+        h = _reference_bucket(token, config.seed)
+        vec[(h >> 1) % config.dimension] += 1.0 if h & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        if not tokens:
+            return vec
+        h = _reference_bucket("\x00".join(tokens), config.seed)
+        vec[(h >> 1) % config.dimension] = 1.0
+        return vec
+    return vec / norm
+
+
+def _cancelling_pair(config: EmbeddingConfig) -> tuple[str, str]:
+    """Two tokens that land in one bucket with opposite signs."""
+    seen: dict[tuple[int, int], str] = {}
+    for i in range(10_000):
+        token = f"t{i}"
+        h = _reference_bucket(token, config.seed)
+        index, sign = (h >> 1) % config.dimension, h & 1
+        if (index, 1 - sign) in seen:
+            return seen[(index, 1 - sign)], token
+        seen[(index, sign)] = token
+    raise AssertionError("no cancelling pair found")
+
+
+class TestEmbedder:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("dimension", [8, 64])
+    def test_one_embedder_matches_the_reference_and_embed_text_bit_for_bit(
+        self, seed, dimension
+    ):
+        cfg = EmbeddingConfig(dimension=dimension, seed=seed)
+        a, b = _cancelling_pair(cfg)
+        texts = [
+            "gun life gun gun hope",
+            "",
+            "?!.",
+            f"{a} {b}",
+            f"{a} {b} {a} {b}",
+            f"{a} gun {b} gun",
+            "Gun, LIFE! life x2 x2 x2",
+            " ".join(f"w{i} " * (i % 6 + 1) for i in range(40)),
+            "gun life gun gun hope",
+        ]
+        embed = _embedder(cfg)
+        for text in texts:
+            got = embed(text)
+            assert got.tobytes() == _reference_embed(text, cfg).tobytes(), text
+            assert got.tobytes() == embed_text(text, cfg).tobytes(), text
+        # the cancelling texts took the fallback: one unit basis vector
+        assert np.count_nonzero(embed(f"{a} {b} {a} {b}")) == 1
+
+    @given(text=TEXTS, seed=st.integers(min_value=0, max_value=2**64 - 1))
+    def test_embed_text_matches_the_reference(self, text, seed):
+        cfg = EmbeddingConfig(dimension=16, seed=seed)
+        assert embed_text(text, cfg).tobytes() == _reference_embed(text, cfg).tobytes()
+
+    def test_one_embedder_hashes_each_distinct_token_once(self, monkeypatch):
+        hashed = collections.Counter()
+        blake2b = hashlib.blake2b
+
+        def counting_blake2b(data, **kwargs):
+            hashed[data] += 1
+            return blake2b(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", counting_blake2b)
+        embed = _embedder(EmbeddingConfig(dimension=64, seed=3))
+        texts = ["gun life gun", "life hope", "gun gun gun", "hope, life!"]
+        for text in texts:
+            embed(text)
+        assert hashed == dict.fromkeys([b"gun", b"life", b"hope"], 1)
+
+
 class TestEmbeddingConfig:
     def test_dimension_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -131,6 +232,25 @@ class TestCosineSimilarity:
         ba = cosine_similarity(b, a)
         assert ab == ba
         assert -1.0 <= ab <= 1.0
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1.0, 2.0, -3.0, 0.5], [0.5, -1.0, 2.0, 4.0]),
+            ([0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]),
+            ([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]),
+            ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),
+            # dot / (norm * norm) rounds to 1 + 2**-52 and to -(1 + 2**-52)
+            (ROUNDS_ABOVE_ONE, ROUNDS_ABOVE_ONE),
+            (ROUNDS_BELOW_MINUS_ONE, [-x for x in ROUNDS_BELOW_MINUS_ONE]),
+        ],
+    )
+    def test_cosine_with_precomputed_norms_matches_bit_for_bit(self, a, b):
+        a = np.array(a)
+        b = np.array(b)
+        got = _cosine(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
+        assert got.hex() == cosine_similarity(a, b).hex()
+        assert -1.0 <= got <= 1.0
 
     def test_scale_invariance(self):
         a = np.array([1.0, 2.0, -3.0])

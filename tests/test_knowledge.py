@@ -123,6 +123,21 @@ class TestHammingDistance:
         with pytest.raises(ValueError):
             hamming_distance((1, 0), (1, 0, 0))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((), (0,)),
+            ([1, 0], [1, 0, 0]),
+            ((1, 0), [1, 0, 0]),
+            (np.array([1, 0]), np.array([1, 0, 0])),
+            (np.array([1, 0, 0]), (1, 0)),
+        ],
+    )
+    def test_length_mismatch_rejected_for_every_sequence_kind(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="equal lengths"):
+                hamming_distance(x, y)
+
     def test_equal_tuples_give_the_int_zero(self):
         for bits in [(), (1,), (0, 1, 1), (True, False), (np.int64(1), np.int8(0))]:
             got = hamming_distance(bits, tuple(bits))

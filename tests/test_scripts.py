@@ -77,6 +77,7 @@ def test_output_digest_prints_the_same_lines_twice_in_one_process(monkeypatch, c
     assert "train.buckets" in names
     assert {"annotate.frag1", "annotate.frag2", "annotate.frag3", "grid_search"} <= set(names)
     assert {"analysis.score_posts.rows", "analysis.distance_report"} <= set(names)
+    assert {f"cosine_rows.frag{f}" for f in (1, 2, 3)} | {"compile_post.embeddings"} <= set(names)
     annotate_digests = {line.split()[1] for line in printed[0] if line.startswith("annotate.")}
     assert len(annotate_digests) == 3
     assert all(len(line.split()[1]) == 64 for line in printed[0])

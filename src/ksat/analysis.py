@@ -125,10 +125,10 @@ def auc_roc(gold: list[int], scores: np.ndarray) -> float:
     return float(np.mean(per_class))
 
 
-def _compile_labeled(model: KsatModel, dataset: Dataset, embeddings_table=None):
+def _compile_labeled(model: KsatModel, dataset: Dataset):
     """The dataset's posts compiled, each with its gold outcome index."""
     batch = [(post, post.sentence_presence, post.gold) for post in dataset.posts]
-    return compile_batch(model, batch, embeddings_table)
+    return compile_batch(model, batch)
 
 
 def _run_posts(model: KsatModel, compiled: list[CompiledPost]):
@@ -164,9 +164,7 @@ def _pair_norms(reps: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_posts(
-    model: KsatModel, dataset: Dataset, embeddings_table=None
-) -> tuple[list[int], list[int], np.ndarray]:
+def score_posts(model: KsatModel, dataset: Dataset) -> tuple[list[int], list[int], np.ndarray]:
     """(gold indices, predicted indices, normalized score rows) per post.
 
     A post is predicted by the argmax of its log final product, as
@@ -177,7 +175,7 @@ def score_posts(
     """
     if not dataset.posts:
         raise ValueError("dataset is empty")
-    compiled = _compile_labeled(model, dataset, embeddings_table)
+    compiled = _compile_labeled(model, dataset)
     # a NaN parameter makes NaN logits; `_ranked` reports the post instead
     # of NumPy warning about them
     with np.errstate(invalid="ignore"):
@@ -186,8 +184,8 @@ def score_posts(
     return [cp.gold for cp in compiled], predicted.tolist(), np.exp(_log_normalized(log_f))
 
 
-def compute_metrics(model: KsatModel, dataset: Dataset, embeddings_table=None) -> Metrics:
-    gold, predicted, scores = score_posts(model, dataset, embeddings_table)
+def compute_metrics(model: KsatModel, dataset: Dataset) -> Metrics:
+    gold, predicted, scores = score_posts(model, dataset)
     return Metrics(
         accuracy=accuracy_score(gold, predicted),
         auc=auc_roc(gold, scores),
@@ -205,13 +203,11 @@ class LayerContribution:
     kg_bias_mean: float
 
 
-def contribution_report(
-    model: KsatModel, dataset: Dataset, embeddings_table=None
-) -> list[LayerContribution]:
+def contribution_report(model: KsatModel, dataset: Dataset) -> list[LayerContribution]:
     """Average per-layer magnitudes of the two mixing routes and the bias."""
     if not dataset.posts:
         raise ValueError("dataset is empty")
-    compiled = [compile_post(model, p, embeddings_table=embeddings_table) for p in dataset.posts]
+    compiled = [compile_post(model, p) for p in dataset.posts]
     _, tokens, kg_bias = _run_posts(model, compiled)
     alpha = np.array([layer.alpha for layer in model.layers])[:, None]
     w_out = np.stack([layer.w_out for layer in model.layers])[:, None]  # (L, 1, d, outcomes)
@@ -256,15 +252,13 @@ class DistanceReport:
         return sum(map(attrgetter("close"), self.pairs)) / len(self.pairs)
 
 
-def final_layer_outputs(
-    model: KsatModel, post: Post, embeddings_table=None
-) -> tuple[np.ndarray, np.ndarray]:
+def final_layer_outputs(model: KsatModel, post: Post) -> tuple[np.ndarray, np.ndarray]:
     """(context token, knowledge token) outputs of the last layer.
 
     Copies, so a caller that keeps them holds two rows, not the post's
     whole token matrix.
     """
-    _, passes = forward(model, post, embeddings_table=embeddings_table)
+    _, passes = forward(model, post)
     return passes[-1].z_cls.copy(), passes[-1].z_kcls.copy()
 
 
@@ -272,7 +266,6 @@ def distance_report(
     model: KsatModel,
     post_pairs: list[tuple[Post, Post]],
     epsilon_report: float | None = None,
-    embeddings_table=None,
 ) -> DistanceReport:
     """Final-layer distances for the given post pairs.
 
@@ -288,7 +281,7 @@ def distance_report(
     posts = dict(zip(ids_a + ids_b, firsts + seconds))  # each post runs once
     slot = {post_id: i for i, post_id in enumerate(posts)}
     pi, pj = (np.fromiter(map(slot.__getitem__, ids), np.intp, len(ids)) for ids in (ids_a, ids_b))
-    compiled = [compile_post(model, p, embeddings_table=embeddings_table) for p in posts.values()]
+    compiled = [compile_post(model, p) for p in posts.values()]
     tokens = _run_posts(model, compiled)[1][:, -1]  # the last layer's CLS and KCLS rows
     d_cls, d_kcls = _pair_norms(tokens.transpose(1, 0, 2), pi, pj)
     if epsilon_report is None:
@@ -305,15 +298,13 @@ def all_pairs(dataset: Dataset) -> list[tuple[Post, Post]]:
     return list(combinations(dataset.posts, 2))
 
 
-def within_class_kcls_distance(
-    model: KsatModel, dataset: Dataset, embeddings_table=None
-) -> float:
+def within_class_kcls_distance(model: KsatModel, dataset: Dataset) -> float:
     """Mean knowledge-token distance over same-gold-outcome post pairs.
 
     The pairs are taken outcome by outcome, in the order the outcomes first
     occur, each outcome's posts in corpus order.
     """
-    compiled = _compile_labeled(model, dataset, embeddings_table)
+    compiled = _compile_labeled(model, dataset)
     gold = np.array([cp.gold for cp in compiled], dtype=np.intp)
     kcls = _run_posts(model, compiled)[1][:, -1, 1]
     groups = (np.flatnonzero(gold == g) for g in dict.fromkeys(gold.tolist()))

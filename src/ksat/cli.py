@@ -113,15 +113,14 @@ def _embed_config(args) -> EmbeddingConfig:
 
 
 def _table(args):
-    if getattr(args, "embeddings", None):
-        return load_embeddings(args.embeddings)
-    return None
+    return load_embeddings(args.embeddings) if args.embeddings else None
 
 
 def _saved_model(args, tree: KnowledgeTree) -> KsatModel:
-    """Load ``--model``. The saved model fixes the embedding dimension and
-    seed, so an explicit ``--dim`` or ``--seed`` must agree with it."""
-    model = load_model(args.model, tree)
+    """Load ``--model``, with the ``--embeddings`` table it needs when it is
+    file-backed. The saved model fixes the embedding dimension and seed, so
+    an explicit ``--dim`` or ``--seed`` must agree with it."""
+    model = load_model(args.model, tree, _table(args))
     saved = {"dim": model.dimension, "seed": model.embedding_config.seed}
     for name in sorted(args.explicit_globals & saved.keys()):
         if getattr(args, name) != saved[name]:
@@ -188,19 +187,15 @@ def _cmd_annotate(args) -> int:
 def _cmd_train(args) -> int:
     tree = _tree(args)
     dataset = load_jsonl(args.data)
-    table = _table(args)
-    config = EmbeddingConfig(
-        dimension=args.dim,
-        seed=args.seed,
-        vocabulary_mode="feature-hash" if table is None else "file-backed",
+    model = KsatModel.initialize(
+        tree, _embed_config(args), seed=args.seed, embeddings_table=_table(args)
     )
-    model = KsatModel.initialize(tree, config, seed=args.seed)
     tc = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
         kg_bias_enabled=not args.no_kg_bias,
     )
-    result = train(model, dataset, tc, embeddings_table=table)
+    result = train(model, dataset, tc)
     save_model(result.model, args.out)
     if args.trace_out:
         trace = {"losses": result.losses, "alphas": result.alphas}
@@ -223,8 +218,7 @@ def _cmd_eval(args) -> int:
     model = _saved_model(args, tree)
     if args.no_kg_bias:
         model.kg_bias_enabled = False
-    table = _table(args)
-    metrics = analysis.compute_metrics(model, dataset, embeddings_table=table)
+    metrics = analysis.compute_metrics(model, dataset)
     if args.out:
         analysis.write_metrics_json(metrics, args.out)
     _say(
@@ -238,13 +232,10 @@ def _cmd_report(args) -> int:
     tree = _tree(args)
     dataset = load_jsonl(args.data)
     model = _saved_model(args, tree)
-    table = _table(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    contributions = analysis.contribution_report(model, dataset, embeddings_table=table)
-    distances = analysis.distance_report(
-        model, analysis.all_pairs(dataset), embeddings_table=table
-    )
+    contributions = analysis.contribution_report(model, dataset)
+    distances = analysis.distance_report(model, analysis.all_pairs(dataset))
     analysis.write_contributions_csv(contributions, out_dir / "contributions.csv")
     analysis.write_distances_csv(distances, out_dir / "distances.csv")
     _say(
@@ -261,12 +252,13 @@ def _cmd_gradcheck(args) -> int:
     tree = _tree(args)
     # small dimension keeps the finite-difference sweep quick; a large
     # pair-weight epsilon keeps the bias term well inside the range where
-    # central differences are trustworthy
+    # central differences are trustworthy; nonzero value projections give
+    # the penalty, and so its gradient, nonzero values (as in C1)
     dim = args.dim if "dim" in args.explicit_globals else 16
     config = EmbeddingConfig(dimension=dim, seed=args.seed)
     spec = default_synthetic_spec(3, args.seed, tree)
     dataset = generate_synthetic(spec, tree)
-    model = KsatModel.initialize(tree, config, seed=args.seed, epsilon=1.0)
+    model = KsatModel.initialize(tree, config, seed=args.seed, epsilon=1.0, value_scale=0.25)
     batch = [(p, p.sentence_presence, p.gold) for p in dataset.posts]
     report = finite_diff_check(model, batch, TrainConfig())
     worst = max(report.block_errors, key=report.block_errors.get)

@@ -2,9 +2,10 @@
 
 Stands in for a pretrained sentence encoder so every pipeline stage is
 reproducible without model downloads: tokens are hashed into signed buckets,
-accumulated, and L2-normalized. An embedding-file loader lets callers swap in
-externally precomputed vectors keyed by sentence id instead
-(``vocabulary_mode="file-backed"``).
+accumulated, and L2-normalized. An embedding-file loader reads externally
+precomputed vectors keyed by sentence id (`sentence_key`) instead; a model
+given such a table is file-backed (``KsatModel.initialize`` and
+``load_model`` take it).
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 
 from .errors import DataFormatError
 
-VOCABULARY_MODES = ("feature-hash", "file-backed")
-
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 
@@ -28,18 +27,12 @@ class EmbeddingConfig:
 
     dimension: int = 64
     seed: int = 0
-    vocabulary_mode: str = "feature-hash"
 
     def __post_init__(self) -> None:
         if self.dimension < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {self.dimension}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("embedding seed must fit in 64 unsigned bits")
-        if self.vocabulary_mode not in VOCABULARY_MODES:
-            raise ValueError(
-                f"vocabulary_mode must be one of {VOCABULARY_MODES}, "
-                f"got {self.vocabulary_mode!r}"
-            )
 
 
 def tokenize(text: str) -> list[str]:

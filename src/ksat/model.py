@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations, starmap
 
 import numpy as np
@@ -125,6 +125,11 @@ class KsatModel:
     embedding_config: EmbeddingConfig
     epsilon: float = DEFAULT_EPSILON
     kg_bias_enabled: bool = True
+    # sentence vectors by `sentence_key`; a model that holds a table is
+    # file-backed and never hashes text. Not saved: `load_model` takes it.
+    embeddings_table: dict[str, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon)
@@ -150,8 +155,8 @@ class KsatModel:
         embedding_config: EmbeddingConfig | None = None,
         seed: int = 0,
         epsilon: float = DEFAULT_EPSILON,
-        kg_bias_enabled: bool = True,
         value_scale: float = 0.0,
+        embeddings_table: dict[str, np.ndarray] | None = None,
     ) -> "KsatModel":
         """Seeded Gaussian initialization at scale 1/sqrt(d).
 
@@ -163,7 +168,8 @@ class KsatModel:
         useful for gradient checking, where the penalty path should be
         exercised away from its stationary zero point.
 
-        Each layer draws its blocks in `block_shapes` order.
+        Each layer draws its blocks in `block_shapes` order. A model given
+        `embeddings_table` reads its sentence vectors from it.
         """
         embedding_config = embedding_config or EmbeddingConfig()
         d = embedding_config.dimension
@@ -189,7 +195,7 @@ class KsatModel:
             tree=tree,
             embedding_config=embedding_config,
             epsilon=epsilon,
-            kg_bias_enabled=kg_bias_enabled,
+            embeddings_table=embeddings_table,
         )
 
 
@@ -340,13 +346,9 @@ class CompiledPost:
     n_sentences: int
 
 
-def compile_post(
-    model: KsatModel,
-    post: Post,
-    sentence_presence=None,
-    embeddings_table: dict[str, np.ndarray] | None = None,
-) -> CompiledPost:
-    """Embed sentences and precompute pairwise connection weights per layer."""
+def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> CompiledPost:
+    """Embed sentences, from the model's table when it holds one, and
+    precompute pairwise connection weights per layer."""
     presence = sentence_presence if sentence_presence is not None else post.sentence_presence
     if presence is None:
         raise DataFormatError(
@@ -368,25 +370,18 @@ def compile_post(
     d = cfg.dimension
     n = len(post.sentences)
     rows = np.zeros((n, d))
-    if cfg.vocabulary_mode == "file-backed":
-        if embeddings_table is None:
-            raise DataFormatError(
-                "model embeddings are file-backed but no embedding table was supplied"
-            )
+    table = model.embeddings_table
+    if table is not None:
         for idx in range(n):
             key = sentence_key(post.id, idx)
-            if key not in embeddings_table:
+            if key not in table:
                 raise DataFormatError(f"embedding table has no entry for {key!r}")
-            vec = embeddings_table[key]
+            vec = table[key]
             if vec.shape != (d,):
                 raise DataFormatError(
                     f"embedding for {key!r} has dimension {vec.shape[0]}, expected {d}"
                 )
             rows[idx] = vec
-    elif embeddings_table is not None:
-        raise DataFormatError(
-            "an embedding table was supplied but the model embeds by feature hashing"
-        )
     else:
         embed = _embedder(cfg)
         for idx, sentence in enumerate(post.sentences):
@@ -508,8 +503,10 @@ def _layer_core(
     token rows, and ``np.matmul`` makes, post by post, the BLAS calls that
     ``ndarray.dot`` makes for one post. A bucket's token-sized arrays are
     taken from `arena`. One post stays on ``dot`` without reshapes and
-    takes no arena: on the finite-difference checker's tiny
-    extended-precision posts that saves about 3% of a check.
+    takes no arena: the finite-difference checker runs its tiny
+    extended-precision posts one by one, and as buckets of one its check
+    took 4.9-5.9 s against 3.3-3.8 s (about 55% longer; `gradcheck`
+    `wall_s`, four alternated runs each, 2-vCPU host).
     """
     d = reps.shape[-1]
     inv_sqrt_d = 1.0 / math.sqrt(d)
@@ -729,15 +726,12 @@ def aggregate_probs(prob_rows) -> np.ndarray:
 
 
 def forward(
-    model: KsatModel,
-    post: Post,
-    sentence_presence=None,
-    embeddings_table: dict[str, np.ndarray] | None = None,
+    model: KsatModel, post: Post, sentence_presence=None
 ) -> tuple[np.ndarray, list[LayerPass]]:
     """Run the full stack; returns the raw (unnormalized) final product
     vector over outcomes plus each layer's pass. Pure: no state mutates.
     """
-    passes = run_layers(model, compile_post(model, post, sentence_presence, embeddings_table))
+    passes = run_layers(model, compile_post(model, post, sentence_presence))
     return aggregate_probs([lp.layer_probs for lp in passes]), passes
 
 
@@ -749,16 +743,11 @@ def normalize_probs(final: np.ndarray) -> np.ndarray:
     return final / total
 
 
-def predict(
-    model: KsatModel,
-    post: Post,
-    sentence_presence=None,
-    embeddings_table: dict[str, np.ndarray] | None = None,
-) -> Outcome:
+def predict(model: KsatModel, post: Post, sentence_presence=None) -> Outcome:
     """Argmax outcome of the log final product, as `score_posts` ranks;
     ties resolve to the earliest layer-order position. A post whose raw
     products all underflow to 0.0 still ranks; see `_ranked`."""
-    _, passes = forward(model, post, sentence_presence, embeddings_table)
+    _, passes = forward(model, post, sentence_presence)
     log_f = _log_products(np.stack([lp.log_probs for lp in passes])[None])
     return LAYER_ORDER[int(_ranked(log_f, [post.id])[0])]
 
@@ -774,7 +763,7 @@ def model_to_dict(model: KsatModel) -> dict:
         "embedding": {
             "dimension": cfg.dimension,
             "seed": cfg.seed,
-            "vocabulary_mode": cfg.vocabulary_mode,
+            "vocabulary_mode": "feature-hash" if model.embeddings_table is None else "file-backed",
         },
         "taxonomy_hash": canonical_hash(model.tree),
         "layers": [
@@ -796,8 +785,14 @@ def save_model(model: KsatModel, path) -> None:
         handle.write("\n")
 
 
-def load_model(path, tree: KnowledgeTree) -> KsatModel:
-    """Load a saved model and bind it to `tree` (hashes must match)."""
+def load_model(
+    path, tree: KnowledgeTree, embeddings_table: dict[str, np.ndarray] | None = None
+) -> KsatModel:
+    """Load a saved model and bind it to `tree` (hashes must match).
+
+    A file-backed model needs `embeddings_table`, the one it was trained
+    with; a feature-hash model takes none.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -813,11 +808,16 @@ def load_model(path, tree: KnowledgeTree) -> KsatModel:
                 f"(hash {stored_hash[:12]}..)"
             )
         emb = data["embedding"]
-        cfg = EmbeddingConfig(
-            dimension=int(emb["dimension"]),
-            seed=int(emb["seed"]),
-            vocabulary_mode=str(emb["vocabulary_mode"]),
-        )
+        mode = emb["vocabulary_mode"]
+        if mode not in ("feature-hash", "file-backed"):
+            raise DataFormatError(f"{path}: unknown vocabulary_mode {mode!r}")
+        if (mode == "file-backed") != (embeddings_table is not None):
+            raise DataFormatError(
+                f"{path}: the model is file-backed; pass its embedding table"
+                if embeddings_table is None
+                else f"{path}: the model embeds by feature hashing and takes no table"
+            )
+        cfg = EmbeddingConfig(dimension=int(emb["dimension"]), seed=int(emb["seed"]))
         d = int(data["dimension"])
         if d != cfg.dimension:
             raise DataFormatError(f"{path}: model/embedding dimension mismatch")
@@ -841,13 +841,14 @@ def load_model(path, tree: KnowledgeTree) -> KsatModel:
             embedding_config=cfg,
             epsilon=float(data.get("epsilon", DEFAULT_EPSILON)),
             kg_bias_enabled=bool(data.get("kg_bias_enabled", True)),
+            embeddings_table=embeddings_table,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed model JSON ({exc})") from exc
 
 
 def clone_model(model: KsatModel) -> KsatModel:
-    """Deep copy of parameters sharing the (immutable) tree and config."""
+    """Deep copy of parameters sharing the tree, config and embedding table."""
     layers = [
         replace(layer, **{name: getattr(layer, name).copy() for name in ARRAY_BLOCKS})
         for layer in model.layers

@@ -103,13 +103,13 @@ def _zero_gradients(model: KsatModel) -> Gradients:
     )
 
 
-def compile_batch(model: KsatModel, batch, embeddings_table=None) -> list[CompiledPost]:
+def compile_batch(model: KsatModel, batch) -> list[CompiledPost]:
     """Compile (post, presence, gold) triples; gold must be present."""
     compiled = []
     for post, presence, gold in batch:
         if gold is None:
             raise DataFormatError(f"post {post.id!r} has no gold outcome")
-        cp = compile_post(model, post, presence, embeddings_table)
+        cp = compile_post(model, post, presence)
         cp.gold = LAYER_ORDER.index(gold)
         compiled.append(cp)
     return compiled
@@ -177,11 +177,11 @@ def _bucket_loss(model: KsatModel, compiled: list[CompiledPost], arena: _Arena):
     return _loss_head(compiled, log_probs)[0]
 
 
-def loss(model: KsatModel, batch, embeddings_table=None) -> float:
+def loss(model: KsatModel, batch) -> float:
     """Mean negative log normalized-product probability of the gold outcome."""
     if not batch:
         raise ValueError("loss needs a nonempty batch")
-    return float(_loss_terms(model, compile_batch(model, batch, embeddings_table))[0])
+    return float(_loss_terms(model, compile_batch(model, batch))[0])
 
 
 def _project_back(x, g_tokens, g_weight, weight, g_x, product) -> None:
@@ -327,9 +327,9 @@ def loss_and_gradients(
     return float(value), grads
 
 
-def backward(model: KsatModel, batch, embeddings_table=None) -> Gradients:
+def backward(model: KsatModel, batch) -> Gradients:
     """Analytic gradients for a (post, presence, gold) batch."""
-    compiled = compile_batch(model, batch, embeddings_table)
+    compiled = compile_batch(model, batch)
     _, grads = loss_and_gradients(model, compiled)
     return grads
 
@@ -502,9 +502,7 @@ class TrainResult:
         return self.losses[-1]
 
 
-def train(
-    model: KsatModel, train_set: Dataset, config: TrainConfig, embeddings_table=None
-) -> TrainResult:
+def train(model: KsatModel, train_set: Dataset, config: TrainConfig) -> TrainResult:
     """Plain full-batch gradient descent; deterministic given the seed.
 
     The input model is left untouched; a trained clone is returned. The loss
@@ -520,7 +518,7 @@ def train(
     if not posts:
         raise ValueError("training set is empty")
     batch = [(post, post.sentence_presence, post.gold) for post in posts]
-    compiled = compile_batch(model, batch, embeddings_table)
+    compiled = compile_batch(model, batch)
     losses: list[float] = []
     alphas: list[list[float]] = []
     # every epoch runs the same buckets, so after the first one the arena

@@ -39,15 +39,18 @@ def make_model(tree):
         epsilon: float = 1e-6,
         kg_bias_enabled: bool = True,
         embed_seed: int = 0,
+        embeddings_table=None,
     ) -> KsatModel:
-        return KsatModel.initialize(
+        model = KsatModel.initialize(
             tree,
             EmbeddingConfig(dimension=dimension, seed=embed_seed),
             seed=seed,
             epsilon=epsilon,
-            kg_bias_enabled=kg_bias_enabled,
             value_scale=value_scale,
+            embeddings_table=embeddings_table,
         )
+        model.kg_bias_enabled = kg_bias_enabled
+        return model
 
     return build
 

@@ -37,7 +37,7 @@ from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_syntheti
 from ksat.embeddings import EmbeddingConfig, sentence_key
 from ksat.errors import DataFormatError, NumericalError
 from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome, default_tree
-from ksat.model import KsatModel, clone_model, forward, predict
+from ksat.model import KsatModel, clone_model, forward, load_model, predict, save_model
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +195,23 @@ class TestScorePosts:
             metrics.accuracy * metrics.n_posts
         )
 
+    def test_saved_file_backed_model_loads_to_identical_metrics(
+        self, tree, make_model, corpus, tmp_path
+    ):
+        rng = np.random.default_rng(5)
+        table = {
+            sentence_key(p.id, i): rng.standard_normal(8)
+            for p in corpus.posts
+            for i in range(len(p.sentences))
+        }
+        model = make_model(dimension=8, seed=1, epsilon=1.0, embeddings_table=table)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path, tree, table)
+        assert score_posts(loaded, corpus)[2].tobytes() == score_posts(model, corpus)[2].tobytes()
+        metrics = compute_metrics(loaded, corpus).to_dict()
+        assert metrics == compute_metrics(model, corpus).to_dict()
+
 
 def log_products(passes) -> np.ndarray:
     """A post's log final products: its layers' log-probabilities added in
@@ -247,7 +264,7 @@ class TestLogSpaceRanking:
         assert metrics.accuracy == accuracy_score(gold, predicted)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_log_products_name_the_post(self, tree):
+    def test_non_finite_log_products_name_the_post(self, make_model):
         # a file-backed model whose table holds a NaN for one sentence of
         # the third post; the posts' lengths put it in a later bucket than
         # the others
@@ -256,8 +273,6 @@ class TestLogSpaceRanking:
                  sentence_presence=[(0, 0, 0)] * n)
             for i, n in enumerate((1, 2, 3, 2))
         ]
-        config = EmbeddingConfig(dimension=4, vocabulary_mode="file-backed")
-        model = KsatModel.initialize(tree, config, seed=1, epsilon=1.0, value_scale=0.25)
         rng = np.random.default_rng(0)
         table = {
             sentence_key(p.id, i): rng.standard_normal(4)
@@ -265,14 +280,15 @@ class TestLogSpaceRanking:
             for i in range(len(p.sentences))
         }
         table[sentence_key("p2", 1)][0] = np.nan
+        model = make_model(dimension=4, seed=1, epsilon=1.0, embeddings_table=table)
         dataset = Dataset(posts=posts)
         for reader in (score_posts, compute_metrics):
             with pytest.raises(NumericalError, match="'p2'") as caught:
-                reader(model, dataset, embeddings_table=table)
+                reader(model, dataset)
             assert caught.value.post_id == "p2"
         with pytest.raises(NumericalError, match="'p2'"):
-            predict(model, posts[2], embeddings_table=table)
-        assert predict(model, posts[1], embeddings_table=table) in LAYER_ORDER
+            predict(model, posts[2])
+        assert predict(model, posts[1]) in LAYER_ORDER
 
 
 def per_post_reference(model, posts):

@@ -13,6 +13,7 @@ from ksat.cli import run
 from ksat.corpus import Dataset, Post, load_jsonl, save_jsonl
 from ksat.embeddings import EmbeddingConfig
 from ksat.knowledge import LAYER_ORDER, Outcome, default_tree
+from ksat import model as model_module
 from ksat.model import KsatModel, forward, save_model
 
 
@@ -461,6 +462,14 @@ class TestGradcheck:
         stdout = capsys.readouterr().out
         assert "gradcheck PASS" in stdout
         assert "max rel err" in stdout
+
+    def test_a_wrong_penalty_gradient_fails_the_check(self, monkeypatch, capsys):
+        # the forward's penalty doubled while the backward's is not: the
+        # check sees it only if the fixture's penalty is nonzero
+        penalty = model_module._penalty
+        monkeypatch.setattr(model_module, "_penalty", lambda *args: 2.0 * penalty(*args))
+        assert invoke("gradcheck", "--seed", "0") == 3
+        assert "gradcheck FAIL" in capsys.readouterr().out
 
 
 class TestUsageErrors:

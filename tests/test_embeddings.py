@@ -193,10 +193,6 @@ class TestEmbeddingConfig:
         with pytest.raises(ValueError):
             EmbeddingConfig(dimension=8, seed=-1)
 
-    def test_unknown_vocabulary_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingConfig(dimension=8, seed=0, vocabulary_mode="pretrained")
-
 
 class TestCosineSimilarity:
     def test_identical_unit_vectors_give_one(self):

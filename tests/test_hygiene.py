@@ -1,4 +1,5 @@
-"""Source hygiene: no package module imports a name it never uses.
+"""Source hygiene: no package module imports a name it never uses, and no
+package function takes a parameter it never reads.
 
 No linter ships with the test dependencies, so this test is the guard.
 """
@@ -31,6 +32,28 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for every parameter, of a function or lambda,
+    that its body never reads; an augmented assignment reads its target."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        every = (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set()
+        for stmt in body:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+                    read.add(sub.target.id)
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}.{arg.arg}" for arg in every if arg and arg.arg not in read]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -39,3 +62,13 @@ def test_module_uses_every_import(path):
 def test_checker_flags_an_unused_import():
     source = "import json\nimport math\nfrom os import path, sep\nprint(math.pi, sep)\n"
     assert unused_imports(source) == ["json", "path"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_functions_read_every_parameter(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_unused_parameter():
+    source = "def f(a, b, *rest, c=1, **extra):\n    a += 1\n    return c\ng = lambda x, y: y\n"
+    assert unused_parameters(source) == ["f.b", "f.rest", "f.extra", "<lambda>.x"]

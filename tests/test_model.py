@@ -572,46 +572,30 @@ class TestCompilePost:
         with pytest.raises(DataFormatError, match="length"):
             compile_post(model, post, sentence_presence=[(1, 0)])
 
-    def test_table_rejected_for_feature_hash_model(self, make_model):
-        model = make_model(dimension=4)
-        post = Post(id="p", sentences=["a."], sentence_presence=[(0, 0, 0)])
-        with pytest.raises(DataFormatError, match="feature hashing"):
-            compile_post(model, post, embeddings_table={"p:0": np.ones(4)})
-
-    def test_file_backed_mode_requires_table(self, tree):
-        cfg = EmbeddingConfig(dimension=4, seed=0, vocabulary_mode="file-backed")
-        model = KsatModel.initialize(tree, cfg, seed=0)
-        post = Post(id="p", sentences=["a."], sentence_presence=[(0, 0, 0)])
-        with pytest.raises(DataFormatError, match="file-backed"):
-            compile_post(model, post)
-
-    def test_file_backed_mode_reads_table_by_sentence_key(self, tree):
-        cfg = EmbeddingConfig(dimension=4, seed=0, vocabulary_mode="file-backed")
-        model = KsatModel.initialize(tree, cfg, seed=0)
-        post = Post(
-            id="p", sentences=["a.", "b."], sentence_presence=[(1, 0, 0), (0, 0, 0)]
-        )
+    def test_file_backed_mode_reads_table_by_sentence_key(self, make_model):
         table = {
             "p:0": np.array([1.0, 0.0, 0.0, 0.0]),
             "p:1": np.array([0.0, 1.0, 0.0, 0.0]),
         }
-        compiled = compile_post(model, post, embeddings_table=table)
+        model = make_model(dimension=4, embeddings_table=table)
+        post = Post(
+            id="p", sentences=["a.", "b."], sentence_presence=[(1, 0, 0), (0, 0, 0)]
+        )
+        compiled = compile_post(model, post)
         np.testing.assert_array_equal(compiled.embeddings[0], table["p:0"])
         np.testing.assert_array_equal(compiled.embeddings[1], table["p:1"])
 
-    def test_file_backed_missing_key_rejected(self, tree):
-        cfg = EmbeddingConfig(dimension=4, seed=0, vocabulary_mode="file-backed")
-        model = KsatModel.initialize(tree, cfg, seed=0)
+    def test_file_backed_missing_key_rejected(self, make_model):
+        model = make_model(dimension=4, embeddings_table={})
         post = Post(id="p", sentences=["a."], sentence_presence=[(0, 0, 0)])
         with pytest.raises(DataFormatError, match="p:0"):
-            compile_post(model, post, embeddings_table={})
+            compile_post(model, post)
 
-    def test_file_backed_dimension_mismatch_rejected(self, tree):
-        cfg = EmbeddingConfig(dimension=4, seed=0, vocabulary_mode="file-backed")
-        model = KsatModel.initialize(tree, cfg, seed=0)
+    def test_file_backed_dimension_mismatch_rejected(self, make_model):
+        model = make_model(dimension=4, embeddings_table={"p:0": np.ones(3)})
         post = Post(id="p", sentences=["a."], sentence_presence=[(0, 0, 0)])
         with pytest.raises(DataFormatError, match="dimension"):
-            compile_post(model, post, embeddings_table={"p:0": np.ones(3)})
+            compile_post(model, post)
 
 
 BAD_EPSILONS = [math.nan, math.inf, 0.0, -0.5]
@@ -771,6 +755,33 @@ class TestPersistence:
         path.write_text("{truncated")
         with pytest.raises(DataFormatError, match="invalid JSON"):
             load_model(path, tree)
+
+    def test_load_rejects_a_file_backed_model_without_its_table(self, tree, make_model, tmp_path):
+        path = tmp_path / "model.json"
+        table = {"p:0": np.ones(4)}
+        save_model(make_model(dimension=4, embeddings_table=table), path)
+        assert json.loads(path.read_text())["embedding"]["vocabulary_mode"] == "file-backed"
+        assert load_model(path, tree, table).embeddings_table is table
+        with pytest.raises(DataFormatError, match="file-backed") as info:
+            load_model(path, tree)
+        assert str(path) in str(info.value)
+
+    def test_load_rejects_a_table_for_a_feature_hash_model(self, tree, make_model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(make_model(dimension=4), path)
+        assert json.loads(path.read_text())["embedding"]["vocabulary_mode"] == "feature-hash"
+        with pytest.raises(DataFormatError, match="feature hashing"):
+            load_model(path, tree, {"p:0": np.ones(4)})
+
+    def test_load_rejects_an_unknown_vocabulary_mode(self, tree, make_model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(make_model(dimension=4), path)
+        data = json.loads(path.read_text())
+        data["embedding"]["vocabulary_mode"] = "pretrained"
+        path.write_text(json.dumps(data))
+        for table in (None, {}):
+            with pytest.raises(DataFormatError, match="'pretrained'"):
+                load_model(path, tree, table)
 
     def test_dict_form_tracks_bias_switch(self, make_model):
         model = make_model(kg_bias_enabled=False)

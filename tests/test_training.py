@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
-from ksat.embeddings import EmbeddingConfig
+from ksat.embeddings import sentence_key
 from ksat.errors import DataFormatError, NumericalError
 from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome
 from ksat.model import KsatModel, LayerPass, forward, run_layers
@@ -615,6 +615,20 @@ class TestFiniteDifferenceAgreement:
         assert report.passed, report.block_errors
         for value in report.block_errors.values():
             assert math.isfinite(value)
+
+    def test_file_backed_model_checks_cleanly(self, make_model):
+        # the extended-precision clone carries the model's table
+        batch = as_batch(POST_A, POST_B)
+        rng = np.random.default_rng(4)
+        table = {
+            sentence_key(post.id, i): rng.standard_normal(4)
+            for post, _, _ in batch
+            for i in range(len(post.sentences))
+        }
+        model = make_model(dimension=4, seed=4, epsilon=1.0, embeddings_table=table)
+        assert _extended_precision_clone(model).embeddings_table is table
+        report = finite_diff_check(model, batch, TrainConfig())
+        assert report.passed, report.block_errors
 
     def test_bias_disabled_model_checks_cleanly(self, make_model):
         model = checkable_model(make_model, seed=3)

@@ -255,39 +255,26 @@ class _Arena:
             self.buffer = np.empty(self.high, self.dtype)
 
 
-# Bytes per block buffer of the pair work: a block holds as many pairs as
-# fit one ``(posts, pairs, d)`` buffer in this budget. Two such buffers sit
-# well inside a core's L2 cache, and each stays below glibc's initial mmap
-# threshold (128 KiB), so it is served from the heap, not from a fresh
-# mapping whose pages fault in on every call.
+# Bytes per block of the pair work: a block holds as many pairs as fit one
+# ``(posts, pairs, d)`` array in this budget, so each block array stays below
+# glibc's initial mmap threshold (128 KiB) and is served from the heap, not
+# from a fresh mapping whose pages fault in on every call.
 _BLOCK_BYTES = 64 * 1024
 
 
 def _pair_diffs(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray):
     """Yield ``(s, diffs)`` block by block, in pair order: `s` slices the
     block's pairs and `diffs` is ``contribs[..., pi[s], :] - contribs[...,
-    pj[s], :]``.
+    pj[s], :]``, a fresh array the caller may overwrite.
 
     A block holds as many pairs as fit one `diffs` in `_BLOCK_BYTES`, at
-    least one. `diffs` lives in one of two block buffers that the first
-    block's gathers make and every later block refills; the last block,
-    when shorter, uses their leading part. The caller may overwrite `diffs`
-    but must be done with it before asking for the next block.
+    least one.
     """
     lead = contribs.shape[:-2]
-    d = contribs.shape[-1]
-    block = max(1, _BLOCK_BYTES // (math.prod(lead) * d * contribs.itemsize))
-    a = b = None
+    block = max(1, _BLOCK_BYTES // (math.prod(lead) * contribs.shape[-1] * contribs.itemsize))
     for lo in range(0, pi.size, block):
         s = slice(lo, lo + block)
-        if a is not None and pi[s].size < block:
-            shape = lead + (pi[s].size, d)
-            a, b = (buf.reshape(-1)[: math.prod(shape)].reshape(shape) for buf in (a, b))
-        # "clip" writes straight into `out`; "raise" would buffer it
-        a = contribs.take(pi[s], axis=-2, out=a, mode="clip")
-        b = contribs.take(pj[s], axis=-2, out=b, mode="clip")
-        a -= b
-        yield s, a
+        yield s, contribs.take(pi[s], axis=-2) - contribs.take(pj[s], axis=-2)
 
 
 def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.ndarray):
@@ -305,10 +292,42 @@ def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.
     for s, diffs in _pair_diffs(contribs, pi, pj):
         diffs *= diffs
         diffs.sum(axis=-1, out=sq[..., s])
+    # One post stays on `np.dot`: folding it into the bucket branch below
+    # made the finite-difference check, which runs its posts one by one,
+    # about 9% slower (`gradcheck` `wall_s`, alternated runs, 2-vCPU host).
     if sq.ndim == 1:
         return -np.dot(inv_dist, sq)
     # one dot product per post, as `np.dot` makes for one
     return -np.matmul(inv_dist[:, None, :], sq[:, :, None])[:, 0, 0]
+
+
+def _penalty_grad(
+    contribs: np.ndarray,
+    pi: np.ndarray,
+    pj: np.ndarray,
+    inv_dist: np.ndarray,
+    g_pen: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The gradient of a bucket's `_penalty` wrt its ``(B, n, d)``
+    `contribs`, written into `out` (same shape) and returned, given
+    `g_pen`, the ``(B,)`` gradient wrt the penalties.
+
+    Pair p adds ``-2 g_pen inv_dist[p] (c[pi[p]] - c[pj[p]])`` to row
+    ``pi[p]`` and subtracts it from row ``pj[p]``. The pairs go block by
+    block (`_pair_diffs`), every block's additions before any block's
+    subtractions, so each row takes its terms in the order one pass over
+    all pairs gives them, bit for bit, whatever the block size. Sentences
+    repeat in `pi` and `pj`, so fancy-index ``+=`` would drop terms.
+    """
+    g_scale = (-2.0 * g_pen)[:, None, None]
+    out.fill(0.0)
+    for accumulate, ends in ((np.add.at, pi), (np.subtract.at, pj)):
+        for s, g_diffs in _pair_diffs(contribs, pi, pj):
+            g_diffs *= inv_dist[:, s, None]
+            g_diffs *= g_scale
+            accumulate(out, (slice(None), ends[s]), g_diffs)
+    return out
 
 
 def kg_bias(

@@ -34,8 +34,8 @@ from .model import (
     _log_normalized,
     _log_probs_array,
     _log_products,
-    _pair_diffs,
     _param_dtype,
+    _penalty_grad,
     _readout_pass,
     block_shapes,
     clone_model,
@@ -197,7 +197,7 @@ def _project_back(x, g_tokens, g_weight, weight, g_x, product) -> None:
 def _layer_backward(
     model: KsatModel,
     li: int,
-    cps: list[CompiledPost],
+    pairs: np.ndarray,
     lp: LayerPass,
     g_log_probs: np.ndarray,
     inv_batch: float,
@@ -208,9 +208,9 @@ def _layer_backward(
 ) -> np.ndarray:
     """One layer of a length bucket's backward, adding into `grads`.
 
-    `lp` is the layer's pass over the bucket's posts `cps` (see
-    `_run_bucket`), and `inv_dist` the posts' ``(B, P)`` pair weights at
-    this layer. Turns `g_y`, the gradient wrt the layer's output tokens, in
+    `lp` is the layer's pass over a bucket's posts (see `_run_bucket`),
+    `pairs` their shared ``(2, P)`` sentence pairs and `inv_dist` their
+    ``(B, P)`` pair weights at this layer. Turns `g_y`, the gradient wrt the layer's output tokens, in
     place into the gradient wrt its input tokens and returns it. Its
     token-sized scratch is taken from `arena`.
     """
@@ -234,20 +234,11 @@ def _layer_backward(
     g_v = arena.take((b, t, d))
     g_v.fill(0.0)
     g_attn = np.zeros((b, t, t))
-    pi, pj = cps[0].pairs
+    pi, pj = pairs
     if model.kg_bias_enabled and pi.size:
-        g_scale = (-2.0 * g_u.sum(axis=1))[:, None, None]  # -2 dL/d(bias)
-        g_c = arena.take((b, t - 2, d))
-        g_c.fill(0.0)
-        # block by block; every block's additions come before any block's
-        # subtractions, so each entry of g_c takes its terms in the order
-        # one pass over all pairs gives them. Sentences repeat in pi and
-        # pj, so fancy-index += would drop terms.
-        for accumulate, ends in ((np.add.at, pi), (np.subtract.at, pj)):
-            for s, g_diffs in _pair_diffs(lp.kcls_contribs, pi, pj):
-                g_diffs *= inv_dist[:, s, None]
-                g_diffs *= g_scale
-                accumulate(g_c, (slice(None), ends[s]), g_diffs)
+        g_c = _penalty_grad(
+            lp.kcls_contribs, pi, pj, inv_dist, g_u.sum(axis=1), arena.take((b, t - 2, d))
+        )
         term = arena.take(g_c.shape)
         np.multiply(g_c, v[:, 2:], out=term).sum(axis=2, out=g_attn[:, 1, 2:])
         g_v[:, 2:] += np.multiply(attn[:, 1, 2:, None], g_c, out=term)
@@ -312,13 +303,12 @@ def loss_and_gradients(
             # dL/d log p_{l,y} = r_y - [y == gold], the same for every layer
             g_log_probs = np.exp(_log_normalized(log_f))
             g_log_probs[np.arange(len(rows)), [compiled[i].gold for i in rows]] -= 1.0
-            cps = [compiled[i] for i in rows]
             g_y = arena.take(passes[-1].y.shape)  # wrt the top layer's output
             g_y.fill(0.0)
             for li in range(len(model.layers) - 1, -1, -1):
                 scratch = arena.used
                 g_y = _layer_backward(
-                    model, li, cps, passes[li], g_log_probs, inv_batch, g_y, grads, arena,
+                    model, li, compiled[rows[0]].pairs, passes[li], g_log_probs, inv_batch, g_y, grads, arena,
                     inv_dist[li],
                 )
                 arena.used = scratch  # the layer's scratch is dead; g_y lives on

@@ -784,8 +784,9 @@ class TestBlockedBackward:
             yield slice(None), contribs[..., pi, :] - contribs[..., pj, :]
 
         with monkeypatch.context() as patch:
+            # the forward's penalty and the backward's `_penalty_grad` both
+            # walk the pairs through `model._pair_diffs`
             patch.setattr(model_module, "_pair_diffs", unblocked)
-            patch.setattr(training, "_pair_diffs", unblocked)
             want_value, want = loss_and_gradients(model, compiled)
         assert all(np.any(g) for _, g in want.blocks())
         default = model_module._BLOCK_BYTES

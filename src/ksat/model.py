@@ -717,9 +717,14 @@ def _log_products(log_probs: np.ndarray) -> np.ndarray:
 
 
 def _log_normalized(log_f: np.ndarray) -> np.ndarray:
-    """Log normalized products, each row by its own log-sum-exp."""
-    m = log_f.max(axis=1, keepdims=True)
-    return log_f - (m + np.log(np.exp(log_f - m).sum(axis=1, keepdims=True)))
+    """Log normalized products, each row by its own log-sum-exp.
+
+    The row's maximum comes off before the log of its sum does. Adding the
+    two first would round at the scale of the row's largest log product,
+    which passes 1e11 in magnitude on posts whose raw products underflow,
+    and the row's exps would then sum to 1 only within that rounding."""
+    shifted = log_f - log_f.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def _ranked(log_f: np.ndarray, post_ids: Sequence[str]) -> np.ndarray:

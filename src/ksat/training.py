@@ -148,7 +148,7 @@ def _loss_head(compiled: list[CompiledPost], log_probs: np.ndarray):
             log_peak=float(peaks[worst]),
         )
     log_r = _log_normalized(log_f)
-    # -log r_gold = lse - log f_gold, bit for bit
+    # each post's loss term, -log r_gold
     terms = -log_r[np.arange(len(compiled)), [cp.gold for cp in compiled]]
     # a running sum, as the per-post loop added them; `sum` would pair them up
     return np.add.accumulate(terms)[-1] / len(compiled), log_r

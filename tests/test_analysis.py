@@ -254,11 +254,10 @@ class TestLogSpaceRanking:
         gold, predicted, scores = score_posts(model, dataset)
         assert predicted == [LAYER_ORDER.index(predict(model, p)) for p in dataset.posts]
         assert np.isfinite(scores).all()
-        # a row's log-sum-exp rounds at the scale of its largest log
-        # product, which reaches -2e11 here
-        for post, row in zip(dataset.posts, scores):
-            peak = abs(log_products(forward(model, post)[1]).max())
-            assert abs(row.sum() - 1.0) <= 2.0 * np.spacing(peak) + 1e-12
+        # the largest log product reaches -2e11 here; the rows still sum to
+        # 1 within the rounding of four exps and their sum
+        for row in scores:
+            assert abs(row.sum() - 1.0) <= 4.0 * np.finfo(np.float64).eps
         metrics = compute_metrics(model, dataset)
         assert metrics.n_posts == len(dataset.posts)
         assert metrics.accuracy == accuracy_score(gold, predicted)

@@ -79,16 +79,16 @@ def confusion_matrix(gold: list[int], predicted: list[int]) -> np.ndarray:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share the mean of their positions."""
+    """Ranks starting at 1; tied values share the mean of their positions.
+    Every NaN is a value of its own, ranked after all numbers in input
+    order."""
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # a run of ties starts wherever a value differs from the one before it
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=len(values))
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
     return ranks
 
 

@@ -17,6 +17,7 @@ from ksat.analysis import (
     LayerContribution,
     Metrics,
     PairDistance,
+    _midranks,
     accuracy_score,
     all_pairs,
     auc_roc,
@@ -129,6 +130,21 @@ class TestBinaryAuc:
         base = binary_auc(scores, np.array(flags))
         cubed = binary_auc(scores**3, np.array(flags))
         assert cubed == pytest.approx(base, abs=1e-12)
+
+
+class TestMidranks:
+    def test_ties_share_their_mean_position_and_nans_rank_last_in_order(self):
+        # 24 values: past the length up to which NumPy's default sort is a
+        # stable insertion sort; -0.0 ties with 0.0, and NaN with nothing
+        values = np.array([np.nan, 0.0, 2.0, -0.0, np.nan, 2.0, -1.0] * 3 + [np.nan, 5.0, -0.0])
+        numbers = values[~np.isnan(values)]
+        expected = np.empty(len(values))
+        for i, v in enumerate(values):
+            if np.isnan(v):
+                expected[i] = numbers.size + np.isnan(values[: i + 1]).sum()
+            else:
+                expected[i] = 1 + (numbers < v).sum() + ((numbers == v).sum() - 1) / 2.0
+        assert _midranks(values).tobytes() == expected.tobytes()
 
 
 class TestMacroAuc:

@@ -1,5 +1,6 @@
-"""Source hygiene: no package module imports a name it never uses, and no
-package function takes a parameter it never reads.
+"""Source hygiene: no package module imports a name it never uses, no
+package function takes a parameter it never reads, and no module-level
+package function goes unread.
 
 No linter ships with the test dependencies, so this test is the guard.
 """
@@ -7,6 +8,7 @@ No linter ships with the test dependencies, so this test is the guard.
 from __future__ import annotations
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,10 @@ import ksat
 MODULES = sorted(
     path for path in Path(ksat.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
+# where a package function may be read: the benchmark counts, because its
+# tracer looks functions up by name
+READERS = ("src", "tests", "scripts", "perfbench")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -72,3 +78,55 @@ def test_functions_read_every_parameter(path):
 def test_checker_flags_an_unused_parameter():
     source = "def f(a, b, *rest, c=1, **extra):\n    a += 1\n    return c\ng = lambda x, y: y\n"
     assert unused_parameters(source) == ["f.b", "f.rest", "f.extra", "<lambda>.x"]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name `source` reads: loaded names and attributes, imported
+    names, and the last dotted part of each string constant, which is how
+    ``getattr``, ``monkeypatch.setattr`` and ``"module.function"`` lookups
+    name a function."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value.rsplit(".", 1)[-1])
+    return read
+
+
+def unread_functions(source: str, read: set[str]) -> list[str]:
+    """Module-level functions of `source` whose names are not in `read`."""
+    defined = ast.parse(source).body
+    return [
+        node.name
+        for node in defined
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in read
+    ]
+
+
+@cache
+def repo_reads() -> frozenset[str]:
+    return frozenset().union(
+        *(
+            names_read(path.read_text(encoding="utf-8"))
+            for folder in READERS
+            for path in sorted((ROOT / folder).rglob("*.py"))
+        )
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_function_is_read_by_name(path):
+    assert unread_functions(path.read_text(encoding="utf-8"), repo_reads()) == []
+
+
+def test_checker_flags_an_unread_function():
+    module = (
+        "def called():\n    pass\ndef dead():\n    return called()\n"
+        "def looked_up():\n    pass\ndef imported():\n    pass\n"
+        "class Holder:\n    def method(self):\n        pass\n"
+    )
+    reader = "from pkg import imported\ngetattr(mod, 'looked_up')\nmod.dead = None\n"
+    assert unread_functions(module, names_read(module) | names_read(reader)) == ["dead"]

@@ -2,9 +2,10 @@
 
 A four-layer attention stack whose layers correspond to screening outcomes
 of increasing severity. Each layer carries a learned knowledge token, a
-data-driven context token, a sigmoid-gated mix between them, and an
-attention bias that pulls sentences close in the concept graph toward
-similar contributions. Everything runs on numpy with hand-derived
+data-driven context token, a sigmoid-gated mix between them, and a
+graph-context penalty: a nonpositive term added to every outcome logit of
+its layer, which pulls sentences close in the concept graph toward similar
+knowledge-token contributions. Everything runs on numpy with hand-derived
 gradients; a finite-difference checker keeps the math honest.
 """
 

@@ -292,9 +292,11 @@ def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.
     for s, diffs in _pair_diffs(contribs, pi, pj):
         diffs *= diffs
         diffs.sum(axis=-1, out=sq[..., s])
-    # One post stays on `np.dot`: folding it into the bucket branch below
-    # made the finite-difference check, which runs its posts one by one,
-    # about 9% slower (`gradcheck` `wall_s`, alternated runs, 2-vCPU host).
+    # One post stays on `np.dot`. Folding it, and `_readout`'s, into the
+    # bucket branches slowed the finite-difference check, which runs its
+    # posts one by one: `gradcheck` `wall_s` medians 3.69 against 3.57 s
+    # over four alternated pairs, and 4.10 against 3.77 s in an earlier
+    # trial (2-vCPU host).
     if sq.ndim == 1:
         return -np.dot(inv_dist, sq)
     # one dot product per post, as `np.dot` makes for one
@@ -487,6 +489,7 @@ def _readout(layer: KsatLayerParams, y: np.ndarray, kg) -> dict[str, np.ndarray]
     `_readout_pass` rebuilds one."""
     alpha = sigmoid(layer.a_raw)
     mix = alpha * y[..., 1, :] + (1.0 - alpha) * y[..., 0, :]
+    # one post stays on `dot`, for speed, as `_penalty` measures
     if mix.ndim == 1:
         logits = layer.w_out.T.dot(mix) + kg
     else:
@@ -574,11 +577,14 @@ def layer_forward(
     kg_enabled: bool = True,
 ) -> tuple[np.ndarray, LayerPass]:
     """Run one layer: overwrite KCLS, attend, score; returns the new token
-    matrix (the pass's ``y``) and the pass. ``token_reps`` is left unchanged.
+    matrix (the pass's ``y``) and the pass. ``token_reps`` is left unchanged
+    and read in the layer's parameter dtype.
 
     ``connection_vectors`` are the sentences' presence vectors already
     restricted to this layer's context.
     """
+    # an integer matrix would truncate the knowledge token written into it
+    token_reps = np.asarray(token_reps, dtype=layer.w_query.dtype)
     n = token_reps.shape[0] - 2
     if n < 1:
         raise ValueError(
@@ -749,13 +755,11 @@ def aggregate_probs(prob_rows) -> np.ndarray:
     return np.prod(stacked, axis=0)
 
 
-def forward(
-    model: KsatModel, post: Post, sentence_presence=None
-) -> tuple[np.ndarray, list[LayerPass]]:
+def forward(model: KsatModel, post: Post) -> tuple[np.ndarray, list[LayerPass]]:
     """Run the full stack; returns the raw (unnormalized) final product
     vector over outcomes plus each layer's pass. Pure: no state mutates.
     """
-    passes = run_layers(model, compile_post(model, post, sentence_presence))
+    passes = run_layers(model, compile_post(model, post))
     return aggregate_probs([lp.layer_probs for lp in passes]), passes
 
 
@@ -767,11 +771,11 @@ def normalize_probs(final: np.ndarray) -> np.ndarray:
     return final / total
 
 
-def predict(model: KsatModel, post: Post, sentence_presence=None) -> Outcome:
+def predict(model: KsatModel, post: Post) -> Outcome:
     """Argmax outcome of the log final product, as `score_posts` ranks;
     ties resolve to the earliest layer-order position. A post whose raw
     products all underflow to 0.0 still ranks; see `_ranked`."""
-    _, passes = forward(model, post, sentence_presence)
+    _, passes = forward(model, post)
     log_f = _log_products(np.stack([lp.log_probs for lp in passes])[None])
     return LAYER_ORDER[int(_ranked(log_f, [post.id])[0])]
 

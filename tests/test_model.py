@@ -286,6 +286,22 @@ class TestLayerForward:
         with pytest.raises(ValueError):
             layer_forward(rng.normal(size=(3, 4)), layer, [(1,)], epsilon=0.0)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_token_matrix_takes_the_parameters_dtype(self, rng, dtype):
+        d = 8
+        layer = zero_layer(d)
+        for name in ("w_query", "w_key", "w_value", "kcls_init", "w_out"):
+            setattr(layer, name, rng.normal(size=getattr(layer, name).shape))
+        cvs = [(1,), (0,), (1,), (1,)]
+        # small integers, exact in every dtype here
+        reps = rng.integers(-3, 4, size=(6, d)).astype(dtype)
+        want_reps, want = layer_forward(reps.astype(np.float64), layer, cvs, epsilon=1.0)
+        got_reps, got = layer_forward(reps, layer, cvs, epsilon=1.0)
+        assert got.x.dtype == got_reps.dtype == np.float64
+        assert got_reps.tobytes() == want_reps.tobytes()
+        assert got.log_probs.tobytes() == want.log_probs.tobytes()
+        assert got.kg_bias == want.kg_bias
+
     def test_disabled_bias_reports_zero(self, rng):
         d = 4
         layer = zero_layer(d)
@@ -319,15 +335,6 @@ class TestForward:
         a, _ = forward(model, TWO_SENTENCE_POST)
         b, _ = forward(model, TWO_SENTENCE_POST)
         assert a.tobytes() == b.tobytes()
-
-    def test_presence_override_is_used(self, make_model):
-        model = make_model(dimension=8, seed=3, value_scale=0.3)
-        bare = Post(id="p2", sentences=list(TWO_SENTENCE_POST.sentences))
-        final_override, _ = forward(
-            model, bare, sentence_presence=[(1, 0, 0), (0, 0, 1)]
-        )
-        final_attached, _ = forward(model, TWO_SENTENCE_POST)
-        np.testing.assert_array_equal(final_override, final_attached)
 
     def test_missing_presence_rejected(self, make_model):
         model = make_model()

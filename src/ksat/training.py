@@ -210,9 +210,9 @@ def _layer_backward(
 
     `lp` is the layer's pass over a bucket's posts (see `_run_bucket`),
     `pairs` their shared ``(2, P)`` sentence pairs and `inv_dist` their
-    ``(B, P)`` pair weights at this layer. Turns `g_y`, the gradient wrt the layer's output tokens, in
-    place into the gradient wrt its input tokens and returns it. Its
-    token-sized scratch is taken from `arena`.
+    ``(B, P)`` pair weights at this layer. Turns `g_y`, the gradient wrt
+    the layer's output tokens, in place into the gradient wrt its input
+    tokens and returns it. Its token-sized scratch is taken from `arena`.
     """
     layer = model.layers[li]
     gl = grads.layers[li]
@@ -308,8 +308,8 @@ def loss_and_gradients(
             for li in range(len(model.layers) - 1, -1, -1):
                 scratch = arena.used
                 g_y = _layer_backward(
-                    model, li, compiled[rows[0]].pairs, passes[li], g_log_probs, inv_batch, g_y, grads, arena,
-                    inv_dist[li],
+                    model, li, compiled[rows[0]].pairs, passes[li], g_log_probs, inv_batch,
+                    g_y, grads, arena, inv_dist[li],
                 )
                 arena.used = scratch  # the layer's scratch is dead; g_y lives on
         del passes, inv_dist  # the next bucket's forward runs without these

@@ -98,10 +98,9 @@ def names_read(source: str) -> set[str]:
 
 def unread_functions(source: str, read: set[str]) -> list[str]:
     """Module-level functions of `source` whose names are not in `read`."""
-    defined = ast.parse(source).body
     return [
         node.name
-        for node in defined
+        for node in ast.parse(source).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in read
     ]
 

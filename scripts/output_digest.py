@@ -5,7 +5,7 @@ The outputs are forward finals, every `LayerPass` field and its
 `layer_probs` property, short `train` traces and parameters with the
 graph-context penalty on and off, at two sizes (the larger fills length
 buckets past 128 KiB per array), `backward` gradients on short posts and on
-a bucket of long ones, a small `finite_diff_check`'s block errors, and what
+longer ones, a small `finite_diff_check`'s block errors, and what
 the loss's collapse guard reports on a batch crafted to collapse, through
 `loss` and through `train`, annotations at each fragment size, a lattice
 search's result, the raw annotation cosines at each fragment size and the
@@ -87,8 +87,8 @@ def digest_lines() -> list[str]:
     """``"<output> <sha256>"`` lines, one per output, in a fixed order."""
     tree = default_tree()
     lines = []
-    # forward with the penalty live: posts of 1-8 sentences, and two of
-    # 95-100 whose pairs fill more than one penalty block
+    # forward with the penalty live: posts of 1-8 sentences, and one of 96
+    # whose layers group dozens of sentences together
     posts = _corpus(tree, 24, (1, 8)).posts + _corpus(tree, 2, (95, 100)).posts
     model = _model(tree, 16, epsilon=1.0, value_scale=0.25)
     runs = [forward(model, post) for post in posts]
@@ -121,8 +121,10 @@ def digest_lines() -> list[str]:
     batch = [(p, p.sentence_presence, p.gold) for p in train_set.posts]
     grads = backward(model, batch)
     lines.append(("backward.gradients", _digest(value for _, value in grads.blocks())))
-    # backward, penalty on, over one bucket of four 60-sentence posts: its
-    # 1,770 pairs fill several pair blocks
+    # backward, penalty on, over posts of 60, 3 and 2 sentences (the
+    # generator adds filler only where it cannot change a post's label):
+    # the two 2-sentence posts hold one and two groups in layer 0, so their
+    # bucket pads a group
     long_set = _corpus(tree, 4, (60, 60))
     grads = backward(model, [(p, p.sentence_presence, p.gold) for p in long_set.posts])
     lines.append(("backward.long_bucket", _digest(value for _, value in grads.blocks())))

@@ -255,7 +255,7 @@ class _Arena:
             self.buffer = np.empty(self.high, self.dtype)
 
 
-# Bytes per block of the pair work: a block holds as many pairs as fit one
+# Bytes per block of `_pair_diffs`: a block holds as many pairs as fit one
 # ``(posts, pairs, d)`` array in this budget, so each block array stays below
 # glibc's initial mmap threshold (128 KiB) and is served from the heap, not
 # from a fresh mapping whose pages fault in on every call.
@@ -277,58 +277,195 @@ def _pair_diffs(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray):
         yield s, contribs.take(pi[s], axis=-2) - contribs.take(pj[s], axis=-2)
 
 
-def _penalty(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray, inv_dist: np.ndarray):
-    """The graph-context bias: ``-sum_p inv_dist[p] * ||c[pi[p]] - c[pj[p]]||^2``.
+@dataclass(slots=True)
+class _Groups:
+    """One layer's sentences grouped by equal restricted connection vectors:
+    the layout of the penalty (`_penalty`) and its gradient.
 
-    For one post `contribs` is ``(n, d)`` and `inv_dist` ``(P,)``; for a
-    bucket of posts of one length they are ``(B, n, d)`` and ``(B, P)``, and
-    the result is ``(B,)``. Dtype-preserving, so the finite-difference
-    checker can run it in extended precision. The squared norms are taken
-    block by block (`_pair_diffs`) into one array; each row's sum and the
-    final dot product are the same as in one pass over all pairs, so the
-    result is too, bit for bit, whatever the block size.
+    A pair's weight depends only on its two sentences' groups: 1/epsilon
+    within a group, ``W_gh`` across groups g and h. Groups are numbered by
+    their first sentence. For a bucket of posts of one length (`_stack_groups`)
+    every field but `pairs` and `shared` gains a leading post axis, `codes`
+    and `first` index the bucket's rows with the post axis flattened, and
+    each post's groups are padded to the bucket's largest count with empty
+    groups (size 0, weight 0), which add nothing.
     """
-    sq = np.empty(contribs.shape[:-2] + pi.shape, dtype=contribs.dtype)
-    for s, diffs in _pair_diffs(contribs, pi, pj):
-        diffs *= diffs
-        diffs.sum(axis=-1, out=sq[..., s])
-    # One post stays on `np.dot`. Folding it, and `_readout`'s, into the
-    # bucket branches slowed the finite-difference check, which runs its
-    # posts one by one: `gradcheck` `wall_s` medians 3.69 against 3.57 s
-    # over four alternated pairs, and 4.10 against 3.77 s in an earlier
-    # trial (2-vCPU host).
-    if sq.ndim == 1:
-        return -np.dot(inv_dist, sq)
-    # one dot product per post, as `np.dot` makes for one
-    return -np.matmul(inv_dist[:, None, :], sq[:, :, None])[:, 0, 0]
+
+    codes: np.ndarray  # (n,) each sentence's group
+    first: np.ndarray  # (G,) each group's first sentence
+    sizes: np.ndarray  # (G,) n_g, the sentences in each group
+    load: np.ndarray  # (n,) (W n)_g of each sentence's group g, its own group included
+    # the group pairs g < h, as two (Q,) arrays of g and h, ordered by h,
+    # then g: a bucket's padded groups come last, so their pairs follow
+    # every real one
+    pairs: tuple[np.ndarray, np.ndarray]
+    cross: np.ndarray  # (Q,) W_gh n_g n_h of each group pair
+    shared: bool  # some group holds two or more sentences
+
+
+def _groups(restricted: list[tuple[int, ...]], weights: np.ndarray) -> _Groups:
+    """Group sentences by their restricted connection vectors and read each
+    group pair's weight from `weights`, the pair row `_pair_weights` gives:
+    the pair of the two groups' first sentences, and within a group the pair
+    of its first two. Plain Python: most posts have a few sentences, and
+    NumPy calls on arrays that small cost more than they save."""
+    n = len(restricted)
+    index: dict[tuple[int, ...], int] = {}
+    codes, first, second = [], [], []
+    for i, vector in enumerate(restricted):
+        g = index.setdefault(vector, len(index))
+        codes.append(g)
+        if g == len(first):
+            first.append(i)
+            second.append(None)
+        elif second[g] is None:
+            second[g] = i
+    sizes = [0.0] * len(first)
+    for g in codes:
+        sizes[g] += 1.0
+
+    def weight(i: int, j: int) -> float:
+        # pair (i, j), i < j, sits at i (2n - i - 3) / 2 + j - 1 in the row
+        return float(weights[i * (2 * n - i - 3) // 2 + j - 1])
+
+    # W_gh, and 0 on the diagonal of a one-sentence group, which has no pair
+    table = [[0.0] * len(first) for _ in first]
+    for h, (start, other) in enumerate(zip(first, second)):
+        if other is not None:
+            table[h][h] = weight(start, other)
+        for g in range(h):
+            table[g][h] = table[h][g] = weight(first[g], start)
+    load = [sum(w * size for w, size in zip(row, sizes)) for row in table]
+    pairs = [(g, h) for h in range(len(first)) for g in range(h)]
+    lower, upper = np.array(pairs, np.intp).reshape(-1, 2).T
+    return _Groups(
+        codes=np.array(codes, np.intp),
+        first=np.array(first, np.intp),
+        sizes=np.array(sizes),
+        load=np.array([load[g] for g in codes]),
+        pairs=(lower, upper),
+        cross=np.array([table[g][h] * sizes[g] * sizes[h] for g, h in pairs]),
+        shared=len(first) < n,
+    )
+
+
+def _padded(rows: list[np.ndarray], size: int) -> np.ndarray:
+    """The 1-D `rows` stacked, each padded with zeros to `size`."""
+    out = np.zeros((len(rows), size), rows[0].dtype)
+    out[np.arange(size) < np.array([r.size for r in rows])[:, None]] = np.concatenate(rows)
+    return out
+
+
+def _stack_groups(groups: Sequence[_Groups]) -> _Groups:
+    """One layer's groups of a bucket's posts, stacked and padded (`_Groups`)."""
+    n, size = groups[0].codes.size, max(gr.first.size for gr in groups)
+    offsets = np.arange(len(groups))[:, None]
+    upper, lower = np.tril_indices(size, -1)
+    return _Groups(
+        codes=np.stack([gr.codes for gr in groups]) + size * offsets,
+        first=_padded([gr.first for gr in groups], size) + n * offsets,
+        sizes=_padded([gr.sizes for gr in groups], size),
+        load=np.stack([gr.load for gr in groups]),
+        pairs=(lower, upper),
+        cross=_padded([gr.cross for gr in groups], lower.size),
+        shared=any(gr.shared for gr in groups),
+    )
+
+
+def _rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The rows of `values` (``(..., m, d)``, leading axes flattened) at
+    `index`, shaped ``index.shape + (d,)``."""
+    return values.reshape(-1, values.shape[-1]).take(index, axis=0)
+
+
+def _group_means(contribs: np.ndarray, groups: _Groups) -> np.ndarray:
+    """Each group's mean row, taken as ``c_r + mean(c_i - c_r)`` with r the
+    group's first sentence, so a group of equal rows gives back that row
+    exactly, and the penalty of equal rows is exactly 0. A pad's is its
+    post's first row.
+
+    The sums go through `np.add.at`, which adds its terms in index order,
+    so each is taken in sentence order and a bucket's row is its post's,
+    bit for bit; one index per element, as `np.add.at` runs several times
+    faster on a 1-D target than on rows.
+    """
+    if not groups.shared:
+        return contribs  # every group is one sentence, in sentence order
+    d = contribs.shape[-1]
+    base = _rows(contribs, groups.first)
+    deviations = contribs - _rows(base, groups.codes)
+    means = np.zeros_like(base)
+    elements = (groups.codes * d)[..., None] + np.arange(d)
+    np.add.at(means.reshape(-1), elements.reshape(-1), deviations.reshape(-1))
+    means /= np.maximum(groups.sizes, 1.0)[..., None]
+    means += base
+    return means
+
+
+def _penalty(contribs: np.ndarray, groups: _Groups):
+    """The graph-context bias, ``-sum_{i<j} W_ij ||c_i - c_j||^2``, over
+    groups of equal connection vectors:
+
+        -sum_g SS_g (W n)_g - sum_{g<h} W_gh n_g n_h ||mu_g - mu_h||^2,
+
+    with SS_g the sum of ``||c_i - mu_g||^2`` over group g. The within term
+    is skipped when every group is one sentence, the cross term when there
+    is one group.
+
+    For one post `contribs` is ``(n, d)``, n >= 2; for a bucket of posts of
+    one length it is ``(B, n, d)`` with `groups` stacked (`_stack_groups`),
+    and the result is ``(B,)``. The terms are added in one running sum,
+    sentences then group pairs, so a bucket's padded pairs add their zeros
+    last and each post's penalty is its own, bit for bit. Dtype-preserving,
+    so the finite-difference checker can run it in extended precision.
+    """
+    means = _group_means(contribs, groups)
+    terms = []
+    if groups.shared:
+        spread = contribs - _rows(means, groups.codes)
+        spread *= spread
+        terms.append(groups.load * spread.sum(axis=-1))
+    g, h = groups.pairs
+    if g.size:
+        sq = np.empty(means.shape[:-2] + g.shape, dtype=means.dtype)
+        for s, diffs in _pair_diffs(means, g, h):
+            diffs *= diffs
+            diffs.sum(axis=-1, out=sq[..., s])
+        sq *= groups.cross
+        terms.append(sq)
+    total = terms[0] if len(terms) == 1 else np.concatenate(terms, axis=-1)
+    return -np.add.accumulate(total, axis=-1).take(-1, axis=-1)
 
 
 def _penalty_grad(
-    contribs: np.ndarray,
-    pi: np.ndarray,
-    pj: np.ndarray,
-    inv_dist: np.ndarray,
-    g_pen: np.ndarray,
-    out: np.ndarray,
+    contribs: np.ndarray, groups: _Groups, g_pen: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """The gradient of a bucket's `_penalty` wrt its ``(B, n, d)``
     `contribs`, written into `out` (same shape) and returned, given
     `g_pen`, the ``(B,)`` gradient wrt the penalties.
 
-    Pair p adds ``-2 g_pen inv_dist[p] (c[pi[p]] - c[pj[p]])`` to row
-    ``pi[p]`` and subtracts it from row ``pj[p]``. The pairs go block by
-    block (`_pair_diffs`), every block's additions before any block's
-    subtractions, so each row takes its terms in the order one pass over
-    all pairs gives them, bit for bit, whatever the block size. Sentences
-    repeat in `pi` and `pj`, so fancy-index ``+=`` would drop terms.
+    For sentence i of group g it is, in centred form,
+    ``-2 g_pen [(W n)_g (c_i - mu_g) + sum_h W_gh n_h (mu_g - mu_h)]``: the
+    mean's own derivative drops out, since ``sum_i (c_i - mu_g)`` is 0 over
+    the group. The group pairs go block by block (`_pair_diffs`), every
+    block's additions before any block's subtractions, so each group takes
+    its terms in the order one pass over all pairs gives them, bit for bit,
+    whatever the block size.
     """
-    g_scale = (-2.0 * g_pen)[:, None, None]
-    out.fill(0.0)
-    for accumulate, ends in ((np.add.at, pi), (np.subtract.at, pj)):
-        for s, g_diffs in _pair_diffs(contribs, pi, pj):
-            g_diffs *= inv_dist[:, s, None]
-            g_diffs *= g_scale
-            accumulate(out, (slice(None), ends[s]), g_diffs)
+    means = _group_means(contribs, groups)
+    pull = np.zeros_like(means)  # n_g sum_h W_gh n_h (mu_g - mu_h) per group g
+    g, h = groups.pairs
+    for accumulate, ends in ((np.add.at, g), (np.subtract.at, h)):
+        for s, diffs in _pair_diffs(means, g, h):
+            diffs *= groups.cross[..., s, None]
+            accumulate(pull, (..., ends[s], slice(None)), diffs)
+    pull /= np.maximum(groups.sizes, 1.0)[..., None]
+    out[...] = _rows(pull, groups.codes)
+    if groups.shared:
+        spread = contribs - _rows(means, groups.codes)
+        spread *= groups.load[..., None]
+        out += spread
+    out *= (-2.0 * g_pen)[..., None, None]
     return out
 
 
@@ -339,9 +476,11 @@ def kg_bias(
 ) -> float:
     """Graph-context bias: always <= 0, and 0 for fewer than two sentences.
 
-    Sums, over unordered sentence pairs in lexicographic order, the squared
-    Euclidean divergence of KCLS contributions divided by the hamming
-    distance of the pair's connection vectors plus ``epsilon``, negated.
+    Sums, over unordered sentence pairs, the squared Euclidean divergence of
+    KCLS contributions divided by the hamming distance of the pair's
+    connection vectors plus ``epsilon``, negated. It is computed as the
+    forward computes it, over groups of equal connection vectors
+    (`_penalty`), so it gives a pass's `kg_bias` bit for bit.
     """
     contribs = np.asarray(kcls_contribs, dtype=np.float64)
     n = contribs.shape[0]
@@ -352,7 +491,16 @@ def kg_bias(
     _check_epsilon(epsilon)
     if n < 2:
         return 0.0
-    return float(_penalty(contribs, *_pairs(n), _pair_weights(connection_vectors, epsilon)))
+    return float(_penalty(contribs, _layer_groups(connection_vectors, epsilon)))
+
+
+def _layer_groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups:
+    """One layer's `_Groups` from the sentences' restricted connection
+    vectors. It weighs every sentence pair (`_pair_weights`) although the
+    groups need only G^2 weights: the benchmark's traced `long-posts` run
+    pins `knowledge.hamming_distance` at one call per pair, so fewer calls
+    wait for a change to the benchmark."""
+    return _groups(restricted, _pair_weights(restricted, epsilon))
 
 
 @dataclass
@@ -361,15 +509,15 @@ class CompiledPost:
 
     post_id: str
     embeddings: np.ndarray  # (n, d)
-    pairs: np.ndarray  # (2, P): lexicographic (i<j) sentence pair indices
-    inv_dist: np.ndarray  # (L, P): 1/(hamming + epsilon) per layer
+    groups: tuple[_Groups, ...]  # per layer, the penalty's sentence groups
     gold: int | None
     n_sentences: int
 
 
 def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> CompiledPost:
-    """Embed sentences, from the model's table when it holds one, and
-    precompute pairwise connection weights per layer."""
+    """Embed sentences, from the model's table when it holds one, and group
+    them per layer by their restricted connection vectors (`_layer_groups`),
+    keeping O(n + G^2) numbers per layer."""
     presence = sentence_presence if sentence_presence is not None else post.sentence_presence
     if presence is None:
         raise DataFormatError(
@@ -407,23 +555,12 @@ def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> Compil
         embed = _embedder(cfg)
         for idx, sentence in enumerate(post.sentences):
             rows[idx] = embed(sentence)
-    inv_dist = np.array(
-        [
-            _pair_weights(
-                [connection_vector(row, layer.context) for row in presence], model.epsilon
-            )
-            for layer in model.layers
-        ]
+    groups = tuple(
+        _layer_groups([connection_vector(row, layer.context) for row in presence], model.epsilon)
+        for layer in model.layers
     )
     gold = None if post.gold is None else LAYER_ORDER.index(post.gold)
-    return CompiledPost(
-        post_id=post.id,
-        embeddings=rows,
-        pairs=_pairs(n),
-        inv_dist=inv_dist,
-        gold=gold,
-        n_sentences=n,
-    )
+    return CompiledPost(post_id=post.id, embeddings=rows, groups=groups, gold=gold, n_sentences=n)
 
 
 @dataclass(slots=True)
@@ -508,9 +645,7 @@ def _readout_pass(layer: KsatLayerParams, lp: LayerPass) -> LayerPass:
 def _layer_core(
     reps: np.ndarray,
     layer: KsatLayerParams,
-    pi: np.ndarray,
-    pj: np.ndarray,
-    inv_dist: np.ndarray,
+    groups: _Groups | None,
     kg_enabled: bool,
     arena: _Arena | None = None,
 ) -> LayerPass:
@@ -518,9 +653,10 @@ def _layer_core(
     the layer reads a copy whose KCLS row is overwritten by its knowledge
     token.
 
-    `reps` is one post's ``(T, d)`` tokens with `inv_dist` ``(P,)``, or a
-    bucket's ``(B, T, d)`` tokens of posts of one length with ``(B, P)``;
-    a bucket's posts share `pi`, `pj`. A bucket gives each post the numbers
+    `reps` is one post's ``(T, d)`` tokens with its `groups`, or a bucket's
+    ``(B, T, d)`` tokens of posts of one length with their groups stacked
+    (`_stack_groups`); only the penalty reads them, so with `kg_enabled`
+    off they may be None. A bucket gives each post the numbers
     its own pass gives, bit for bit: the projections are one GEMM over all
     token rows, and ``np.matmul`` makes, post by post, the BLAS calls that
     ``ndarray.dot`` makes for one post. A bucket's token-sized arrays are
@@ -557,8 +693,8 @@ def _layer_core(
         y = np.matmul(attn, v, out=arena.take(x.shape))
         contribs = np.multiply(attn[:, 1, 2:, None], v[:, 2:], out=arena.take(v[:, 2:].shape))
     y += x
-    if kg_enabled and pi.size:
-        kg = _penalty(contribs, pi, pj, inv_dist)
+    if kg_enabled and contribs.shape[-2] > 1:
+        kg = _penalty(contribs, groups)
     elif x.ndim == 2:
         kg = 0.0
     else:
@@ -595,10 +731,7 @@ def layer_forward(
             f"{n} sentence rows but {len(connection_vectors)} connection vectors"
         )
     _check_epsilon(epsilon)
-    pi, pj = _pairs(n)
-    lp = _layer_core(
-        token_reps, layer, pi, pj, _pair_weights(connection_vectors, epsilon), kg_enabled
-    )
+    lp = _layer_core(token_reps, layer, _layer_groups(connection_vectors, epsilon), kg_enabled)
     return lp.y, lp
 
 
@@ -612,23 +745,19 @@ def _param_dtype(model: KsatModel):
 def _run_from(
     model: KsatModel,
     reps: np.ndarray,
-    pairs: np.ndarray,
-    inv_dist: np.ndarray,
+    groups: Sequence[_Groups | None],
     passes: list[LayerPass],
     arena: _Arena | None = None,
 ) -> list[LayerPass]:
     """Run the layers above `passes` on `reps`, their input tokens, and
     append their passes.
 
-    `reps` (``(T, d)``, or ``(B, T, d)`` for a bucket) and `inv_dist`
-    (``(L, P)``, or ``(L, B, P)``) come from the posts' compiled constants;
-    a bucket's passes take their arrays from `arena`.
+    `reps` (``(T, d)``, or ``(B, T, d)`` for a bucket) and each layer's
+    `groups` (stacked for a bucket) come from the posts' compiled
+    constants; a bucket's passes take their arrays from `arena`.
     """
-    pi, pj = pairs
     for li in range(len(passes), len(model.layers)):
-        lp = _layer_core(
-            reps, model.layers[li], pi, pj, inv_dist[li], model.kg_bias_enabled, arena
-        )
+        lp = _layer_core(reps, model.layers[li], groups[li], model.kg_bias_enabled, arena)
         passes.append(lp)
         reps = lp.y
     return passes
@@ -650,28 +779,33 @@ def run_layers(
     else:
         reps = np.zeros((compiled.n_sentences + 2, model.dimension), _param_dtype(model))
         reps[2:] = compiled.embeddings
-    return _run_from(model, reps, compiled.pairs, compiled.inv_dist, passes)
+    return _run_from(model, reps, compiled.groups, passes)
 
 
 def _run_bucket(
     model: KsatModel, cps: Sequence[CompiledPost], arena: _Arena
-) -> tuple[list[LayerPass], np.ndarray]:
+) -> tuple[list[LayerPass], list[_Groups | None]]:
     """Full stack on a bucket of compiled posts of one sentence count, one
     `_layer_core` call per layer; `_bucket_passes` runs it. Returns the
-    passes and the posts' pair weights stacked ``(L, B, P)``, which the
-    training backward reads.
+    passes and each layer's groups, stacked (`_stack_groups`), which the
+    training backward reads; None for every layer when the penalty is
+    off.
     The token matrix and every pass's token-sized arrays are taken from
     `arena`, so they live until the caller gives them back.
 
-    Posts of one length share their token count and sentence pairs, so they
-    stack without padding or masks. Row b of every field is what
-    `run_layers` gives ``cps[b]``, bit for bit.
+    Posts of one length share their token count, so their tokens stack
+    without padding or masks. Row b of every field is what `run_layers`
+    gives ``cps[b]``, bit for bit.
     """
     reps = arena.take((len(cps), cps[0].n_sentences + 2, model.dimension))
     reps[:, :2] = 0.0
     np.stack([cp.embeddings for cp in cps], out=reps[:, 2:])
-    inv_dist = np.stack([cp.inv_dist for cp in cps], axis=1)
-    return _run_from(model, reps, cps[0].pairs, inv_dist, [], arena), inv_dist
+    # only the penalty reads the groups
+    groups = [
+        _stack_groups([cp.groups[li] for cp in cps]) if model.kg_bias_enabled else None
+        for li in range(len(model.layers))
+    ]
+    return _run_from(model, reps, groups, [], arena), groups
 
 
 def _buckets(compiled: Sequence[CompiledPost]) -> list[list[int]]:
@@ -695,7 +829,7 @@ def _bucket_passes(
 ):
     """The one batch driver of training, evaluation and the reports: runs
     compiled posts per length bucket, shortest first, and yields each
-    bucket's post indices with its `_run_bucket` passes and pair weights,
+    bucket's post indices with its `_run_bucket` passes and groups,
     after copying its per-layer log-probabilities into its rows of
     `log_probs` (`_log_probs_array`). Each bucket starts `arena` (one made
     for the call when None) empty, so a caller is done with a bucket's
@@ -704,10 +838,10 @@ def _bucket_passes(
         arena = _Arena(_param_dtype(model))
     for rows in _buckets(compiled):
         arena.used = 0  # the previous bucket's passes are dead
-        passes, inv_dist = _run_bucket(model, [compiled[i] for i in rows], arena)
+        passes, groups = _run_bucket(model, [compiled[i] for i in rows], arena)
         log_probs[rows] = np.stack([lp.log_probs for lp in passes], axis=1)
-        yield rows, passes, inv_dist
-        del passes, inv_dist  # the next bucket runs without these
+        yield rows, passes, groups
+        del passes, groups  # the next bucket runs without these
 
 
 def _log_products(log_probs: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .model import (
     KsatModel,
     LayerPass,
     _Arena,
+    _Groups,
     _bucket_passes,
     _log_normalized,
     _log_probs_array,
@@ -197,20 +198,19 @@ def _project_back(x, g_tokens, g_weight, weight, g_x, product) -> None:
 def _layer_backward(
     model: KsatModel,
     li: int,
-    pairs: np.ndarray,
     lp: LayerPass,
     g_log_probs: np.ndarray,
     inv_batch: float,
     g_y: np.ndarray,
     grads: Gradients,
     arena: _Arena,
-    inv_dist: np.ndarray,
+    groups: _Groups | None,
 ) -> np.ndarray:
     """One layer of a length bucket's backward, adding into `grads`.
 
-    `lp` is the layer's pass over a bucket's posts (see `_run_bucket`),
-    `pairs` their shared ``(2, P)`` sentence pairs and `inv_dist` their
-    ``(B, P)`` pair weights at this layer. Turns `g_y`, the gradient wrt
+    `lp` is the layer's pass over a bucket's posts (see `_run_bucket`) and
+    `groups` their stacked sentence groups at this layer, which only
+    `_penalty_grad` reads (None with the penalty off). Turns `g_y`, the gradient wrt
     the layer's output tokens, in place into the gradient wrt its input
     tokens and returns it. Its token-sized scratch is taken from `arena`.
     """
@@ -234,11 +234,8 @@ def _layer_backward(
     g_v = arena.take((b, t, d))
     g_v.fill(0.0)
     g_attn = np.zeros((b, t, t))
-    pi, pj = pairs
-    if model.kg_bias_enabled and pi.size:
-        g_c = _penalty_grad(
-            lp.kcls_contribs, pi, pj, inv_dist, g_u.sum(axis=1), arena.take((b, t - 2, d))
-        )
+    if model.kg_bias_enabled and t > 3:
+        g_c = _penalty_grad(lp.kcls_contribs, groups, g_u.sum(axis=1), arena.take((b, t - 2, d)))
         term = arena.take(g_c.shape)
         np.multiply(g_c, v[:, 2:], out=term).sum(axis=2, out=g_attn[:, 1, 2:])
         g_v[:, 2:] += np.multiply(attn[:, 1, 2:, None], g_c, out=term)
@@ -295,7 +292,7 @@ def loss_and_gradients(
     grads = _zero_gradients(model)
     inv_batch = 1.0 / len(compiled)
     healthy = True
-    for rows, passes, inv_dist in _bucket_passes(model, compiled, log_probs, arena):
+    for rows, passes, groups in _bucket_passes(model, compiled, log_probs, arena):
         log_f = _log_products(log_probs[rows])
         # after a collapse only the forwards run: the head below raises
         healthy = healthy and not _collapsed(log_f).any()
@@ -308,11 +305,10 @@ def loss_and_gradients(
             for li in range(len(model.layers) - 1, -1, -1):
                 scratch = arena.used
                 g_y = _layer_backward(
-                    model, li, compiled[rows[0]].pairs, passes[li], g_log_probs, inv_batch,
-                    g_y, grads, arena, inv_dist[li],
+                    model, li, passes[li], g_log_probs, inv_batch, g_y, grads, arena, groups[li]
                 )
                 arena.used = scratch  # the layer's scratch is dead; g_y lives on
-        del passes, inv_dist  # the next bucket's forward runs without these
+        del passes, groups  # the next bucket's forward runs without these
     value, _ = _loss_head(compiled, log_probs)
     return float(value), grads
 

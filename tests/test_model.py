@@ -364,9 +364,9 @@ class TestPenaltyPaths:
             assert act.kg_bias < 0.0
             assert act.kg_bias == kg_bias(act.kcls_contribs, restricted, model.epsilon)
 
-    def test_long_post_compiles_to_pair_sized_arrays(self, make_model):
-        # 300 sentences make 44,850 pairs: per-pair arrays take ~2 MB, while
-        # an (n, pairs) incidence matrix would take ~108 MB
+    def test_long_post_compiles_to_sentence_sized_groups(self, make_model):
+        # 300 sentences make 44,850 pairs, whose index and per-layer weight
+        # arrays took about 2.1 MB; each layer's groups keep O(n) numbers
         n = 300
         post = Post(
             id="long",
@@ -374,8 +374,13 @@ class TestPenaltyPaths:
             sentence_presence=[(i % 2, (i // 2) % 2, (i // 4) % 2) for i in range(n)],
         )
         compiled = compile_post(make_model(dimension=8), post)
-        arrays = [v for v in vars(compiled).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) < 8_000_000
+        assert len(compiled.groups) == 4
+        for groups in compiled.groups:
+            fields = [getattr(groups, f.name) for f in dataclasses.fields(groups)]
+            arrays = [v for v in fields if isinstance(v, np.ndarray)] + list(groups.pairs)
+            # two (n,) arrays, the sentences' groups and loads, and at most
+            # eight groups in the default tree's widest context
+            assert sum(a.nbytes for a in arrays) < 24 * n
 
 
 def long_post(n: int, seed: int = 0) -> Post:
@@ -387,6 +392,30 @@ def long_post(n: int, seed: int = 0) -> Post:
         sentences=[f"sentence number {i} here." for i in range(n)],
         sentence_presence=[tuple(int(b) for b in row) for row in rng.integers(0, 2, (n, 3))],
     )
+
+
+def random_layer(rng, n: int, bits: int, epsilon: float):
+    """Random restricted connection vectors for n sentences and their
+    `_Groups`."""
+    restricted = [tuple(int(b) for b in row) for row in rng.integers(0, 2, (n, bits))]
+    return restricted, model_module._layer_groups(restricted, epsilon)
+
+
+def pair_loop(contribs: np.ndarray, restricted, epsilon: float):
+    """The penalty and its gradient pair by pair, in `contribs`' dtype: the
+    definition the group form must meet."""
+    n = len(restricted)
+    value = contribs.dtype.type(0.0)
+    grad = np.zeros_like(contribs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist = sum(a != b for a, b in zip(restricted[i], restricted[j]))
+            diff = contribs[i] - contribs[j]
+            weight = 1.0 / (dist + epsilon)
+            value -= weight * (diff * diff).sum()
+            grad[i] -= 2.0 * weight * diff
+            grad[j] += 2.0 * weight * diff
+    return value, grad
 
 
 class TestPairPath:
@@ -411,74 +440,67 @@ class TestPairPath:
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("n", [5, 100])  # one block, several blocks
     def test_blocked_penalty_equals_one_pass(self, rng, dtype, n):
-        pi, pj = model_module._pairs(n)
+        # the cross term walks the group pairs block by block; eight bits
+        # give up to n groups
+        _, groups = random_layer(rng, n, 8, 1e-6)
+        g, h = groups.pairs
         block = model_module._BLOCK_BYTES // (16 * np.dtype(dtype).itemsize)
-        assert (pi.size > block) == (n == 100)
+        assert (g.size > block) == (n == 100)
         contribs = rng.standard_normal((n, 16)).astype(dtype)
-        inv_dist = 1.0 / (rng.integers(0, 4, pi.size) + 1e-6)
-        diffs = contribs[pi] - contribs[pj]
-        expected = -np.dot(inv_dist, (diffs * diffs).sum(axis=1))
-        got = model_module._penalty(contribs, pi, pj, inv_dist)
+        means = model_module._group_means(contribs, groups)
+        spread = contribs - means[groups.codes]
+        diffs = means[g] - means[h]
+        within = (spread * spread).sum(axis=1) * groups.load
+        cross = (diffs * diffs).sum(axis=1) * groups.cross
+        expected = -np.add.accumulate(np.concatenate((within, cross)))[-1]
+        got = model_module._penalty(contribs, groups)
         assert got.dtype == expected.dtype == dtype
-        assert got.tobytes() == expected.tobytes()
+        assert_identical(got, expected, "penalty")
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("lead", [(), (3,)])  # one post, a bucket of three
     # 6, 15 and 28 pairs in blocks of 7: one block, a partial last block,
     # four full blocks
     @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_reused_block_buffers_equal_one_pass(self, rng, monkeypatch, dtype, lead, n):
+    def test_partial_and_full_blocks_equal_one_pass(self, rng, monkeypatch, dtype, lead, n):
         # a budget of exactly seven (posts, pair, d) rows
         pair_bytes = math.prod(lead) * 16 * np.dtype(dtype).itemsize
         monkeypatch.setattr(model_module, "_BLOCK_BYTES", 7 * pair_bytes)
         pi, pj = model_module._pairs(n)
         contribs = rng.standard_normal(lead + (n, 16)).astype(dtype)
-        inv_dist = 1.0 / (rng.integers(0, 4, lead + pi.shape) + 1e-6)
-        diffs = contribs[..., pi, :] - contribs[..., pj, :]
-        # C order, as `_penalty` lays out its squared norms: a bucket's
-        # indexing above leaves them pair-major, and the per-post dot
-        # products would then take another BLAS path
-        sq = np.ascontiguousarray((diffs * diffs).sum(axis=-1))
-        if lead:
-            expected = -np.matmul(inv_dist[:, None, :], sq[:, :, None])[:, 0, 0]
-        else:
-            expected = -np.dot(inv_dist, sq)
-        got = model_module._penalty(contribs, pi, pj, inv_dist)
-        assert_identical(got, expected, "penalty")
+        blocks = list(model_module._pair_diffs(contribs, pi, pj))
+        assert len(blocks) == -(-pi.size // 7)
+        assert [s.start for s, _ in blocks] == list(range(0, pi.size, 7))
+        got = np.concatenate([diffs for _, diffs in blocks], axis=-2)
+        assert_identical(got, contribs[..., pi, :] - contribs[..., pj, :], "pair diffs")
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     # one post, then buckets whose block shrinks as they grow: at 4 KiB a
-    # block holds 32, 16 and 6 pairs of float64 rows at d = 16
+    # block holds 32, 16 and 6 group pairs of float64 rows at d = 16
     @pytest.mark.parametrize("lead", [(), (2,), (5,)])
     def test_penalty_is_the_same_whatever_the_block_size(
         self, rng, monkeypatch, dtype, lead
     ):
-        n = 40  # 780 pairs
-        pi, pj = model_module._pairs(n)
-        contribs = rng.standard_normal(lead + (n, 16)).astype(dtype)
-        inv_dist = 1.0 / (rng.integers(0, 4, lead + pi.shape) + 1e-6)
+        # 40 sentences with eight bits fall into about 37 groups
+        layers = [random_layer(rng, 40, 8, 1e-6)[1] for _ in range(math.prod(lead))]
+        groups = model_module._stack_groups(layers) if lead else layers[0]
+        g, h = groups.pairs
+        contribs = rng.standard_normal(lead + (40, 16)).astype(dtype)
         pair_bytes = math.prod(lead) * 16 * np.dtype(dtype).itemsize
-        # one block for all pairs: the one-pass reference
-        monkeypatch.setattr(model_module, "_BLOCK_BYTES", pi.size * pair_bytes)
-        want = model_module._penalty(contribs, pi, pj, inv_dist)
-        diffs = contribs[..., pi, :] - contribs[..., pj, :]
-        sq = np.ascontiguousarray((diffs * diffs).sum(axis=-1))
-        if lead:
-            expected = -np.matmul(inv_dist[:, None, :], sq[:, :, None])[:, 0, 0]
-        else:
-            expected = -np.dot(inv_dist, sq)
-        assert_identical(want, expected, "one-block penalty")
+        # one block for all group pairs: the one-pass reference
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", g.size * pair_bytes)
+        want = model_module._penalty(contribs, groups)
         # below one pair's bytes a block still holds one pair
         for budget in (1, pair_bytes, 3 * pair_bytes, 4096, 64 * pair_bytes):
             monkeypatch.setattr(model_module, "_BLOCK_BYTES", budget)
-            blocks = list(model_module._pair_diffs(contribs, pi, pj))
-            assert len(blocks) == -(-pi.size // max(1, budget // pair_bytes))
-            got = model_module._penalty(contribs, pi, pj, inv_dist)
+            blocks = list(model_module._pair_diffs(contribs, g, h))
+            assert len(blocks) == -(-g.size // max(1, budget // pair_bytes))
+            got = model_module._penalty(contribs, groups)
             assert_identical(got, want, f"penalty at {budget} B")
 
     def test_forward_on_a_300_sentence_post_stays_small(self, make_model):
-        # the pair path works in fixed-size blocks; one (pairs, d) temporary
-        # over all 44,850 pairs would take 23 MB at d = 64
+        # the groups' arrays are O(n); one (pairs, d) temporary over all
+        # 44,850 pairs would take 23 MB at d = 64
         model = make_model(dimension=64, epsilon=1.0)
         post = long_post(300)
         forward(model, post)  # warm-up only: forward caches no embeddings
@@ -489,6 +511,84 @@ class TestPairPath:
         finally:
             tracemalloc.stop()
         assert peak < 20_000_000
+
+
+class TestGroupPenalty:
+    """The penalty and its gradient over groups of equal connection vectors
+    against the pair-by-pair definition."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_penalty_and_gradient_match_a_pair_loop(self, dtype):
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            n = int(rng.integers(2, 40))
+            d = int(rng.integers(1, 17))
+            epsilon = float(10.0 ** rng.uniform(-8, 0))
+            restricted, groups = random_layer(rng, n, int(rng.integers(1, 4)), epsilon)
+            contribs = rng.standard_normal((n, d)).astype(dtype)
+            want, want_grad = pair_loop(contribs, restricted, epsilon)
+            got = model_module._penalty(contribs, groups)
+            assert got.dtype == dtype
+            assert got <= 0.0
+            assert abs(got - want) <= 1e-13 * abs(want)
+            grad = model_module._penalty_grad(
+                contribs[None], model_module._stack_groups([groups]), np.ones(1, dtype),
+                np.empty((1, n, d), dtype),
+            )[0]
+            assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_equal_rows_give_exactly_zero(self, dtype):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            _, groups = random_layer(rng, n, int(rng.integers(1, 4)), 1e-6)
+            row = rng.standard_normal(int(rng.integers(1, 9))).astype(dtype)
+            contribs = np.tile(row, (n, 1))
+            assert model_module._penalty(contribs, groups) == 0.0
+            grad = model_module._penalty_grad(
+                contribs[None], model_module._stack_groups([groups]), np.ones(1, dtype),
+                np.empty((1,) + contribs.shape, dtype),
+            )
+            assert not grad.any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_a_bucket_gives_each_post_its_own_penalty(self, dtype):
+        # posts of one length with 1 to 8 groups: each is padded to the
+        # bucket's largest count, and its row is its one-post penalty
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 9, 30):
+            layers = [random_layer(rng, n, bits, 0.1)[1] for bits in (1, 2, 3, 3, 3)]
+            assert len({g.first.size for g in layers}) > 1
+            contribs = rng.standard_normal((len(layers), n, 8)).astype(dtype)
+            bucket = model_module._penalty(contribs, model_module._stack_groups(layers))
+            for b, groups in enumerate(layers):
+                single = model_module._penalty(contribs[b], groups)
+                assert_identical(bucket[b], single, f"n={n} b={b}")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_padded_groups_add_nothing(self, dtype):
+        rng = np.random.default_rng(4)
+        # one group, then two, padded to eight groups by a post that has them
+        many = model_module._layer_groups([(i % 2, i // 2 % 2, i // 4) for i in range(8)], 0.5)
+        for restricted in ([(1, 0, 0)] * 8, [(1, 0, 0)] * 4 + [(0, 0, 1)] * 4):
+            groups = model_module._layer_groups(restricted, 0.5)
+            padded = model_module._stack_groups([groups, many])
+            assert padded.first.shape == (2, 8)
+            contribs = rng.standard_normal((2, 8, 4)).astype(dtype)
+            alone = model_module._stack_groups([groups])
+            assert_identical(
+                model_module._penalty(contribs, padded)[0],
+                model_module._penalty(contribs[:1], alone)[0],
+                "penalty",
+            )
+            grads = [
+                model_module._penalty_grad(
+                    c, gr, np.ones(len(c), dtype), np.empty(c.shape, dtype)
+                )[0]
+                for c, gr in ((contribs, padded), (contribs[:1], alone))
+            ]
+            assert_identical(*grads, "gradient")
 
 
 class TestAggregateProbs:
@@ -554,11 +654,12 @@ class TestCompilePost:
         compiled = compile_post(model, post)
         eps = model.epsilon
         # layer contexts: {0}, {0,1}, {0,1,2}, {0,1,2} restrict the two
-        # presence rows to hamming distances 1, 2, 2, 2
-        expected = np.array(
-            [[1.0 / (1 + eps)], [1.0 / (2 + eps)], [1.0 / (2 + eps)], [1.0 / (2 + eps)]]
-        )
-        np.testing.assert_allclose(compiled.inv_dist, expected, atol=1e-15)
+        # presence rows to hamming distances 1, 2, 2, 2: two groups of one
+        # sentence each, one group pair whose weight is the pair's
+        for groups, dist in zip(compiled.groups, (1, 2, 2, 2)):
+            assert groups.codes.tolist() == [0, 1]
+            assert [p.tolist() for p in groups.pairs] == [[0], [1]]
+            assert groups.cross.tolist() == [1.0 / (dist + eps)]
         assert compiled.gold is None
         assert compiled.n_sentences == 2
 

@@ -576,9 +576,9 @@ class TestFiniteDifferenceAgreement:
         real = model_module._run_bucket
 
         def reversed_rows(model, cps, arena):
-            passes, inv_dist = real(model, cps, arena)
+            passes, groups = real(model, cps, arena)
             if cps[0].n_sentences != 2:
-                return passes, inv_dist
+                return passes, groups
             assert len(cps) == 2
             return [
                 LayerPass(
@@ -588,7 +588,10 @@ class TestFiniteDifferenceAgreement:
                     }
                 )
                 for lp in passes
-            ], inv_dist[:, ::-1]
+            ], [
+                model_module._stack_groups([cp.groups[li] for cp in cps[::-1]])
+                for li in range(len(groups))
+            ]
 
         monkeypatch.setattr(model_module, "_run_bucket", reversed_rows)
         model = checkable_model(make_model, seed=6, dimension=4)
@@ -756,10 +759,10 @@ def three_sentence_posts(n_posts: int) -> list[Post]:
 
 
 class TestBlockedBackward:
-    """The backward's pair gradient works through the pairs block by block,
-    in the same byte budget as the forward's penalty; every block size
-    gives the loss and gradients of one unblocked pass over all pairs, bit
-    for bit."""
+    """The backward's gradient works through the group pairs block by
+    block, in the same byte budget as the forward's penalty; every block
+    size gives the loss and gradients of one unblocked pass over all group
+    pairs, bit for bit."""
 
     @staticmethod
     def long_posts(n_posts: int, n: int) -> list[Post]:
@@ -776,28 +779,28 @@ class TestBlockedBackward:
 
     def test_every_block_size_matches_an_unblocked_reference(self, make_model, monkeypatch):
         model = checkable_model(make_model, seed=4, dimension=16)
-        # one bucket of three 40-sentence posts: 780 pairs of 3 * 16 * 8 B
+        # one bucket of three 40-sentence posts; group pairs of 3 * 16 * 8 B
         compiled = compile_batch(model, as_batch(*self.long_posts(3, 40)))
         pair_bytes = 3 * 16 * 8
+        # the widest layers hold eight groups, 28 group pairs
+        assert max(gr.cross.size for cp in compiled for gr in cp.groups) == 28
 
         def unblocked(contribs, pi, pj):
             yield slice(None), contribs[..., pi, :] - contribs[..., pj, :]
 
         with monkeypatch.context() as patch:
             # the forward's penalty and the backward's `_penalty_grad` both
-            # walk the pairs through `model._pair_diffs`
+            # walk the group pairs through `model._pair_diffs`
             patch.setattr(model_module, "_pair_diffs", unblocked)
             want_value, want = loss_and_gradients(model, compiled)
         assert all(np.any(g) for _, g in want.blocks())
-        default = model_module._BLOCK_BYTES
-        # one pair per block, a partial last block, the default, one block
-        for budget in (1, 7 * pair_bytes, default, 780 * pair_bytes):
+        # one group pair per block, a partial last block, the default
+        for budget in (1, 5 * pair_bytes, model_module._BLOCK_BYTES):
             monkeypatch.setattr(model_module, "_BLOCK_BYTES", budget)
             value, grads = loss_and_gradients(model, compiled)
             assert value.hex() == want_value.hex(), budget
             for (name, expected), (_, got) in zip(want.blocks(), grads.blocks()):
                 assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (name, budget)
-        assert 1 < -(-780 // (default // pair_bytes))  # the default takes several blocks
 
 
 class TestArena:

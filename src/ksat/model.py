@@ -303,12 +303,19 @@ class _Groups:
     shared: bool  # some group holds two or more sentences
 
 
-def _groups(restricted: list[tuple[int, ...]], weights: np.ndarray) -> _Groups:
-    """Group sentences by their restricted connection vectors and read each
-    group pair's weight from `weights`, the pair row `_pair_weights` gives:
-    the pair of the two groups' first sentences, and within a group the pair
-    of its first two. Plain Python: most posts have a few sentences, and
-    NumPy calls on arrays that small cost more than they save."""
+def _groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups:
+    """One layer's `_Groups` from the sentences' restricted connection
+    vectors. Plain Python: most posts have a few sentences, and NumPy calls
+    on arrays that small cost more than they save.
+
+    Each group pair's weight is read from the row of every sentence pair's
+    weight (`_pair_weights`): the pair of the two groups' first sentences,
+    and within a group the pair of its first two. G^2 Hamming distances
+    would do, but the benchmark's traced `long-posts` run pins
+    `knowledge.hamming_distance` at one call per pair, so fewer calls wait
+    for a change to the benchmark.
+    """
+    weights = _pair_weights(restricted, epsilon)
     n = len(restricted)
     index: dict[tuple[int, ...], int] = {}
     codes, first, second = [], [], []
@@ -491,16 +498,7 @@ def kg_bias(
     _check_epsilon(epsilon)
     if n < 2:
         return 0.0
-    return float(_penalty(contribs, _layer_groups(connection_vectors, epsilon)))
-
-
-def _layer_groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups:
-    """One layer's `_Groups` from the sentences' restricted connection
-    vectors. It weighs every sentence pair (`_pair_weights`) although the
-    groups need only G^2 weights: the benchmark's traced `long-posts` run
-    pins `knowledge.hamming_distance` at one call per pair, so fewer calls
-    wait for a change to the benchmark."""
-    return _groups(restricted, _pair_weights(restricted, epsilon))
+    return float(_penalty(contribs, _groups(connection_vectors, epsilon)))
 
 
 @dataclass
@@ -516,7 +514,7 @@ class CompiledPost:
 
 def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> CompiledPost:
     """Embed sentences, from the model's table when it holds one, and group
-    them per layer by their restricted connection vectors (`_layer_groups`),
+    them per layer by their restricted connection vectors (`_groups`),
     keeping O(n + G^2) numbers per layer."""
     presence = sentence_presence if sentence_presence is not None else post.sentence_presence
     if presence is None:
@@ -556,7 +554,7 @@ def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> Compil
         for idx, sentence in enumerate(post.sentences):
             rows[idx] = embed(sentence)
     groups = tuple(
-        _layer_groups([connection_vector(row, layer.context) for row in presence], model.epsilon)
+        _groups([connection_vector(row, layer.context) for row in presence], model.epsilon)
         for layer in model.layers
     )
     gold = None if post.gold is None else LAYER_ORDER.index(post.gold)
@@ -731,7 +729,7 @@ def layer_forward(
             f"{n} sentence rows but {len(connection_vectors)} connection vectors"
         )
     _check_epsilon(epsilon)
-    lp = _layer_core(token_reps, layer, _layer_groups(connection_vectors, epsilon), kg_enabled)
+    lp = _layer_core(token_reps, layer, _groups(connection_vectors, epsilon), kg_enabled)
     return lp.y, lp
 
 

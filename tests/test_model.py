@@ -398,7 +398,7 @@ def random_layer(rng, n: int, bits: int, epsilon: float):
     """Random restricted connection vectors for n sentences and their
     `_Groups`."""
     restricted = [tuple(int(b) for b in row) for row in rng.integers(0, 2, (n, bits))]
-    return restricted, model_module._layer_groups(restricted, epsilon)
+    return restricted, model_module._groups(restricted, epsilon)
 
 
 def pair_loop(contribs: np.ndarray, restricted, epsilon: float):
@@ -570,9 +570,9 @@ class TestGroupPenalty:
     def test_padded_groups_add_nothing(self, dtype):
         rng = np.random.default_rng(4)
         # one group, then two, padded to eight groups by a post that has them
-        many = model_module._layer_groups([(i % 2, i // 2 % 2, i // 4) for i in range(8)], 0.5)
+        many = model_module._groups([(i % 2, i // 2 % 2, i // 4) for i in range(8)], 0.5)
         for restricted in ([(1, 0, 0)] * 8, [(1, 0, 0)] * 4 + [(0, 0, 1)] * 4):
-            groups = model_module._layer_groups(restricted, 0.5)
+            groups = model_module._groups(restricted, 0.5)
             padded = model_module._stack_groups([groups, many])
             assert padded.first.shape == (2, 8)
             contribs = rng.standard_normal((2, 8, 4)).astype(dtype)

@@ -4,8 +4,10 @@
 The outputs are forward finals, every `LayerPass` field and its
 `layer_probs` property, short `train` traces and parameters with the
 graph-context penalty on and off, at two sizes (the larger fills length
-buckets past 128 KiB per array), `backward` gradients on short posts and on
-longer ones, a small `finite_diff_check`'s block errors, and what
+buckets past 128 KiB per array), `backward` gradients on short posts, on
+longer ones and on a bucket whose layers hold dozens of sentence groups, the
+penalty (`kg_bias`) over nearly as many groups as rows, a small
+`finite_diff_check`'s block errors, and what
 the loss's collapse guard reports on a batch crafted to collapse, through
 `loss` and through `train`, annotations at each fragment size, a lattice
 search's result, the raw annotation cosines at each fragment size and the
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -45,8 +48,8 @@ from ksat.annotation import AnnotationParams, _cosine_rows, apply_annotations, g
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import NumericalError
-from ksat.knowledge import Outcome, default_tree
-from ksat.model import ARRAY_BLOCKS, KsatModel, LayerPass, compile_post, forward
+from ksat.knowledge import LAYER_ORDER, Concept, KnowledgeTree, Outcome, default_tree
+from ksat.model import ARRAY_BLOCKS, KsatModel, LayerPass, compile_post, forward, kg_bias
 from ksat.training import TrainConfig, backward, finite_diff_check, loss, train
 
 SEED = 3
@@ -81,6 +84,20 @@ def _parameters(model: KsatModel) -> list:
         for layer in model.layers
         for value in (*(getattr(layer, name) for name in ARRAY_BLOCKS), layer.a_raw)
     ]
+
+
+def _wide_tree(k: int) -> KnowledgeTree:
+    """A taxonomy of k concepts whose first layer reads the last k - 1 of
+    them and the others all k, so a post's sentences fall into dozens of
+    groups per layer; an assignment's outcome is its concept count mod 4."""
+    return KnowledgeTree(
+        concepts=tuple(Concept(i, f"c{i}", f"concept {i}") for i in range(k)),
+        outcome_map={
+            bits: LAYER_ORDER[sum(bits) % 4]
+            for bits in itertools.product((0, 1), repeat=k)
+        },
+        layer_contexts={o: tuple(range(max(0, 1 - i), k)) for i, o in enumerate(LAYER_ORDER)},
+    )
 
 
 def digest_lines() -> list[str]:
@@ -128,6 +145,29 @@ def digest_lines() -> list[str]:
     long_set = _corpus(tree, 4, (60, 60))
     grads = backward(model, [(p, p.sentence_presence, p.gold) for p in long_set.posts])
     lines.append(("backward.long_bucket", _digest(value for _, value in grads.blocks())))
+    # the penalty over nearly as many groups as sentences: 200 rows whose
+    # nine-bit connection vectors fall into 171 groups
+    rng = np.random.default_rng(SEED)
+    vectors = [tuple(row) for row in rng.integers(0, 2, (200, 9)).tolist()]
+    rows = rng.standard_normal((200, 16))
+    lines.append(("kg_bias.many_groups", _digest([kg_bias(rows, vectors, 1e-3)])))
+    # backward, penalty on, over one bucket of three 60-sentence posts on a
+    # six-concept taxonomy, whose layers hold 20 or more groups each
+    wide_tree = _wide_tree(6)
+    many = [
+        Post(
+            id=f"m{b}",
+            sentences=[f"post {b} sentence {i}." for i in range(60)],
+            gold=LAYER_ORDER[b],
+            sentence_presence=[tuple(row) for row in rng.integers(0, 2, (60, 6)).tolist()],
+        )
+        for b in range(3)
+    ]
+    grouped = _model(wide_tree, 16, epsilon=1.0, value_scale=0.25)
+    counts = [gr.first.size for p in many for gr in compile_post(grouped, p).groups]
+    assert min(counts) >= 20, counts
+    grads = backward(grouped, [(p, p.sentence_presence, p.gold) for p in many])
+    lines.append(("backward.many_groups", _digest(value for _, value in grads.blocks())))
     # finite differences at d = 4 on three posts
     small = _model(tree, 4, epsilon=1.0, value_scale=0.25)
     report = finite_diff_check(small, batch[:3], TrainConfig())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
@@ -29,8 +30,6 @@ from .model import (
     _log_normalized,
     _log_probs_array,
     _log_products,
-    _pair_diffs,
-    _pairs,
     _ranked,
     compile_post,
     forward,
@@ -150,6 +149,29 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
     """Sum over the first axis, added term by term from 0.0 as a per-post
     loop adds ("+ 0.0": such a loop never ends at -0.0); ``sum`` pairs up."""
     return np.add.accumulate(values, axis=0)[-1] + 0.0
+
+
+def _pairs(n: int) -> np.ndarray:
+    """``(2, P)`` lexicographic (i<j) pair indices for n items."""
+    return np.stack(np.triu_indices(n, 1))
+
+
+# Bytes per block of `_pair_diffs`: one block array stays below glibc's
+# initial mmap threshold (128 KiB) and is served from the heap, not from a
+# fresh mapping whose pages fault in on every call.
+_BLOCK_BYTES = 64 * 1024
+
+
+def _pair_diffs(reps: np.ndarray, pi: np.ndarray, pj: np.ndarray):
+    """Yield ``(s, diffs)`` block by block, in pair order: `s` slices the
+    block's pairs and `diffs` is ``reps[..., pi[s], :] - reps[..., pj[s],
+    :]``, a fresh array. Post pairs grow with the square of the post count,
+    so a block holds as many as fit `_BLOCK_BYTES`, at least one."""
+    lead = reps.shape[:-2]
+    block = max(1, _BLOCK_BYTES // (math.prod(lead) * reps.shape[-1] * reps.itemsize))
+    for lo in range(0, pi.size, block):
+        s = slice(lo, lo + block)
+        yield s, reps.take(pi[s], axis=-2) - reps.take(pj[s], axis=-2)
 
 
 def _pair_norms(reps: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:

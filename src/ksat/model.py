@@ -199,17 +199,12 @@ class KsatModel:
         )
 
 
-def _pairs(n: int) -> np.ndarray:
-    """``(2, P)`` lexicographic (i<j) sentence pair indices for n sentences."""
-    return np.stack(np.triu_indices(n, 1))
-
-
 def _pair_weights(restricted: list[tuple[int, ...]], epsilon: float) -> np.ndarray:
-    """Penalty weight of every sentence pair, in lexicographic (i<j) order.
+    """Penalty weight of every sentence pair, in lexicographic (i<j) order,
+    the order ``itertools.combinations`` yields them in.
 
     ``restricted`` holds the sentences' connection vectors restricted to one
     layer's context; each pair is weighted by 1/(hamming distance + epsilon).
-    ``itertools.combinations`` yields the pairs in the order of `_pairs`.
     """
     n = len(restricted)
     dists = np.fromiter(
@@ -255,28 +250,6 @@ class _Arena:
             self.buffer = np.empty(self.high, self.dtype)
 
 
-# Bytes per block of `_pair_diffs`: a block holds as many pairs as fit one
-# ``(posts, pairs, d)`` array in this budget, so each block array stays below
-# glibc's initial mmap threshold (128 KiB) and is served from the heap, not
-# from a fresh mapping whose pages fault in on every call.
-_BLOCK_BYTES = 64 * 1024
-
-
-def _pair_diffs(contribs: np.ndarray, pi: np.ndarray, pj: np.ndarray):
-    """Yield ``(s, diffs)`` block by block, in pair order: `s` slices the
-    block's pairs and `diffs` is ``contribs[..., pi[s], :] - contribs[...,
-    pj[s], :]``, a fresh array the caller may overwrite.
-
-    A block holds as many pairs as fit one `diffs` in `_BLOCK_BYTES`, at
-    least one.
-    """
-    lead = contribs.shape[:-2]
-    block = max(1, _BLOCK_BYTES // (math.prod(lead) * contribs.shape[-1] * contribs.itemsize))
-    for lo in range(0, pi.size, block):
-        s = slice(lo, lo + block)
-        yield s, contribs.take(pi[s], axis=-2) - contribs.take(pj[s], axis=-2)
-
-
 @dataclass(slots=True)
 class _Groups:
     """One layer's sentences grouped by equal restricted connection vectors:
@@ -284,22 +257,18 @@ class _Groups:
 
     A pair's weight depends only on its two sentences' groups: 1/epsilon
     within a group, ``W_gh`` across groups g and h. Groups are numbered by
-    their first sentence. For a bucket of posts of one length (`_stack_groups`)
-    every field but `pairs` and `shared` gains a leading post axis, `codes`
-    and `first` index the bucket's rows with the post axis flattened, and
-    each post's groups are padded to the bucket's largest count with empty
-    groups (size 0, weight 0), which add nothing.
+    their first sentence; `cross` is one dense table. For a bucket of posts
+    of one length (`_stack_groups`) every field but `shared` gains a
+    leading post axis, `codes` and `first` index the bucket's rows with the
+    post axis flattened, and each post's groups are padded to the bucket's
+    largest count with empty groups (size 0, weight 0), which add nothing.
     """
 
     codes: np.ndarray  # (n,) each sentence's group
     first: np.ndarray  # (G,) each group's first sentence
     sizes: np.ndarray  # (G,) n_g, the sentences in each group
     load: np.ndarray  # (n,) (W n)_g of each sentence's group g, its own group included
-    # the group pairs g < h, as two (Q,) arrays of g and h, ordered by h,
-    # then g: a bucket's padded groups come last, so their pairs follow
-    # every real one
-    pairs: tuple[np.ndarray, np.ndarray]
-    cross: np.ndarray  # (Q,) W_gh n_g n_h of each group pair
+    cross: np.ndarray  # (G, G) W_gh n_g n_h, symmetric, 0 on the diagonal
     shared: bool  # some group holds two or more sentences
 
 
@@ -308,58 +277,54 @@ def _groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups:
     vectors. Plain Python: most posts have a few sentences, and NumPy calls
     on arrays that small cost more than they save.
 
-    Each group pair's weight is read from the row of every sentence pair's
-    weight (`_pair_weights`): the pair of the two groups' first sentences,
-    and within a group the pair of its first two. G^2 Hamming distances
-    would do, but the benchmark's traced `long-posts` run pins
+    A pair within a group weighs ``1 / (0 + epsilon)``. The weight of
+    groups g and h is read from the row of every sentence pair's weight
+    (`_pair_weights`), at their first sentences' pair. G^2 Hamming
+    distances would do, but the benchmark's traced `long-posts` run pins
     `knowledge.hamming_distance` at one call per pair, so fewer calls wait
     for a change to the benchmark.
     """
     weights = _pair_weights(restricted, epsilon)
     n = len(restricted)
     index: dict[tuple[int, ...], int] = {}
-    codes, first, second = [], [], []
+    codes, first = [], []
     for i, vector in enumerate(restricted):
         g = index.setdefault(vector, len(index))
         codes.append(g)
         if g == len(first):
             first.append(i)
-            second.append(None)
-        elif second[g] is None:
-            second[g] = i
     sizes = [0.0] * len(first)
     for g in codes:
         sizes[g] += 1.0
-
-    def weight(i: int, j: int) -> float:
-        # pair (i, j), i < j, sits at i (2n - i - 3) / 2 + j - 1 in the row
-        return float(weights[i * (2 * n - i - 3) // 2 + j - 1])
-
-    # W_gh, and 0 on the diagonal of a one-sentence group, which has no pair
-    table = [[0.0] * len(first) for _ in first]
-    for h, (start, other) in enumerate(zip(first, second)):
-        if other is not None:
-            table[h][h] = weight(start, other)
-        for g in range(h):
-            table[g][h] = table[h][g] = weight(first[g], start)
+    within = 1.0 / (0.0 + epsilon)
+    table = [[0.0] * len(first) for _ in first]  # W_gh
+    cross = [[0.0] * len(first) for _ in first]
+    for h, j in enumerate(first):
+        if sizes[h] > 1.0:
+            table[h][h] = within
+        for g, i in enumerate(first[:h]):
+            # pair (i, j), i < j, sits at i (2n - i - 3) / 2 + j - 1 in the row
+            table[g][h] = table[h][g] = float(weights[i * (2 * n - i - 3) // 2 + j - 1])
+            cross[g][h] = cross[h][g] = table[g][h] * sizes[g] * sizes[h]
     load = [sum(w * size for w, size in zip(row, sizes)) for row in table]
-    pairs = [(g, h) for h in range(len(first)) for g in range(h)]
-    lower, upper = np.array(pairs, np.intp).reshape(-1, 2).T
     return _Groups(
         codes=np.array(codes, np.intp),
         first=np.array(first, np.intp),
         sizes=np.array(sizes),
         load=np.array([load[g] for g in codes]),
-        pairs=(lower, upper),
-        cross=np.array([table[g][h] * sizes[g] * sizes[h] for g, h in pairs]),
+        cross=np.array(cross),
         shared=len(first) < n,
     )
 
 
-def _padded(rows: list[np.ndarray], size: int) -> np.ndarray:
-    """The 1-D `rows` stacked, each padded with zeros to `size`."""
-    out = np.zeros((len(rows), size), rows[0].dtype)
-    out[np.arange(size) < np.array([r.size for r in rows])[:, None]] = np.concatenate(rows)
+def _padded(arrays: list[np.ndarray], size: int) -> np.ndarray:
+    """The `arrays`, each ``(m,)`` or ``(m, m)``, stacked and padded with
+    zeros to `size` on every axis."""
+    out = np.zeros((len(arrays),) + (size,) * arrays[0].ndim, arrays[0].dtype)
+    inside = np.arange(size) < np.array([a.shape[0] for a in arrays])[:, None]
+    if arrays[0].ndim == 2:
+        inside = inside[:, :, None] & inside[:, None, :]
+    out[inside] = np.concatenate([a.ravel() for a in arrays])
     return out
 
 
@@ -367,14 +332,12 @@ def _stack_groups(groups: Sequence[_Groups]) -> _Groups:
     """One layer's groups of a bucket's posts, stacked and padded (`_Groups`)."""
     n, size = groups[0].codes.size, max(gr.first.size for gr in groups)
     offsets = np.arange(len(groups))[:, None]
-    upper, lower = np.tril_indices(size, -1)
     return _Groups(
         codes=np.stack([gr.codes for gr in groups]) + size * offsets,
         first=_padded([gr.first for gr in groups], size) + n * offsets,
         sizes=_padded([gr.sizes for gr in groups], size),
         load=np.stack([gr.load for gr in groups]),
-        pairs=(lower, upper),
-        cross=_padded([gr.cross for gr in groups], lower.size),
+        cross=_padded([gr.cross for gr in groups], size),
         shared=any(gr.shared for gr in groups),
     )
 
@@ -416,15 +379,16 @@ def _penalty(contribs: np.ndarray, groups: _Groups):
         -sum_g SS_g (W n)_g - sum_{g<h} W_gh n_g n_h ||mu_g - mu_h||^2,
 
     with SS_g the sum of ``||c_i - mu_g||^2`` over group g. The within term
-    is skipped when every group is one sentence, the cross term when there
-    is one group.
+    is skipped when every group is one sentence.
 
     For one post `contribs` is ``(n, d)``, n >= 2; for a bucket of posts of
     one length it is ``(B, n, d)`` with `groups` stacked (`_stack_groups`),
-    and the result is ``(B,)``. The terms are added in one running sum,
-    sentences then group pairs, so a bucket's padded pairs add their zeros
-    last and each post's penalty is its own, bit for bit. Dtype-preserving,
-    so the finite-difference checker can run it in extended precision.
+    and the result is ``(B,)``. The cross term walks the groups, group h
+    against groups 0..h-1 in one ``(..., h, d)`` array, and all terms go
+    into one running sum, sentences then group pairs by h, then g: a
+    bucket's padded groups add their zeros last, so each post's penalty is
+    its own, bit for bit. Dtype-preserving, so the finite-difference
+    checker can run it in extended precision.
     """
     means = _group_means(contribs, groups)
     terms = []
@@ -432,16 +396,11 @@ def _penalty(contribs: np.ndarray, groups: _Groups):
         spread = contribs - _rows(means, groups.codes)
         spread *= spread
         terms.append(groups.load * spread.sum(axis=-1))
-    g, h = groups.pairs
-    if g.size:
-        sq = np.empty(means.shape[:-2] + g.shape, dtype=means.dtype)
-        for s, diffs in _pair_diffs(means, g, h):
-            diffs *= diffs
-            diffs.sum(axis=-1, out=sq[..., s])
-        sq *= groups.cross
-        terms.append(sq)
-    total = terms[0] if len(terms) == 1 else np.concatenate(terms, axis=-1)
-    return -np.add.accumulate(total, axis=-1).take(-1, axis=-1)
+    for h in range(1, means.shape[-2]):
+        diffs = means[..., :h, :] - means[..., h, None, :]
+        diffs *= diffs
+        terms.append(diffs.sum(axis=-1) * groups.cross[..., h, :h])
+    return -np.add.accumulate(np.concatenate(terms, axis=-1), axis=-1).take(-1, axis=-1)
 
 
 def _penalty_grad(
@@ -454,18 +413,21 @@ def _penalty_grad(
     For sentence i of group g it is, in centred form,
     ``-2 g_pen [(W n)_g (c_i - mu_g) + sum_h W_gh n_h (mu_g - mu_h)]``: the
     mean's own derivative drops out, since ``sum_i (c_i - mu_g)`` is 0 over
-    the group. The group pairs go block by block (`_pair_diffs`), every
-    block's additions before any block's subtractions, so each group takes
-    its terms in the order one pass over all pairs gives them, bit for bit,
-    whatever the block size.
+    the group. The sum over h walks the groups: step m adds, for every g
+    at once, the term of group g + m (mod G) in one ``(..., G, d)`` array,
+    so each group takes its later groups' terms, then its earlier ones',
+    and a bucket's padded groups add zeros, which change nothing.
     """
     means = _group_means(contribs, groups)
+    size = means.shape[-2]
     pull = np.zeros_like(means)  # n_g sum_h W_gh n_h (mu_g - mu_h) per group g
-    g, h = groups.pairs
-    for accumulate, ends in ((np.add.at, g), (np.subtract.at, h)):
-        for s, diffs in _pair_diffs(means, g, h):
-            diffs *= groups.cross[..., s, None]
-            accumulate(pull, (..., ends[s], slice(None)), diffs)
+    # step m reads group g + m and weight [g, g + m] from these, unwrapped
+    twice = np.concatenate((means, means), axis=-2)
+    weights = np.concatenate((groups.cross, groups.cross), axis=-1)
+    for m in range(1, size):
+        diffs = means - twice[..., m : m + size, :]
+        diffs *= np.diagonal(weights, m, -2, -1)[..., None]
+        pull += diffs
     pull /= np.maximum(groups.sizes, 1.0)[..., None]
     out[...] = _rows(pull, groups.codes)
     if groups.shared:
@@ -509,7 +471,11 @@ class CompiledPost:
     embeddings: np.ndarray  # (n, d)
     groups: tuple[_Groups, ...]  # per layer, the penalty's sentence groups
     gold: int | None
-    n_sentences: int
+
+    @property
+    def n_sentences(self) -> int:
+        """The post's sentence count, the rows of `embeddings`."""
+        return self.embeddings.shape[0]
 
 
 def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> CompiledPost:
@@ -558,7 +524,7 @@ def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> Compil
         for layer in model.layers
     )
     gold = None if post.gold is None else LAYER_ORDER.index(post.gold)
-    return CompiledPost(post_id=post.id, embeddings=rows, groups=groups, gold=gold, n_sentences=n)
+    return CompiledPost(post_id=post.id, embeddings=rows, groups=groups, gold=gold)
 
 
 @dataclass(slots=True)
@@ -624,7 +590,8 @@ def _readout(layer: KsatLayerParams, y: np.ndarray, kg) -> dict[str, np.ndarray]
     `_readout_pass` rebuilds one."""
     alpha = sigmoid(layer.a_raw)
     mix = alpha * y[..., 1, :] + (1.0 - alpha) * y[..., 0, :]
-    # one post stays on `dot`, for speed, as `_penalty` measures
+    # one post stays on `dot`: the finite-difference checker reads out some
+    # 80,000 tiny posts one by one, and the bucket form costs 2-4 us more each
     if mix.ndim == 1:
         logits = layer.w_out.T.dot(mix) + kg
     else:
@@ -977,8 +944,17 @@ def load_model(
                 if embeddings_table is None
                 else f"{path}: the model embeds by feature hashing and takes no table"
             )
-        cfg = EmbeddingConfig(dimension=int(emb["dimension"]), seed=int(emb["seed"]))
-        d = int(data["dimension"])
+        d, enabled = data["dimension"], data.get("kg_bias_enabled", True)
+        # int() and bool() would read 64.9 as 64 and "false" as True
+        for key, value, kind in (
+            ("dimension", d, int),
+            ("embedding dimension", emb["dimension"], int),
+            ("embedding seed", emb["seed"], int),
+            ("kg_bias_enabled", enabled, bool),
+        ):
+            if type(value) is not kind:
+                raise DataFormatError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
+        cfg = EmbeddingConfig(dimension=emb["dimension"], seed=emb["seed"])
         if d != cfg.dimension:
             raise DataFormatError(f"{path}: model/embedding dimension mismatch")
         shapes = block_shapes(d)
@@ -1000,7 +976,7 @@ def load_model(
             tree=tree,
             embedding_config=cfg,
             epsilon=float(data.get("epsilon", DEFAULT_EPSILON)),
-            kg_bias_enabled=bool(data.get("kg_bias_enabled", True)),
+            kg_bias_enabled=enabled,
             embeddings_table=embeddings_table,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -33,7 +33,7 @@ from ksat.analysis import (
     write_distances_csv,
     write_metrics_json,
 )
-from ksat import model as model_module
+from ksat import analysis as analysis_module
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig, sentence_key
 from ksat.errors import DataFormatError, NumericalError
@@ -363,7 +363,7 @@ class TestBucketedReaders:
         model = make_model(dimension=16, seed=5, value_scale=0.25, epsilon=1.0)
         contributions, distances, within = per_post_reference(model, dataset.posts)
         # three pairs to a distance block, six to a within-class one
-        monkeypatch.setattr(model_module, "_BLOCK_BYTES", 3 * 2 * 16 * 8)
+        monkeypatch.setattr(analysis_module, "_BLOCK_BYTES", 3 * 2 * 16 * 8)
         assert contribution_report(model, dataset) == contributions
         report = distance_report(model, all_pairs(dataset))
         assert [(p.post_a, p.post_b, p.d_cls, p.d_kcls) for p in report.pairs] == distances

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ksat.corpus import Post
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
+from ksat import analysis as analysis_module
 from ksat import model as model_module
 from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome, connection_vector
 from ksat.model import (
@@ -377,9 +378,11 @@ class TestPenaltyPaths:
         assert len(compiled.groups) == 4
         for groups in compiled.groups:
             fields = [getattr(groups, f.name) for f in dataclasses.fields(groups)]
-            arrays = [v for v in fields if isinstance(v, np.ndarray)] + list(groups.pairs)
+            arrays = [v for v in fields if isinstance(v, np.ndarray)]
             # two (n,) arrays, the sentences' groups and loads, and at most
-            # eight groups in the default tree's widest context
+            # eight groups in the default tree's widest context, whose
+            # (G, G) table takes 512 B
+            assert groups.cross.shape == (groups.first.size,) * 2
             assert sum(a.nbytes for a in arrays) < 24 * n
 
 
@@ -433,25 +436,25 @@ class TestPairPath:
         weights = model_module._pair_weights(restricted, eps)
         assert weights.dtype == np.float64
         assert weights.tobytes() == np.array(loop_weights, dtype=np.float64).tobytes()
-        pairs = model_module._pairs(n)
+        pairs = analysis_module._pairs(n)
         assert pairs.shape == (2, len(loop_pairs))
         assert [tuple(p) for p in pairs.T.tolist()] == loop_pairs
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    @pytest.mark.parametrize("n", [5, 100])  # one block, several blocks
+    @pytest.mark.parametrize("n", [5, 100])  # a few groups, dozens
     def test_blocked_penalty_equals_one_pass(self, rng, dtype, n):
-        # the cross term walks the group pairs block by block; eight bits
-        # give up to n groups
+        # the cross term walks the groups, one block of group pairs per
+        # group; one pass over every pair (g, h), g < h, ordered by h, then
+        # g, gives the same sum bit for bit. Eight bits give up to n groups
         _, groups = random_layer(rng, n, 8, 1e-6)
-        g, h = groups.pairs
-        block = model_module._BLOCK_BYTES // (16 * np.dtype(dtype).itemsize)
-        assert (g.size > block) == (n == 100)
+        assert groups.first.size > (50 if n == 100 else 2)
+        h, g = np.tril_indices(groups.first.size, -1)
         contribs = rng.standard_normal((n, 16)).astype(dtype)
         means = model_module._group_means(contribs, groups)
         spread = contribs - means[groups.codes]
         diffs = means[g] - means[h]
         within = (spread * spread).sum(axis=1) * groups.load
-        cross = (diffs * diffs).sum(axis=1) * groups.cross
+        cross = (diffs * diffs).sum(axis=1) * groups.cross[h, g]
         expected = -np.add.accumulate(np.concatenate((within, cross)))[-1]
         got = model_module._penalty(contribs, groups)
         assert got.dtype == expected.dtype == dtype
@@ -465,38 +468,14 @@ class TestPairPath:
     def test_partial_and_full_blocks_equal_one_pass(self, rng, monkeypatch, dtype, lead, n):
         # a budget of exactly seven (posts, pair, d) rows
         pair_bytes = math.prod(lead) * 16 * np.dtype(dtype).itemsize
-        monkeypatch.setattr(model_module, "_BLOCK_BYTES", 7 * pair_bytes)
-        pi, pj = model_module._pairs(n)
+        monkeypatch.setattr(analysis_module, "_BLOCK_BYTES", 7 * pair_bytes)
+        pi, pj = analysis_module._pairs(n)
         contribs = rng.standard_normal(lead + (n, 16)).astype(dtype)
-        blocks = list(model_module._pair_diffs(contribs, pi, pj))
+        blocks = list(analysis_module._pair_diffs(contribs, pi, pj))
         assert len(blocks) == -(-pi.size // 7)
         assert [s.start for s, _ in blocks] == list(range(0, pi.size, 7))
         got = np.concatenate([diffs for _, diffs in blocks], axis=-2)
         assert_identical(got, contribs[..., pi, :] - contribs[..., pj, :], "pair diffs")
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    # one post, then buckets whose block shrinks as they grow: at 4 KiB a
-    # block holds 32, 16 and 6 group pairs of float64 rows at d = 16
-    @pytest.mark.parametrize("lead", [(), (2,), (5,)])
-    def test_penalty_is_the_same_whatever_the_block_size(
-        self, rng, monkeypatch, dtype, lead
-    ):
-        # 40 sentences with eight bits fall into about 37 groups
-        layers = [random_layer(rng, 40, 8, 1e-6)[1] for _ in range(math.prod(lead))]
-        groups = model_module._stack_groups(layers) if lead else layers[0]
-        g, h = groups.pairs
-        contribs = rng.standard_normal(lead + (40, 16)).astype(dtype)
-        pair_bytes = math.prod(lead) * 16 * np.dtype(dtype).itemsize
-        # one block for all group pairs: the one-pass reference
-        monkeypatch.setattr(model_module, "_BLOCK_BYTES", g.size * pair_bytes)
-        want = model_module._penalty(contribs, groups)
-        # below one pair's bytes a block still holds one pair
-        for budget in (1, pair_bytes, 3 * pair_bytes, 4096, 64 * pair_bytes):
-            monkeypatch.setattr(model_module, "_BLOCK_BYTES", budget)
-            blocks = list(model_module._pair_diffs(contribs, g, h))
-            assert len(blocks) == -(-g.size // max(1, budget // pair_bytes))
-            got = model_module._penalty(contribs, groups)
-            assert_identical(got, want, f"penalty at {budget} B")
 
     def test_forward_on_a_300_sentence_post_stays_small(self, make_model):
         # the groups' arrays are O(n); one (pairs, d) temporary over all
@@ -536,6 +515,28 @@ class TestGroupPenalty:
                 np.empty((1, n, d), dtype),
             )[0]
             assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
+
+    def test_groups_nearly_as_many_as_sentences(self):
+        # nine bits put 300 sentences into 229 groups, 26,106 group pairs:
+        # one (G, G, d) array of their differences would take 27 MB, and
+        # the walk keeps one group's row of them at a time
+        rng = np.random.default_rng(0)
+        restricted, groups = random_layer(rng, 300, 9, 1e-6)
+        assert groups.first.size == 229
+        contribs = rng.standard_normal((300, 64))
+        want, want_grad = pair_loop(contribs, restricted, 1e-6)
+        stacked = model_module._stack_groups([groups])
+        out = np.empty((1, 300, 64))
+        tracemalloc.start()
+        try:
+            got = model_module._penalty(contribs, groups)
+            grad = model_module._penalty_grad(contribs[None], stacked, np.ones(1), out)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_equal_rows_give_exactly_zero(self, dtype):
@@ -655,13 +656,19 @@ class TestCompilePost:
         eps = model.epsilon
         # layer contexts: {0}, {0,1}, {0,1,2}, {0,1,2} restrict the two
         # presence rows to hamming distances 1, 2, 2, 2: two groups of one
-        # sentence each, one group pair whose weight is the pair's
+        # sentence each, whose cross weight is the pair's
         for groups, dist in zip(compiled.groups, (1, 2, 2, 2)):
             assert groups.codes.tolist() == [0, 1]
-            assert [p.tolist() for p in groups.pairs] == [[0], [1]]
-            assert groups.cross.tolist() == [1.0 / (dist + eps)]
+            weight = 1.0 / (dist + eps)
+            assert groups.cross.tolist() == [[0.0, weight], [weight, 0.0]]
         assert compiled.gold is None
         assert compiled.n_sentences == 2
+
+    def test_sentence_count_is_the_embeddings_row_count(self, make_model):
+        compiled = compile_post(make_model(dimension=8), long_post(7))
+        assert compiled.n_sentences == compiled.embeddings.shape[0] == 7
+        with pytest.raises(AttributeError):
+            compiled.n_sentences = 3
 
     def test_gold_index_follows_layer_order(self, make_model):
         model = make_model()
@@ -851,6 +858,39 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match="epsilon must be finite") as info:
             load_model(path, tree)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("kg_bias_enabled",), "false"),
+            (("kg_bias_enabled",), 0),
+            (("dimension",), 4.9),
+            (("embedding", "dimension"), 4.0),
+            (("embedding", "seed"), "7"),
+            (("embedding", "seed"), True),
+        ],
+        ids=["flag-string", "flag-int", "dimension-float", "embedding-dimension-float",
+             "seed-string", "seed-bool"],
+    )
+    def test_load_rejects_a_mistyped_flag_or_integer(self, tree, make_model, tmp_path, keys, value):
+        # bool("false") is True and int(4.9) is 4: such a file would load
+        # with the penalty silently on or a truncated dimension
+        path = tmp_path / "model.json"
+        save_model(make_model(dimension=4, kg_bias_enabled=False), path)
+        data = json.loads(path.read_text())
+        entry = data
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataFormatError, match=keys[-1]) as info:
+            load_model(path, tree)
+        assert str(path) in str(info.value)
+
+    def test_load_keeps_a_switched_off_penalty(self, tree, make_model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(make_model(dimension=4, kg_bias_enabled=False), path)
+        assert load_model(path, tree).kg_bias_enabled is False
 
     def test_load_rejects_foreign_json(self, tree, tmp_path):
         path = tmp_path / "model.json"

@@ -758,51 +758,6 @@ def three_sentence_posts(n_posts: int) -> list[Post]:
     ]
 
 
-class TestBlockedBackward:
-    """The backward's gradient works through the group pairs block by
-    block, in the same byte budget as the forward's penalty; every block
-    size gives the loss and gradients of one unblocked pass over all group
-    pairs, bit for bit."""
-
-    @staticmethod
-    def long_posts(n_posts: int, n: int) -> list[Post]:
-        rng = np.random.default_rng(11)
-        return [
-            Post(
-                id=f"long{i}",
-                sentences=[f"post {i} sentence {j}." for j in range(n)],
-                gold=LAYER_ORDER[i % len(LAYER_ORDER)],
-                sentence_presence=[tuple(int(b) for b in rng.integers(0, 2, 3)) for _ in range(n)],
-            )
-            for i in range(n_posts)
-        ]
-
-    def test_every_block_size_matches_an_unblocked_reference(self, make_model, monkeypatch):
-        model = checkable_model(make_model, seed=4, dimension=16)
-        # one bucket of three 40-sentence posts; group pairs of 3 * 16 * 8 B
-        compiled = compile_batch(model, as_batch(*self.long_posts(3, 40)))
-        pair_bytes = 3 * 16 * 8
-        # the widest layers hold eight groups, 28 group pairs
-        assert max(gr.cross.size for cp in compiled for gr in cp.groups) == 28
-
-        def unblocked(contribs, pi, pj):
-            yield slice(None), contribs[..., pi, :] - contribs[..., pj, :]
-
-        with monkeypatch.context() as patch:
-            # the forward's penalty and the backward's `_penalty_grad` both
-            # walk the group pairs through `model._pair_diffs`
-            patch.setattr(model_module, "_pair_diffs", unblocked)
-            want_value, want = loss_and_gradients(model, compiled)
-        assert all(np.any(g) for _, g in want.blocks())
-        # one group pair per block, a partial last block, the default
-        for budget in (1, 5 * pair_bytes, model_module._BLOCK_BYTES):
-            monkeypatch.setattr(model_module, "_BLOCK_BYTES", budget)
-            value, grads = loss_and_gradients(model, compiled)
-            assert value.hex() == want_value.hex(), budget
-            for (name, expected), (_, got) in zip(want.blocks(), grads.blocks()):
-                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (name, budget)
-
-
 class TestArena:
     """`train` fits one arena after its first epoch and reuses it; the
     numbers are the ones fresh arrays give, and nothing outlives the call.

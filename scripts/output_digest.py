@@ -3,7 +3,9 @@
 
 The outputs are forward finals, every `LayerPass` field and its
 `layer_probs` property, short `train` traces and parameters with the
-graph-context penalty on and off, at two sizes (the larger fills length
+graph-context penalty on and off, at two sizes, the penalty-on trained
+model as `model_to_dict` reads it after a `save_model`/`load_model` round
+trip (the larger fills length
 buckets past 128 KiB per array), `backward` gradients on short posts, on
 longer ones and on a bucket whose layers hold dozens of sentence groups, the
 penalty (`kg_bias`) over nearly as many groups as rows, a small
@@ -29,7 +31,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 # before the ksat imports: each checkout must digest its own code
@@ -49,7 +53,17 @@ from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_syntheti
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import NumericalError
 from ksat.knowledge import LAYER_ORDER, Concept, KnowledgeTree, Outcome, default_tree
-from ksat.model import ARRAY_BLOCKS, KsatModel, LayerPass, compile_post, forward, kg_bias
+from ksat.model import (
+    ARRAY_BLOCKS,
+    KsatModel,
+    LayerPass,
+    compile_post,
+    forward,
+    kg_bias,
+    load_model,
+    model_to_dict,
+    save_model,
+)
 from ksat.training import TrainConfig, backward, finite_diff_check, loss, train
 
 SEED = 3
@@ -124,6 +138,12 @@ def digest_lines() -> list[str]:
         lines.append((f"train.penalty_{label}.losses", _digest(result.losses)))
         lines.append((f"train.penalty_{label}.alphas", _digest(result.alphas)))
         lines.append((f"train.penalty_{label}.params", _digest(_parameters(result.model))))
+    # persistence: the penalty-on model just trained, saved and loaded back
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(result.model, path)
+        saved = model_to_dict(load_model(path, tree))
+    lines.append(("model.save_load", _digest([json.dumps(saved, sort_keys=True)])))
     # train at d = 64 on posts of 1-5 sentences: the two-sentence bucket is
     # the largest, and its token-sized arrays take over 128 KiB each
     buckets_set = _corpus(tree, 150, (1, 5))

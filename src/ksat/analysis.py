@@ -151,36 +151,26 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=0)[-1] + 0.0
 
 
-def _pairs(n: int) -> np.ndarray:
-    """``(2, P)`` lexicographic (i<j) pair indices for n items."""
-    return np.stack(np.triu_indices(n, 1))
-
-
-# Bytes per block of `_pair_diffs`: one block array stays below glibc's
+# Bytes per block of `_pair_norms`: one block array stays below glibc's
 # initial mmap threshold (128 KiB) and is served from the heap, not from a
 # fresh mapping whose pages fault in on every call.
 _BLOCK_BYTES = 64 * 1024
 
 
-def _pair_diffs(reps: np.ndarray, pi: np.ndarray, pj: np.ndarray):
-    """Yield ``(s, diffs)`` block by block, in pair order: `s` slices the
-    block's pairs and `diffs` is ``reps[..., pi[s], :] - reps[..., pj[s],
-    :]``, a fresh array. Post pairs grow with the square of the post count,
-    so a block holds as many as fit `_BLOCK_BYTES`, at least one."""
+def _pair_norms(reps: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
+    """``||reps[..., pi[p], :] - reps[..., pj[p], :]||`` for every pair p.
+
+    Post pairs grow with the square of the post count, so their differences
+    are taken block by block, as many pairs as fit `_BLOCK_BYTES`, at least
+    one. Each norm is the square root of one dot product, as
+    `np.linalg.norm` of one vector, bit for bit; ``axis=-1`` norms sum the
+    squares another way."""
     lead = reps.shape[:-2]
     block = max(1, _BLOCK_BYTES // (math.prod(lead) * reps.shape[-1] * reps.itemsize))
+    out = np.empty(lead + pi.shape)
     for lo in range(0, pi.size, block):
         s = slice(lo, lo + block)
-        yield s, reps.take(pi[s], axis=-2) - reps.take(pj[s], axis=-2)
-
-
-def _pair_norms(reps: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
-    """``||reps[..., pi[p], :] - reps[..., pj[p], :]||`` for every pair p,
-    block by block (`_pair_diffs`). Each is the square root of one dot
-    product, as `np.linalg.norm` of one vector, bit for bit; ``axis=-1``
-    norms sum the squares another way."""
-    out = np.empty(reps.shape[:-2] + pi.shape)
-    for s, diffs in _pair_diffs(reps, pi, pj):
+        diffs = reps.take(pi[s], axis=-2) - reps.take(pj[s], axis=-2)
         squares = np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0]
         np.sqrt(squares, out=out[..., s])
     return out
@@ -330,7 +320,9 @@ def within_class_kcls_distance(model: KsatModel, dataset: Dataset) -> float:
     gold = np.array([cp.gold for cp in compiled], dtype=np.intp)
     kcls = _run_posts(model, compiled)[1][:, -1, 1]
     groups = (np.flatnonzero(gold == g) for g in dict.fromkeys(gold.tolist()))
-    dists = np.concatenate([np.empty(0), *(_pair_norms(kcls[m], *_pairs(len(m))) for m in groups)])
+    # each outcome's pairs in lexicographic (i<j) order
+    norms = (_pair_norms(kcls[m], *np.triu_indices(len(m), 1)) for m in groups)
+    dists = np.concatenate([np.empty(0), *norms])
     if not dists.size:
         raise ValueError("no same-outcome pair exists in this dataset")
     return float(np.mean(dists))

@@ -124,6 +124,7 @@ class KsatModel:
     tree: KnowledgeTree
     embedding_config: EmbeddingConfig
     epsilon: float = DEFAULT_EPSILON
+    # the penalty's switch; of the layer stack only `compile_post` reads it
     kg_bias_enabled: bool = True
     # sentence vectors by `sentence_key`; a model that holds a table is
     # file-backed and never hashes text. Not saved: `load_model` takes it.
@@ -137,6 +138,8 @@ class KsatModel:
             raise DataFormatError("model layers must follow the fixed outcome order")
         shapes = block_shapes(self.embedding_config.dimension)
         for layer in self.layers:
+            if layer.context != self.tree.layer_contexts[layer.outcome]:
+                raise DataFormatError(f"layer {layer.outcome.value}: context is not the tree's")
             for name, expected in shapes.items():
                 got = getattr(layer, name).shape
                 if got != expected:
@@ -413,20 +416,16 @@ def _penalty_grad(
     For sentence i of group g it is, in centred form,
     ``-2 g_pen [(W n)_g (c_i - mu_g) + sum_h W_gh n_h (mu_g - mu_h)]``: the
     mean's own derivative drops out, since ``sum_i (c_i - mu_g)`` is 0 over
-    the group. The sum over h walks the groups: step m adds, for every g
-    at once, the term of group g + m (mod G) in one ``(..., G, d)`` array,
-    so each group takes its later groups' terms, then its earlier ones',
-    and a bucket's padded groups add zeros, which change nothing.
+    the group. The sum over h walks the groups in order, group h's term
+    for every g at once in one ``(..., G, d)`` array. `cross` is 0 on its
+    diagonal, so a group's own term is an exact 0, and a bucket's padded
+    groups, walked last, add zeros, which change nothing.
     """
     means = _group_means(contribs, groups)
-    size = means.shape[-2]
     pull = np.zeros_like(means)  # n_g sum_h W_gh n_h (mu_g - mu_h) per group g
-    # step m reads group g + m and weight [g, g + m] from these, unwrapped
-    twice = np.concatenate((means, means), axis=-2)
-    weights = np.concatenate((groups.cross, groups.cross), axis=-1)
-    for m in range(1, size):
-        diffs = means - twice[..., m : m + size, :]
-        diffs *= np.diagonal(weights, m, -2, -1)[..., None]
+    for h in range(means.shape[-2]):
+        diffs = means - means[..., h, None, :]
+        diffs *= groups.cross[..., h, :, None]
         pull += diffs
     pull /= np.maximum(groups.sizes, 1.0)[..., None]
     out[...] = _rows(pull, groups.codes)
@@ -465,11 +464,13 @@ def kg_bias(
 
 @dataclass
 class CompiledPost:
-    """Per-post constants reused across epochs and finite-difference probes."""
+    """Per-post constants reused across epochs and finite-difference probes.
+    Compiled with `kg_bias_enabled` off, a post holds no groups and runs
+    without the penalty; every public entry point compiles just before it runs."""
 
     post_id: str
     embeddings: np.ndarray  # (n, d)
-    groups: tuple[_Groups, ...]  # per layer, the penalty's sentence groups
+    groups: tuple[_Groups | None, ...]  # per layer, the penalty's sentence groups
     gold: int | None
 
     @property
@@ -481,7 +482,7 @@ class CompiledPost:
 def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> CompiledPost:
     """Embed sentences, from the model's table when it holds one, and group
     them per layer by their restricted connection vectors (`_groups`),
-    keeping O(n + G^2) numbers per layer."""
+    keeping O(n + G^2) numbers per layer; None with the penalty off."""
     presence = sentence_presence if sentence_presence is not None else post.sentence_presence
     if presence is None:
         raise DataFormatError(
@@ -521,6 +522,8 @@ def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> Compil
             rows[idx] = embed(sentence)
     groups = tuple(
         _groups([connection_vector(row, layer.context) for row in presence], model.epsilon)
+        if model.kg_bias_enabled
+        else None
         for layer in model.layers
     )
     gold = None if post.gold is None else LAYER_ORDER.index(post.gold)
@@ -611,7 +614,6 @@ def _layer_core(
     reps: np.ndarray,
     layer: KsatLayerParams,
     groups: _Groups | None,
-    kg_enabled: bool,
     arena: _Arena | None = None,
 ) -> LayerPass:
     """One layer on incoming token matrix `reps`, which is left unchanged:
@@ -620,8 +622,8 @@ def _layer_core(
 
     `reps` is one post's ``(T, d)`` tokens with its `groups`, or a bucket's
     ``(B, T, d)`` tokens of posts of one length with their groups stacked
-    (`_stack_groups`); only the penalty reads them, so with `kg_enabled`
-    off they may be None. A bucket gives each post the numbers
+    (`_stack_groups`); only the penalty reads them, and None, like a single
+    sentence, gives a penalty of 0. A bucket gives each post the numbers
     its own pass gives, bit for bit: the projections are one GEMM over all
     token rows, and ``np.matmul`` makes, post by post, the BLAS calls that
     ``ndarray.dot`` makes for one post. A bucket's token-sized arrays are
@@ -658,7 +660,7 @@ def _layer_core(
         y = np.matmul(attn, v, out=arena.take(x.shape))
         contribs = np.multiply(attn[:, 1, 2:, None], v[:, 2:], out=arena.take(v[:, 2:].shape))
     y += x
-    if kg_enabled and contribs.shape[-2] > 1:
+    if groups is not None and contribs.shape[-2] > 1:
         kg = _penalty(contribs, groups)
     elif x.ndim == 2:
         kg = 0.0
@@ -696,7 +698,8 @@ def layer_forward(
             f"{n} sentence rows but {len(connection_vectors)} connection vectors"
         )
     _check_epsilon(epsilon)
-    lp = _layer_core(token_reps, layer, _groups(connection_vectors, epsilon), kg_enabled)
+    groups = _groups(connection_vectors, epsilon) if kg_enabled else None
+    lp = _layer_core(token_reps, layer, groups)
     return lp.y, lp
 
 
@@ -722,7 +725,7 @@ def _run_from(
     constants; a bucket's passes take their arrays from `arena`.
     """
     for li in range(len(passes), len(model.layers)):
-        lp = _layer_core(reps, model.layers[li], groups[li], model.kg_bias_enabled, arena)
+        lp = _layer_core(reps, model.layers[li], groups[li], arena)
         passes.append(lp)
         reps = lp.y
     return passes
@@ -753,8 +756,8 @@ def _run_bucket(
     """Full stack on a bucket of compiled posts of one sentence count, one
     `_layer_core` call per layer; `_bucket_passes` runs it. Returns the
     passes and each layer's groups, stacked (`_stack_groups`), which the
-    training backward reads; None for every layer when the penalty is
-    off.
+    training backward reads; None where the posts were compiled with the
+    penalty off.
     The token matrix and every pass's token-sized arrays are taken from
     `arena`, so they live until the caller gives them back.
 
@@ -765,11 +768,8 @@ def _run_bucket(
     reps = arena.take((len(cps), cps[0].n_sentences + 2, model.dimension))
     reps[:, :2] = 0.0
     np.stack([cp.embeddings for cp in cps], out=reps[:, 2:])
-    # only the penalty reads the groups
-    groups = [
-        _stack_groups([cp.groups[li] for cp in cps]) if model.kg_bias_enabled else None
-        for li in range(len(model.layers))
-    ]
+    by_layer = zip(*(cp.groups for cp in cps))  # each layer's groups, one per post
+    groups = [None if each[0] is None else _stack_groups(each) for each in by_layer]
     return _run_from(model, reps, groups, [], arena), groups
 
 
@@ -912,6 +912,15 @@ def save_model(model: KsatModel, path) -> None:
         handle.write("\n")
 
 
+def _typed(value, kinds: tuple[type, ...], key: str):
+    """`value`, a saved model's `key`, if its JSON type is one of `kinds`:
+    int(), float() and bool() would read 64.9 as 64, "0.5" as 0.5 and
+    "false" as True, and a JSON true is no number here."""
+    if type(value) not in kinds:
+        raise DataFormatError(f"{key} must be {'/'.join(t.__name__ for t in kinds)}, got {value!r}")
+    return value
+
+
 def load_model(
     path, tree: KnowledgeTree, embeddings_table: dict[str, np.ndarray] | None = None
 ) -> KsatModel:
@@ -926,48 +935,44 @@ def load_model(
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        if data.get("format") != MODEL_FORMAT:
-            raise DataFormatError(f"{path}: not a {MODEL_FORMAT} file")
+        if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
+            raise DataFormatError(f"not a {MODEL_FORMAT} file")
         stored_hash = data["taxonomy_hash"]
         if stored_hash != canonical_hash(tree):
             raise DataFormatError(
-                f"{path}: model was trained against a different taxonomy "
-                f"(hash {stored_hash[:12]}..)"
+                f"model was trained against a different taxonomy (hash {stored_hash[:12]}..)"
             )
         emb = data["embedding"]
         mode = emb["vocabulary_mode"]
         if mode not in ("feature-hash", "file-backed"):
-            raise DataFormatError(f"{path}: unknown vocabulary_mode {mode!r}")
+            raise DataFormatError(f"unknown vocabulary_mode {mode!r}")
         if (mode == "file-backed") != (embeddings_table is not None):
             raise DataFormatError(
-                f"{path}: the model is file-backed; pass its embedding table"
+                "the model is file-backed; pass its embedding table"
                 if embeddings_table is None
-                else f"{path}: the model embeds by feature hashing and takes no table"
+                else "the model embeds by feature hashing and takes no table"
             )
-        d, enabled = data["dimension"], data.get("kg_bias_enabled", True)
-        # int() and bool() would read 64.9 as 64 and "false" as True
-        for key, value, kind in (
-            ("dimension", d, int),
-            ("embedding dimension", emb["dimension"], int),
-            ("embedding seed", emb["seed"], int),
-            ("kg_bias_enabled", enabled, bool),
-        ):
-            if type(value) is not kind:
-                raise DataFormatError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
-        cfg = EmbeddingConfig(dimension=emb["dimension"], seed=emb["seed"])
+        d = _typed(data["dimension"], (int,), "dimension")
+        keys = ("dimension", "seed")
+        cfg = EmbeddingConfig(**{k: _typed(emb[k], (int,), f"embedding {k}") for k in keys})
         if d != cfg.dimension:
-            raise DataFormatError(f"{path}: model/embedding dimension mismatch")
-        shapes = block_shapes(d)
+            raise DataFormatError("model/embedding dimension mismatch")
+        if _typed(data["version"], (int,), "version") != MODEL_VERSION:
+            raise DataFormatError(f"version {data['version']} is not {MODEL_VERSION}")
         layers = []
-        for entry in data["layers"]:
+        for i, entry in enumerate(data["layers"]):
+            blocks = {}
+            for name, shape in block_shapes(d).items():
+                block = np.asarray(entry[name])
+                if block.dtype.kind not in "fi":
+                    raise DataFormatError(f"layers[{i}].{name} must hold numbers")
+                blocks[name] = block.astype(np.float64).reshape(shape)
+            context = _typed(entry["context"], (list,), f"layers[{i}].context")
             layers.append(
                 KsatLayerParams(
-                    **{
-                        name: np.array(entry[name], dtype=np.float64).reshape(shape)
-                        for name, shape in shapes.items()
-                    },
-                    a_raw=float(entry["a_raw"]),
-                    context=tuple(int(i) for i in entry["context"]),
+                    **blocks,
+                    a_raw=float(_typed(entry["a_raw"], (int, float), f"layers[{i}].a_raw")),
+                    context=tuple(_typed(c, (int,), f"layers[{i}].context") for c in context),
                     outcome=Outcome(entry["outcome"]),
                 )
             )
@@ -975,11 +980,13 @@ def load_model(
             layers=layers,
             tree=tree,
             embedding_config=cfg,
-            epsilon=float(data.get("epsilon", DEFAULT_EPSILON)),
-            kg_bias_enabled=enabled,
+            epsilon=float(_typed(data.get("epsilon", DEFAULT_EPSILON), (int, float), "epsilon")),
+            kg_bias_enabled=_typed(data.get("kg_bias_enabled", True), (bool,), "kg_bias_enabled"),
             embeddings_table=embeddings_table,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except DataFormatError as exc:  # each check names its field; this names the file
+        raise DataFormatError(f"{path}: {exc}") from exc
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed model JSON ({exc})") from exc
 
 

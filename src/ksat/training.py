@@ -234,7 +234,7 @@ def _layer_backward(
     g_v = arena.take((b, t, d))
     g_v.fill(0.0)
     g_attn = np.zeros((b, t, t))
-    if model.kg_bias_enabled and t > 3:
+    if groups is not None and t > 3:
         g_c = _penalty_grad(lp.kcls_contribs, groups, g_u.sum(axis=1), arena.take((b, t - 2, d)))
         term = arena.take(g_c.shape)
         np.multiply(g_c, v[:, 2:], out=term).sum(axis=2, out=g_attn[:, 1, 2:])

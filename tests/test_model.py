@@ -303,16 +303,22 @@ class TestLayerForward:
         assert got.log_probs.tobytes() == want.log_probs.tobytes()
         assert got.kg_bias == want.kg_bias
 
-    def test_disabled_bias_reports_zero(self, rng):
+    def test_disabled_bias_reports_zero(self, rng, monkeypatch):
         d = 4
         layer = zero_layer(d)
         layer.w_value = rng.normal(size=(d, d))
         reps = rng.normal(size=(4, d))
         cvs = [(1,), (0,)]
+        calls, hamming = [], model_module.hamming_distance
+        monkeypatch.setattr(
+            model_module, "hamming_distance", lambda *a: calls.append(a) or hamming(*a)
+        )
         _, acts_on = layer_forward(reps, layer, cvs, epsilon=1e-6, kg_enabled=True)
-        _, acts_off = layer_forward(reps, layer, cvs, epsilon=1e-6, kg_enabled=False)
         assert acts_on.kg_bias < 0.0
+        assert len(calls) == 1
+        _, acts_off = layer_forward(reps, layer, cvs, epsilon=1e-6, kg_enabled=False)
         assert acts_off.kg_bias == 0.0
+        assert len(calls) == 1  # no pair weighed with the penalty off
 
 
 class TestForward:
@@ -349,6 +355,11 @@ class TestForward:
 
 
 class TestPenaltyPaths:
+    def test_a_penalty_off_post_compiles_without_groups(self, make_model):
+        on, off = (make_model(dimension=8, kg_bias_enabled=flag) for flag in (True, False))
+        assert all(groups is not None for groups in compile_post(on, TWO_SENTENCE_POST).groups)
+        assert compile_post(off, TWO_SENTENCE_POST).groups == (None,) * len(off.layers)
+
     def test_forward_bias_equals_public_kg_bias(self, make_model):
         # repeated restricted vectors put 1/epsilon weights on several pairs,
         # and six sentences make each sentence appear in five pairs
@@ -427,18 +438,14 @@ class TestPairPath:
         rng = np.random.default_rng(n)
         restricted = [tuple(int(b) for b in row) for row in rng.integers(0, 2, (n, 2))]
         eps = 0.3
-        loop_pairs, loop_weights = [], []
+        loop_weights = []
         for i in range(n):
             for j in range(i + 1, n):
                 dist = sum(int(x) != int(y) for x, y in zip(restricted[i], restricted[j]))
-                loop_pairs.append((i, j))
                 loop_weights.append(1.0 / (dist + eps))
         weights = model_module._pair_weights(restricted, eps)
         assert weights.dtype == np.float64
         assert weights.tobytes() == np.array(loop_weights, dtype=np.float64).tobytes()
-        pairs = analysis_module._pairs(n)
-        assert pairs.shape == (2, len(loop_pairs))
-        assert [tuple(p) for p in pairs.T.tolist()] == loop_pairs
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("n", [5, 100])  # a few groups, dozens
@@ -461,21 +468,25 @@ class TestPairPath:
         assert_identical(got, expected, "penalty")
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    @pytest.mark.parametrize("lead", [(), (3,)])  # one post, a bucket of three
+    @pytest.mark.parametrize("lead", [(), (3,)])  # rows of one post, of three
     # 6, 15 and 28 pairs in blocks of 7: one block, a partial last block,
     # four full blocks
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_partial_and_full_blocks_equal_one_pass(self, rng, monkeypatch, dtype, lead, n):
-        # a budget of exactly seven (posts, pair, d) rows
+        # the post-pair norms of `analysis`, block by block at a budget of
+        # exactly seven (rows, pair, d) differences, against one
+        # `np.linalg.norm` per pair, bit for bit
         pair_bytes = math.prod(lead) * 16 * np.dtype(dtype).itemsize
         monkeypatch.setattr(analysis_module, "_BLOCK_BYTES", 7 * pair_bytes)
-        pi, pj = analysis_module._pairs(n)
-        contribs = rng.standard_normal(lead + (n, 16)).astype(dtype)
-        blocks = list(analysis_module._pair_diffs(contribs, pi, pj))
-        assert len(blocks) == -(-pi.size // 7)
-        assert [s.start for s, _ in blocks] == list(range(0, pi.size, 7))
-        got = np.concatenate([diffs for _, diffs in blocks], axis=-2)
-        assert_identical(got, contribs[..., pi, :] - contribs[..., pj, :], "pair diffs")
+        pi, pj = np.triu_indices(n, 1)
+        reps = rng.standard_normal(lead + (n, 16)).astype(dtype)
+        got = analysis_module._pair_norms(reps, pi, pj)
+        want = [
+            [np.linalg.norm(rows[i] - rows[j]) for i, j in zip(pi, pj)]
+            for rows in reps.reshape(-1, n, 16)
+        ]
+        assert got.shape == lead + pi.shape
+        assert got.tobytes() == np.array(want, np.float64).tobytes()
 
     def test_forward_on_a_300_sentence_post_stays_small(self, make_model):
         # the groups' arrays are O(n); one (pairs, d) temporary over all
@@ -530,13 +541,18 @@ class TestGroupPenalty:
         tracemalloc.start()
         try:
             got = model_module._penalty(contribs, groups)
-            grad = model_module._penalty_grad(contribs[None], stacked, np.ones(1), out)[0]
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            grad = model_module._penalty_grad(contribs[None], stacked, np.ones(1), out)[0]
+            _, grad_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert abs(got - want) <= 1e-13 * abs(want)
         assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
-        assert peak < 4_000_000
+        assert max(peak, grad_peak) < 4_000_000
+        # the gradient walks one (G, d) array per group; two stacked copies
+        # of the means and the table took 1.7 MB
+        assert grad_peak < 1_200_000
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_equal_rows_give_exactly_zero(self, dtype):
@@ -760,6 +776,12 @@ class TestModelValidation:
                 embedding_config=model.embedding_config,
             )
 
+    def test_a_layer_context_other_than_the_trees_rejected(self, make_model):
+        model = make_model(dimension=4)
+        model.layers[1].context = (2,)
+        with pytest.raises(DataFormatError, match="context"):
+            dataclasses.replace(model)
+
     def test_shape_mismatch_rejected(self, tree, make_model):
         model = make_model(dimension=4)
         model.layers[2].w_out = np.zeros((4, 3))
@@ -868,13 +890,24 @@ class TestPersistence:
             (("embedding", "dimension"), 4.0),
             (("embedding", "seed"), "7"),
             (("embedding", "seed"), True),
+            (("version",), 99),
+            (("epsilon",), "1e-3"),
+            (("layers", 1, "context"), [0, 1.9]),
+            (("layers", 1, "context"), [2]),
+            (("layers", 0, "a_raw"), "0.5"),
+            (("layers", 0, "a_raw"), True),
+            (("layers", 0, "w_out"), ["0.5"] * 16),
+            (("layers", 0, "w_out"), [True] * 16),
         ],
         ids=["flag-string", "flag-int", "dimension-float", "embedding-dimension-float",
-             "seed-string", "seed-bool"],
+             "seed-string", "seed-bool", "version-other", "epsilon-string", "context-float",
+             "context-not-the-trees", "a_raw-string", "a_raw-bool", "block-strings",
+             "block-bools"],
     )
     def test_load_rejects_a_mistyped_flag_or_integer(self, tree, make_model, tmp_path, keys, value):
-        # bool("false") is True and int(4.9) is 4: such a file would load
-        # with the penalty silently on or a truncated dimension
+        # bool("false") is True, int(4.9) is 4 and float("0.5") is 0.5: such
+        # a file would load with the penalty silently on, a truncated
+        # dimension or a context the tree does not give its layer
         path = tmp_path / "model.json"
         save_model(make_model(dimension=4, kg_bias_enabled=False), path)
         data = json.loads(path.read_text())
@@ -884,6 +917,16 @@ class TestPersistence:
         entry[keys[-1]] = value
         path.write_text(json.dumps(data))
         with pytest.raises(DataFormatError, match=keys[-1]) as info:
+            load_model(path, tree)
+        assert str(path) in str(info.value)
+
+    def test_load_rejects_a_number_beyond_the_float_range(self, tree, make_model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(make_model(dimension=4), path)
+        data = json.loads(path.read_text())
+        data["layers"][0]["a_raw"] = 10**400  # a JSON integer float() cannot take
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataFormatError, match="malformed model JSON") as info:
             load_model(path, tree)
         assert str(path) in str(info.value)
 
@@ -897,6 +940,13 @@ class TestPersistence:
         path.write_text('{"hello": "world"}')
         with pytest.raises(DataFormatError, match="not a"):
             load_model(path, tree)
+
+    def test_load_rejects_a_json_array(self, tree, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataFormatError, match="not a") as info:
+            load_model(path, tree)
+        assert str(path) in str(info.value)
 
     def test_load_rejects_invalid_json(self, tree, tmp_path):
         path = tmp_path / "model.json"

@@ -733,6 +733,24 @@ class TestTrain:
         ), batch)
         assert trained_loss < untrained_loss
 
+    def test_penalty_off_training_weighs_no_sentence_pair(self, make_model, monkeypatch):
+        calls = {"hamming_distance": 0, "connection_vector": 0}
+        for name in list(calls):
+            original = getattr(model_module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(model_module, name, counted)
+        dataset = self._training_set()
+        train(make_model(dimension=8, seed=1), dataset, TrainConfig(epochs=0))
+        assert min(calls.values()) > 0  # the penalty on weighs its pairs
+        calls.update(dict.fromkeys(calls, 0))
+        config = TrainConfig(epochs=2, kg_bias_enabled=False)
+        train(make_model(dimension=8, seed=1), dataset, config)
+        assert calls == {"hamming_distance": 0, "connection_vector": 0}
+
     def test_empty_training_set_rejected(self, make_model):
         with pytest.raises(ValueError):
             train(make_model(), Dataset(posts=[]), TrainConfig(epochs=1))

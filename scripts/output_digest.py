@@ -42,7 +42,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from ksat.analysis import (
-    all_pairs,
     contribution_report,
     distance_report,
     score_posts,
@@ -276,8 +275,8 @@ def digest_lines() -> list[str]:
     lines.append(("analysis.score_posts.rows", _digest([scores])))
     rows = contribution_report(model, mixed)
     lines.append(("analysis.contribution_report", _digest(dataclasses.astuple(r) for r in rows)))
-    report = distance_report(model, all_pairs(mixed))
-    facts = [report.threshold, *(dataclasses.astuple(p) for p in report.pairs)]
+    report = distance_report(model, mixed)
+    facts = [report.threshold, *report.rows()]
     lines.append(("analysis.distance_report", _digest(facts)))
     within = within_class_kcls_distance(model, mixed)
     lines.append(("analysis.within_class_kcls_distance", _digest([within])))

@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from ksat.analysis import (
-    all_pairs,
     compute_metrics,
     contribution_report,
     distance_report,
@@ -90,10 +89,10 @@ def main() -> int:
     write_contributions_csv(
         contribution_report(result.model, test_ds), out / "contributions.csv"
     )
-    distances = distance_report(result.model, all_pairs(test_ds))
+    distances = distance_report(result.model, test_ds)
     write_distances_csv(distances, out / "distances.csv")
     print(
-        f"      {len(distances.pairs)} pairs, close fraction "
+        f"      {distances.d_kcls.size} pairs, close fraction "
         f"{distances.close_fraction:.3f} (threshold {distances.threshold:.4g})"
     )
     print(f"done: artifacts in {out}/")

@@ -64,7 +64,6 @@ from .training import (
 )
 from .analysis import (
     Metrics,
-    all_pairs,
     auc_roc,
     binary_auc,
     compute_metrics,
@@ -98,7 +97,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "aggregate_probs",
-    "all_pairs",
     "apply_annotations",
     "auc_roc",
     "backward",

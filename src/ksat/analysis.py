@@ -3,7 +3,8 @@
 Quantitative side: accuracy, a gold-by-predicted confusion matrix, and a
 macro one-vs-rest ranking AUC computed from midranks (tie-aware, the
 Mann-Whitney formulation). Qualitative side: per-layer knowledge/data
-contribution magnitudes and pairwise final-layer representation distances,
+contribution magnitudes and the final-layer representation distances over
+every post pair of a dataset, held as two float64 arrays (16 bytes a pair),
 plus CSV/JSON writers so runs leave inspectable files behind. Every
 reader runs its posts per length bucket, through training's driver.
 """
@@ -13,9 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
-from operator import attrgetter
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,6 @@ from .model import (
     forward,
 )
 from .training import compile_batch
-
-_ID = attrgetter("id")
 
 
 @dataclass
@@ -157,22 +156,25 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 64 * 1024
 
 
-def _pair_norms(reps: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
-    """``||reps[..., pi[p], :] - reps[..., pj[p], :]||`` for every pair p.
+def _pair_norms(reps: np.ndarray) -> np.ndarray:
+    """``||reps[..., i, :] - reps[..., j, :]||`` for every row pair i < j, in
+    lexicographic order, as `np.triu_indices` lists them.
 
-    Post pairs grow with the square of the post count, so their differences
-    are taken block by block, as many pairs as fit `_BLOCK_BYTES`, at least
-    one. Each norm is the square root of one dot product, as
+    Pairs grow with the square of the row count, so each row's later
+    partners are taken block by block, as many as fit `_BLOCK_BYTES`, at
+    least one. Each norm is the square root of one dot product, as
     `np.linalg.norm` of one vector, bit for bit; ``axis=-1`` norms sum the
     squares another way."""
-    lead = reps.shape[:-2]
+    lead, n = reps.shape[:-2], reps.shape[-2]
     block = max(1, _BLOCK_BYTES // (math.prod(lead) * reps.shape[-1] * reps.itemsize))
-    out = np.empty(lead + pi.shape)
-    for lo in range(0, pi.size, block):
-        s = slice(lo, lo + block)
-        diffs = reps.take(pi[s], axis=-2) - reps.take(pj[s], axis=-2)
-        squares = np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0]
-        np.sqrt(squares, out=out[..., s])
+    out = np.empty(lead + (n * (n - 1) // 2,))
+    at = 0
+    for i in range(n - 1):
+        for lo in range(i + 1, n, block):
+            diffs = reps[..., i : i + 1, :] - reps[..., lo : lo + block, :]
+            squares = np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0]
+            np.sqrt(squares, out=out[..., at : at + squares.shape[-1]])
+            at += squares.shape[-1]
     return out
 
 
@@ -244,24 +246,38 @@ def contribution_report(model: KsatModel, dataset: Dataset) -> list[LayerContrib
 
 
 @dataclass
-class PairDistance:
-    post_a: str
-    post_b: str
-    d_cls: float  # distance between final-layer context-token outputs
-    d_kcls: float  # distance between final-layer knowledge-token outputs
-    close: bool
-
-
-@dataclass
 class DistanceReport:
-    pairs: list[PairDistance]
+    """Final-layer distances over every post pair i < j of a dataset, in
+    corpus order: 16 bytes per pair, the two distance arrays."""
+
+    post_ids: list[str]
+    d_cls: np.ndarray  # distances between final-layer context-token outputs
+    d_kcls: np.ndarray  # distances between final-layer knowledge-token outputs
     threshold: float
 
     @property
+    def close(self) -> np.ndarray:
+        return self.d_kcls < self.threshold
+
+    @property
     def close_fraction(self) -> float:
-        if not self.pairs:
-            return 0.0
-        return sum(map(attrgetter("close"), self.pairs)) / len(self.pairs)
+        return int(np.count_nonzero(self.close)) / self.d_kcls.size
+
+    def rows(self) -> Iterator[tuple[str, str, float, float, bool]]:
+        """``(post_a, post_b, d_cls, d_kcls, close)`` for every pair, in
+        order, made one first post's pairs at a time."""
+        ids, at = self.post_ids, 0
+        for i, post_a in enumerate(ids[:-1]):
+            s = slice(at, at + len(ids) - 1 - i)
+            at = s.stop
+            d_kcls = self.d_kcls[s]
+            yield from zip(
+                repeat(post_a),
+                ids[i + 1 :],
+                self.d_cls[s].tolist(),
+                d_kcls.tolist(),
+                (d_kcls < self.threshold).tolist(),
+            )
 
 
 def final_layer_outputs(model: KsatModel, post: Post) -> tuple[np.ndarray, np.ndarray]:
@@ -275,39 +291,23 @@ def final_layer_outputs(model: KsatModel, post: Post) -> tuple[np.ndarray, np.nd
 
 
 def distance_report(
-    model: KsatModel,
-    post_pairs: list[tuple[Post, Post]],
-    epsilon_report: float | None = None,
+    model: KsatModel, dataset: Dataset, epsilon_report: float | None = None
 ) -> DistanceReport:
-    """Final-layer distances for the given post pairs.
+    """Final-layer distances over every unordered post pair of a dataset.
 
-    Posts are told apart by id, as in a corpus file; each runs once. The
-    closeness flag marks knowledge-token distances strictly below
-    ``epsilon_report``; when that is None it defaults to the 25th percentile
-    of the knowledge-token distances over the evaluated pairs.
+    The pairs are i < j in corpus order; each post runs once, by position.
+    The closeness flag marks knowledge-token distances strictly below
+    ``epsilon_report``; when that is None it defaults to the 25th
+    percentile of the knowledge-token distances over all pairs.
     """
-    if not post_pairs:
-        raise ValueError("distance report needs at least one post pair")
-    firsts, seconds = zip(*post_pairs)
-    ids_a, ids_b = list(map(_ID, firsts)), list(map(_ID, seconds))
-    posts = dict(zip(ids_a + ids_b, firsts + seconds))  # each post runs once
-    slot = {post_id: i for i, post_id in enumerate(posts)}
-    pi, pj = (np.fromiter(map(slot.__getitem__, ids), np.intp, len(ids)) for ids in (ids_a, ids_b))
-    compiled = [compile_post(model, p) for p in posts.values()]
+    if len(dataset.posts) < 2:
+        raise ValueError("distance report needs at least two posts")
+    compiled = [compile_post(model, p) for p in dataset.posts]
     tokens = _run_posts(model, compiled)[1][:, -1]  # the last layer's CLS and KCLS rows
-    d_cls, d_kcls = _pair_norms(tokens.transpose(1, 0, 2), pi, pj)
+    d_cls, d_kcls = _pair_norms(tokens.transpose(1, 0, 2))
     if epsilon_report is None:
         epsilon_report = float(np.percentile(d_kcls, 25.0))
-    close = (d_kcls < epsilon_report).tolist()
-    pairs = list(map(PairDistance, ids_a, ids_b, d_cls.tolist(), d_kcls.tolist(), close))
-    return DistanceReport(pairs=pairs, threshold=float(epsilon_report))
-
-
-def all_pairs(dataset: Dataset) -> list[tuple[Post, Post]]:
-    """Every unordered post pair of a dataset, in corpus order."""
-    if len(dataset.posts) < 2:
-        raise ValueError("pairing needs at least two posts")
-    return list(combinations(dataset.posts, 2))
+    return DistanceReport([p.id for p in dataset.posts], d_cls, d_kcls, float(epsilon_report))
 
 
 def within_class_kcls_distance(model: KsatModel, dataset: Dataset) -> float:
@@ -321,7 +321,7 @@ def within_class_kcls_distance(model: KsatModel, dataset: Dataset) -> float:
     kcls = _run_posts(model, compiled)[1][:, -1, 1]
     groups = (np.flatnonzero(gold == g) for g in dict.fromkeys(gold.tolist()))
     # each outcome's pairs in lexicographic (i<j) order
-    norms = (_pair_norms(kcls[m], *np.triu_indices(len(m), 1)) for m in groups)
+    norms = (_pair_norms(kcls[m]) for m in groups)
     dists = np.concatenate([np.empty(0), *norms])
     if not dists.size:
         raise ValueError("no same-outcome pair exists in this dataset")
@@ -350,16 +350,8 @@ def write_distances_csv(report: DistanceReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["post_a", "post_b", "d_zcls", "d_zkcls", "close_flag"])
-        for pair in report.pairs:
-            writer.writerow(
-                [
-                    pair.post_a,
-                    pair.post_b,
-                    repr(pair.d_cls),
-                    repr(pair.d_kcls),
-                    int(pair.close),
-                ]
-            )
+        for post_a, post_b, d_cls, d_kcls, close in report.rows():
+            writer.writerow([post_a, post_b, repr(d_cls), repr(d_kcls), int(close)])
 
 
 def write_metrics_json(metrics: Metrics, path) -> None:

@@ -235,13 +235,13 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     contributions = analysis.contribution_report(model, dataset)
-    distances = analysis.distance_report(model, analysis.all_pairs(dataset))
+    distances = analysis.distance_report(model, dataset)
     analysis.write_contributions_csv(contributions, out_dir / "contributions.csv")
     analysis.write_distances_csv(distances, out_dir / "distances.csv")
     _say(
         args,
         f"wrote {out_dir / 'contributions.csv'} and {out_dir / 'distances.csv'} "
-        f"({len(distances.pairs)} pairs, close_fraction={distances.close_fraction!r})",
+        f"({distances.d_kcls.size} pairs, close_fraction={distances.close_fraction!r})",
     )
     return 0
 

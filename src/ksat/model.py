@@ -677,7 +677,6 @@ def layer_forward(
     layer: KsatLayerParams,
     connection_vectors: list[tuple[int, ...]],
     epsilon: float,
-    kg_enabled: bool = True,
 ) -> tuple[np.ndarray, LayerPass]:
     """Run one layer: overwrite KCLS, attend, score; returns the new token
     matrix (the pass's ``y``) and the pass. ``token_reps`` is left unchanged
@@ -698,8 +697,7 @@ def layer_forward(
             f"{n} sentence rows but {len(connection_vectors)} connection vectors"
         )
     _check_epsilon(epsilon)
-    groups = _groups(connection_vectors, epsilon) if kg_enabled else None
-    lp = _layer_core(token_reps, layer, groups)
+    lp = _layer_core(token_reps, layer, _groups(connection_vectors, epsilon))
     return lp.y, lp
 
 

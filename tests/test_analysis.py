@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,8 @@ from ksat.analysis import (
     DistanceReport,
     LayerContribution,
     Metrics,
-    PairDistance,
     _midranks,
     accuracy_score,
-    all_pairs,
     auc_roc,
     binary_auc,
     compute_metrics,
@@ -365,8 +364,8 @@ class TestBucketedReaders:
         # three pairs to a distance block, six to a within-class one
         monkeypatch.setattr(analysis_module, "_BLOCK_BYTES", 3 * 2 * 16 * 8)
         assert contribution_report(model, dataset) == contributions
-        report = distance_report(model, all_pairs(dataset))
-        assert [(p.post_a, p.post_b, p.d_cls, p.d_kcls) for p in report.pairs] == distances
+        report = distance_report(model, dataset)
+        assert [row[:4] for row in report.rows()] == distances
         assert report.threshold == float(np.percentile([d[3] for d in distances], 25.0))
         assert within_class_kcls_distance(model, dataset) == within
         assert all(row.kg_bias_mean < 0.0 for row in contributions)
@@ -426,59 +425,67 @@ class TestDistanceReport:
             sentences=["wish to be dead."],
             sentence_presence=[(1, 0, 0)],
         )
-        report = distance_report(model, [(post, twin)], epsilon_report=0.5)
+        report = distance_report(model, Dataset([post, twin]), epsilon_report=0.5)
         assert report.threshold == 0.5
-        (pair,) = report.pairs
-        assert pair.d_cls == 0.0
-        assert pair.d_kcls == 0.0
-        assert pair.close is True
+        assert report.post_ids == ["p", "q"]
+        assert list(report.rows()) == [("p", "q", 0.0, 0.0, True)]
+        assert report.close.tolist() == [True]
         assert report.close_fraction == 1.0
 
     def test_distances_are_symmetric_in_pair_order(self, model, corpus):
         a, b = corpus.posts[0], corpus.posts[1]
-        fwd = distance_report(model, [(a, b)], epsilon_report=1.0).pairs[0]
-        rev = distance_report(model, [(b, a)], epsilon_report=1.0).pairs[0]
-        assert fwd.d_cls == rev.d_cls
-        assert fwd.d_kcls == rev.d_kcls
+        fwd = distance_report(model, Dataset([a, b]), epsilon_report=1.0)
+        rev = distance_report(model, Dataset([b, a]), epsilon_report=1.0)
+        assert fwd.d_cls.tobytes() == rev.d_cls.tobytes()
+        assert fwd.d_kcls.tobytes() == rev.d_kcls.tobytes()
 
     def test_default_threshold_is_the_lower_quartile(self, model, corpus):
-        report = distance_report(model, all_pairs(corpus))
-        observed = [p.d_kcls for p in report.pairs]
-        assert report.threshold == float(np.percentile(observed, 25.0))
-        for pair in report.pairs:
-            assert pair.close == (pair.d_kcls < report.threshold)
+        report = distance_report(model, corpus)
+        n = len(corpus.posts)
+        assert report.d_cls.shape == report.d_kcls.shape == (n * (n - 1) // 2,)
+        assert report.threshold == float(np.percentile(report.d_kcls, 25.0))
+        rows = list(report.rows())
+        assert [row[4] for row in rows] == (report.d_kcls < report.threshold).tolist()
+        assert report.close_fraction == sum(row[4] for row in rows) / len(rows)
 
     def test_threshold_comparison_is_strict(self, model):
         post = Post(id="p", sentences=["a gun nearby."], sentence_presence=[(0, 0, 1)])
         twin = Post(id="q", sentences=["a gun nearby."], sentence_presence=[(0, 0, 1)])
-        report = distance_report(model, [(post, twin)], epsilon_report=0.0)
-        assert report.pairs[0].d_kcls == 0.0
-        assert report.pairs[0].close is False
+        report = distance_report(model, Dataset([post, twin]), epsilon_report=0.0)
+        assert report.d_kcls.tolist() == [0.0]
+        assert report.close.tolist() == [False]
+        assert report.close_fraction == 0.0
 
     def test_matches_direct_output_recomputation(self, model, corpus):
         a, b = corpus.posts[2], corpus.posts[5]
         cls_a, kcls_a = final_layer_outputs(model, a)
         cls_b, kcls_b = final_layer_outputs(model, b)
-        pair = distance_report(model, [(a, b)], epsilon_report=1.0).pairs[0]
-        assert pair.d_cls == float(np.linalg.norm(cls_a - cls_b))
-        assert pair.d_kcls == float(np.linalg.norm(kcls_a - kcls_b))
+        report = distance_report(model, Dataset([a, b]), epsilon_report=1.0)
+        assert report.d_cls.tolist() == [float(np.linalg.norm(cls_a - cls_b))]
+        assert report.d_kcls.tolist() == [float(np.linalg.norm(kcls_a - kcls_b))]
 
-    def test_empty_pair_list_rejected(self, model):
-        with pytest.raises(ValueError):
-            distance_report(model, [])
+    def test_fewer_than_two_posts_rejected(self, model):
+        only = Post(id="only", sentences=["x."], sentence_presence=[(0, 0, 0)])
+        for posts in ([], [only]):
+            with pytest.raises(ValueError):
+                distance_report(model, Dataset(posts))
 
-    def test_all_pairs_enumerates_each_unordered_pair_once(self, corpus):
-        pairs = all_pairs(corpus)
-        n = len(corpus.posts)
-        assert len(pairs) == n * (n - 1) // 2
-        seen = {(a.id, b.id) for a, b in pairs}
-        assert len(seen) == len(pairs)
-        for a, b in pairs:
-            assert a.id < b.id or corpus.posts.index(a) < corpus.posts.index(b)
-
-    def test_all_pairs_needs_two_posts(self):
-        with pytest.raises(ValueError):
-            all_pairs(Dataset(posts=[Post(id="only", sentences=["x."], sentence_presence=[(0, 0, 0)])]))
+    def test_built_report_holds_its_two_distance_arrays(self, make_model):
+        # the two float64 arrays hold 16 bytes a pair; the ids and object
+        # headers fit the slack
+        corpus = generate_synthetic(default_synthetic_spec(n_posts=300, seed=3))
+        model = make_model(dimension=8, seed=1, epsilon=1.0)
+        distance_report(model, corpus)  # warm-up: fills the embedding cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = distance_report(model, corpus)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        pairs = report.d_kcls.size
+        assert pairs == 300 * 299 // 2
+        assert held <= 24 * pairs + 64 * 1024
 
 
 class TestWithinClassDistance:
@@ -538,10 +545,9 @@ class TestReportWriters:
 
     def test_distances_csv_header_and_flags(self, tmp_path):
         report = DistanceReport(
-            pairs=[
-                PairDistance(post_a="a", post_b="b", d_cls=0.25, d_kcls=0.0625, close=True),
-                PairDistance(post_a="a", post_b="c", d_cls=1.5, d_kcls=2.75, close=False),
-            ],
+            post_ids=["a", "b", "c"],
+            d_cls=np.array([0.25, 1.5, 0.5]),
+            d_kcls=np.array([0.0625, 2.75, 0.125]),
             threshold=0.1,
         )
         path = tmp_path / "distances.csv"
@@ -550,7 +556,8 @@ class TestReportWriters:
         assert lines[0] == "post_a,post_b,d_zcls,d_zkcls,close_flag"
         with open(path, newline="") as fh:
             records = list(csv.DictReader(fh))
-        assert [r["close_flag"] for r in records] == ["1", "0"]
+        assert [(r["post_a"], r["post_b"]) for r in records] == [("a", "b"), ("a", "c"), ("b", "c")]
+        assert [r["close_flag"] for r in records] == ["1", "0", "0"]
         assert float(records[0]["d_zkcls"]) == 0.0625
         assert float(records[1]["d_zcls"]) == 1.5
 

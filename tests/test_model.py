@@ -303,7 +303,7 @@ class TestLayerForward:
         assert got.log_probs.tobytes() == want.log_probs.tobytes()
         assert got.kg_bias == want.kg_bias
 
-    def test_disabled_bias_reports_zero(self, rng, monkeypatch):
+    def test_bias_weighs_each_sentence_pair_once(self, rng, monkeypatch):
         d = 4
         layer = zero_layer(d)
         layer.w_value = rng.normal(size=(d, d))
@@ -313,12 +313,9 @@ class TestLayerForward:
         monkeypatch.setattr(
             model_module, "hamming_distance", lambda *a: calls.append(a) or hamming(*a)
         )
-        _, acts_on = layer_forward(reps, layer, cvs, epsilon=1e-6, kg_enabled=True)
-        assert acts_on.kg_bias < 0.0
+        _, acts = layer_forward(reps, layer, cvs, epsilon=1e-6)
+        assert acts.kg_bias < 0.0
         assert len(calls) == 1
-        _, acts_off = layer_forward(reps, layer, cvs, epsilon=1e-6, kg_enabled=False)
-        assert acts_off.kg_bias == 0.0
-        assert len(calls) == 1  # no pair weighed with the penalty off
 
 
 class TestForward:
@@ -469,18 +466,19 @@ class TestPairPath:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("lead", [(), (3,)])  # rows of one post, of three
-    # 6, 15 and 28 pairs in blocks of 7: one block, a partial last block,
-    # four full blocks
+    # in blocks of 3, the first row's 3, 5 and 7 partners fill one block, a
+    # full and a partial block, two full and a partial block
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_partial_and_full_blocks_equal_one_pass(self, rng, monkeypatch, dtype, lead, n):
         # the post-pair norms of `analysis`, block by block at a budget of
-        # exactly seven (rows, pair, d) differences, against one
-        # `np.linalg.norm` per pair, bit for bit
+        # exactly three (rows, pair, d) differences, against one
+        # `np.linalg.norm` per pair i < j in `np.triu_indices` order, bit
+        # for bit
         pair_bytes = math.prod(lead) * 16 * np.dtype(dtype).itemsize
-        monkeypatch.setattr(analysis_module, "_BLOCK_BYTES", 7 * pair_bytes)
+        monkeypatch.setattr(analysis_module, "_BLOCK_BYTES", 3 * pair_bytes)
         pi, pj = np.triu_indices(n, 1)
         reps = rng.standard_normal(lead + (n, 16)).astype(dtype)
-        got = analysis_module._pair_norms(reps, pi, pj)
+        got = analysis_module._pair_norms(reps)
         want = [
             [np.linalg.norm(rows[i] - rows[j]) for i, j in zip(pi, pj)]
             for rows in reps.reshape(-1, n, 16)

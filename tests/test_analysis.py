@@ -464,11 +464,14 @@ class TestDistanceReport:
         assert report.d_cls.tolist() == [float(np.linalg.norm(cls_a - cls_b))]
         assert report.d_kcls.tolist() == [float(np.linalg.norm(kcls_a - kcls_b))]
 
-    def test_fewer_than_two_posts_rejected(self, model):
+    def test_empty_pair_list_rejected(self, model):
+        with pytest.raises(ValueError):
+            distance_report(model, Dataset([]))
+
+    def test_all_pairs_needs_two_posts(self, model):
         only = Post(id="only", sentences=["x."], sentence_presence=[(0, 0, 0)])
-        for posts in ([], [only]):
-            with pytest.raises(ValueError):
-                distance_report(model, Dataset(posts))
+        with pytest.raises(ValueError):
+            distance_report(model, Dataset([only]))
 
     def test_built_report_holds_its_two_distance_arrays(self, make_model):
         # the two float64 arrays hold 16 bytes a pair; the ids and object

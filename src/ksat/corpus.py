@@ -19,6 +19,7 @@ from .knowledge import (
     LAYER_ORDER,
     KnowledgeTree,
     Outcome,
+    _check_bits,
     canonical_hash,
     default_tree,
     outcome_for_assignment,
@@ -47,14 +48,12 @@ class Post:
                     f"post {self.id!r}: sentence_presence length "
                     f"{len(self.sentence_presence)} != {len(self.sentences)} sentences"
                 )
-            self.sentence_presence = [
-                tuple(int(b) for b in row) for row in self.sentence_presence
-            ]
-            for row in self.sentence_presence:
-                if any(b not in (0, 1) for b in row):
-                    raise DataFormatError(
-                        f"post {self.id!r}: presence vectors must be 0/1 bits"
-                    )
+            try:
+                self.sentence_presence = [
+                    _check_bits(row, "presence vector") for row in self.sentence_presence
+                ]
+            except ValueError as exc:
+                raise DataFormatError(f"post {self.id!r}: {exc}") from exc
 
 
 @dataclass
@@ -90,6 +89,10 @@ def _post_from_obj(obj: dict, where: str) -> Post:
         except DataFormatError as exc:
             raise DataFormatError(f"{where}: {exc}") from exc
     presence = obj.get("sentence_presence")
+    if presence is not None and not (
+        isinstance(presence, list) and all(isinstance(row, list) for row in presence)
+    ):
+        raise DataFormatError(f"{where}: sentence_presence must be a list of lists")
     extras = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
     try:
         return Post(

@@ -23,15 +23,22 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    """Embedder settings; identical (text, config) pairs embed identically."""
+    """Embedder settings; identical (text, config) pairs embed identically.
+
+    Both fields are held to `load_model`'s rule, an int that is not a bool,
+    so every config a model is built with saves to a file that loads."""
 
     dimension: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("dimension", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"embedding {name} must be an int, got {value!r}")
         if self.dimension < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {self.dimension}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("embedding seed must fit in 64 unsigned bits")
 
 
@@ -48,7 +55,7 @@ def _embedder(config: EmbeddingConfig):
     +1, the bitwise complement of that index when it is -1. The counts are
     whole numbers, so adding them in any order gives the same vector.
     """
-    key = int(config.seed).to_bytes(8, "little")
+    key = config.seed.to_bytes(8, "little")
     dim = config.dimension
     slots: dict[str, int] = {}
 

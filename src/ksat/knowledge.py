@@ -60,11 +60,21 @@ class Concept:
     query_text: str
 
 
+_BITS = frozenset((0, 1))
+
+
 def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
-        raise ValueError(f"{what} must contain only 0/1 bits, got {tuple(bits)!r}")
-    return out
+    """`bits` as a tuple of ints, if every entry is a number (a Python or
+    NumPy bool, integer or float) equal to 0 or 1; else ValueError naming
+    `what`. The one check of presence bits and assignments: an entry that
+    `int()` changes, such as 0.7, 1.5 or "1", is refused, not truncated."""
+    try:
+        out = tuple(map(int, bits))
+        if out == tuple(bits) and _BITS.issuperset(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must hold only 0/1 numbers, got {bits!r}")
 
 
 @dataclass

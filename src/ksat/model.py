@@ -275,10 +275,11 @@ class _Groups:
     shared: bool  # some group holds two or more sentences
 
 
-def _groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups:
+def _groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups | None:
     """One layer's `_Groups` from the sentences' restricted connection
-    vectors. Plain Python: most posts have a few sentences, and NumPy calls
-    on arrays that small cost more than they save.
+    vectors, or None, the one sign of a zero penalty, for fewer than two
+    sentences. Plain Python: most posts have a few sentences, and NumPy
+    calls on arrays that small cost more than they save.
 
     A pair within a group weighs ``1 / (0 + epsilon)``. The weight of
     groups g and h is read from the row of every sentence pair's weight
@@ -287,8 +288,10 @@ def _groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups:
     `knowledge.hamming_distance` at one call per pair, so fewer calls wait
     for a change to the benchmark.
     """
-    weights = _pair_weights(restricted, epsilon)
     n = len(restricted)
+    if n < 2:
+        return None
+    weights = _pair_weights(restricted, epsilon)
     index: dict[tuple[int, ...], int] = {}
     codes, first = [], []
     for i, vector in enumerate(restricted):
@@ -457,16 +460,15 @@ def kg_bias(
             f"{n} contribution rows but {len(connection_vectors)} connection vectors"
         )
     _check_epsilon(epsilon)
-    if n < 2:
-        return 0.0
-    return float(_penalty(contribs, _groups(connection_vectors, epsilon)))
+    groups = _groups(connection_vectors, epsilon)
+    return 0.0 if groups is None else float(_penalty(contribs, groups))
 
 
 @dataclass
 class CompiledPost:
     """Per-post constants reused across epochs and finite-difference probes.
-    Compiled with `kg_bias_enabled` off, a post holds no groups and runs
-    without the penalty; every public entry point compiles just before it runs."""
+    A layer holds groups only with `kg_bias_enabled` on and two or more
+    sentences (`_groups`); every public entry point compiles just before it runs."""
 
     post_id: str
     embeddings: np.ndarray  # (n, d)
@@ -482,7 +484,7 @@ class CompiledPost:
 def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> CompiledPost:
     """Embed sentences, from the model's table when it holds one, and group
     them per layer by their restricted connection vectors (`_groups`),
-    keeping O(n + G^2) numbers per layer; None with the penalty off."""
+    keeping O(n + G^2) numbers per layer, or None (`CompiledPost`)."""
     presence = sentence_presence if sentence_presence is not None else post.sentence_presence
     if presence is None:
         raise DataFormatError(
@@ -550,7 +552,7 @@ class LayerPass:
     attention: np.ndarray  # (T, T), rows sum to 1
     y: np.ndarray  # (T, d) layer output
     kcls_contribs: np.ndarray  # (n, d)
-    kg_bias: float
+    kg_bias: float  # a NumPy float
     alpha: float
     mix: np.ndarray
     logits: np.ndarray  # (N_OUTCOMES,)
@@ -622,10 +624,10 @@ def _layer_core(
 
     `reps` is one post's ``(T, d)`` tokens with its `groups`, or a bucket's
     ``(B, T, d)`` tokens of posts of one length with their groups stacked
-    (`_stack_groups`); only the penalty reads them, and None, like a single
-    sentence, gives a penalty of 0. A bucket gives each post the numbers
-    its own pass gives, bit for bit: the projections are one GEMM over all
-    token rows, and ``np.matmul`` makes, post by post, the BLAS calls that
+    (`_stack_groups`); only the penalty reads them, and None (`_groups`)
+    gives a penalty of 0. A bucket gives each post the numbers its own pass
+    gives, bit for bit: the projections are one GEMM over all token rows,
+    and ``np.matmul`` makes, post by post, the BLAS calls that
     ``ndarray.dot`` makes for one post. A bucket's token-sized arrays are
     taken from `arena`. One post stays on ``dot`` without reshapes and
     takes no arena: the finite-difference checker runs its tiny
@@ -660,12 +662,8 @@ def _layer_core(
         y = np.matmul(attn, v, out=arena.take(x.shape))
         contribs = np.multiply(attn[:, 1, 2:, None], v[:, 2:], out=arena.take(v[:, 2:].shape))
     y += x
-    if groups is not None and contribs.shape[-2] > 1:
-        kg = _penalty(contribs, groups)
-    elif x.ndim == 2:
-        kg = 0.0
-    else:
-        kg = np.zeros(len(x))
+    # no groups, no penalty: 0 per post, a NumPy scalar for one post
+    kg = np.zeros(x.shape[:-2])[()] if groups is None else _penalty(contribs, groups)
     return LayerPass(
         x=x, q=q, k=k, v=v, attention=attn, y=y, kcls_contribs=contribs,
         kg_bias=kg, **_readout(layer, y, kg),
@@ -754,8 +752,8 @@ def _run_bucket(
     """Full stack on a bucket of compiled posts of one sentence count, one
     `_layer_core` call per layer; `_bucket_passes` runs it. Returns the
     passes and each layer's groups, stacked (`_stack_groups`), which the
-    training backward reads; None where the posts were compiled with the
-    penalty off.
+    training backward reads; None where the posts hold none (`CompiledPost`),
+    so a bucket of one-sentence posts stacks nothing.
     The token matrix and every pass's token-sized arrays are taken from
     `arena`, so they live until the caller gives them back.
 

@@ -210,9 +210,10 @@ def _layer_backward(
 
     `lp` is the layer's pass over a bucket's posts (see `_run_bucket`) and
     `groups` their stacked sentence groups at this layer, which only
-    `_penalty_grad` reads (None with the penalty off). Turns `g_y`, the gradient wrt
-    the layer's output tokens, in place into the gradient wrt its input
-    tokens and returns it. Its token-sized scratch is taken from `arena`.
+    `_penalty_grad` reads (None for a zero penalty, see `model._groups`).
+    Turns `g_y`, the gradient wrt the layer's output tokens, in place into
+    the gradient wrt its input tokens and returns it. Its token-sized
+    scratch is taken from `arena`.
     """
     layer = model.layers[li]
     gl = grads.layers[li]
@@ -234,7 +235,7 @@ def _layer_backward(
     g_v = arena.take((b, t, d))
     g_v.fill(0.0)
     g_attn = np.zeros((b, t, t))
-    if groups is not None and t > 3:
+    if groups is not None:
         g_c = _penalty_grad(lp.kcls_contribs, groups, g_u.sum(axis=1), arena.take((b, t - 2, d)))
         term = arena.take(g_c.shape)
         np.multiply(g_c, v[:, 2:], out=term).sum(axis=2, out=g_attn[:, 1, 2:])

@@ -291,6 +291,22 @@ class TestTrainEvalReport:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bad", [0.7, 1.5, "1", [1]], ids=repr)
+    def test_non_binary_presence_is_a_data_error(self, tmp_path, annotated_path, capsys, bad):
+        lines = annotated_path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["sentence_presence"][0][0] = bad
+        lines[1] = json.dumps(obj)
+        annotated_path.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "model.json"
+        code = invoke(
+            "train", "--data", str(annotated_path), "--out", str(model_path),
+            "--epochs", "1", "--dim", "16",
+        )
+        assert code == 2
+        assert f"{annotated_path}:2:" in capsys.readouterr().err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
     def test_non_finite_learning_rate_is_a_usage_error(self, tmp_path, annotated_path, capsys, lr):
         model_path = tmp_path / "model.json"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,8 +51,14 @@ class TestPostValidation:
             Post(id="p", sentences=["a", "b"], sentence_presence=[(1, 0, 0)])
 
     def test_presence_bits_must_be_binary(self):
-        with pytest.raises(DataFormatError):
-            Post(id="p", sentences=["a"], sentence_presence=[(2, 0, 0)])
+        # an entry that int() would change is refused, not truncated
+        for bad in (2, 0.7, 1.5, "1", [1], float("nan")):
+            with pytest.raises(DataFormatError, match="post 'p': presence vector"):
+                Post(id="p", sentences=["a"], sentence_presence=[(1, bad, 0)])
+        for good in (0, 1, True, 1.0, np.int64(1), np.uint8(0), np.bool_(True)):
+            post = Post(id="p", sentences=["a"], sentence_presence=[(1, good, 0)])
+            assert post.sentence_presence == [(1, int(good), 0)]
+            assert type(post.sentence_presence[0][1]) is int
 
 
 class TestJsonlRoundTrip:
@@ -106,9 +113,18 @@ class TestJsonlRoundTrip:
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "posts.jsonl"
-        path.write_text('{"id":"p1","sentences":["x"]}\n{oops\n')
-        with pytest.raises(DataFormatError, match=":2:"):
-            load_jsonl(path)
+        for line in (
+            "{oops",
+            *(
+                f'{{"id":"p2","sentences":["y"],"sentence_presence":[[1,{bad},0]]}}'
+                for bad in ("0.7", "1.5", '"1"', "[1]", "null")
+            ),
+            '{"id":"p2","sentences":["y"],"sentence_presence":[5]}',
+            '{"id":"p2","sentences":["y"],"sentence_presence":"101"}',
+        ):
+            path.write_text('{"id":"p1","sentences":["x"]}\n' + line + "\n")
+            with pytest.raises(DataFormatError, match=":2:"):
+                load_jsonl(path)
 
     def test_duplicate_id_reports_line_number(self, tmp_path):
         path = tmp_path / "posts.jsonl"

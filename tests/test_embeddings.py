@@ -187,6 +187,17 @@ class TestEmbeddingConfig:
         with pytest.raises(ValueError):
             EmbeddingConfig(dimension=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dimension", 64.0), ("dimension", "64"), ("seed", 1.5), ("seed", True), ("seed", "3")],
+        ids=["dimension=64.0", "dimension='64'", "seed=1.5", "seed=True", "seed='3'"],
+    )
+    def test_non_int_field_rejected(self, field, value):
+        # `load_model` reads both fields only as JSON ints, so a config
+        # holding anything else would save a model that does not load
+        with pytest.raises(ValueError, match=f"embedding {field} must be an int"):
+            EmbeddingConfig(**{field: value})
+
     def test_seed_out_of_unsigned_64_bit_range_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(dimension=8, seed=2**64)

@@ -1,6 +1,7 @@
 """Source hygiene: no package module imports a name it never uses, no
-package function takes a parameter it never reads, and no module-level
-package function goes unread.
+package function takes a parameter it never reads, no module-level
+package function goes unread, and `ksat.__all__` names exactly what the
+package imports.
 
 No linter ships with the test dependencies, so this test is the guard.
 """
@@ -129,3 +130,16 @@ def test_checker_flags_an_unread_function():
     )
     reader = "from pkg import imported\ngetattr(mod, 'looked_up')\nmod.dead = None\n"
     assert unread_functions(module, names_read(module) | names_read(reader)) == ["dead"]
+
+
+def test_all_names_exactly_what_the_package_imports():
+    # `ksat.__all__` and the imports above it are two hand-kept lists of
+    # the public names; a name added to one alone would go unnoticed
+    tree = ast.parse(Path(ksat.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+    assert sorted(ksat.__all__) == sorted(imported)

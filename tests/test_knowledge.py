@@ -105,8 +105,17 @@ class TestConnectionVector:
             connection_vector((1, 0, 0), (-1,))
 
     def test_non_binary_presence_rejected(self):
-        with pytest.raises(ValueError):
-            connection_vector((2, 0, 0), (0,))
+        # an entry that int() would change is refused, not truncated
+        for bad in (2, 0.7, 1.5, "1", [1], None, float("inf")):
+            with pytest.raises(ValueError, match="presence vector"):
+                connection_vector((bad, 0, 0), (0,))
+
+    @pytest.mark.parametrize(
+        "bit", [0, 1, True, False, 1.0, 0.0, np.int64(1), np.uint8(0), np.bool_(True)]
+    )
+    def test_numeric_bits_come_back_as_ints(self, bit):
+        got = connection_vector((bit, 1, 0), (0, 2))
+        assert got == (int(bit), 0) and type(got[0]) is int
 
 
 class TestHammingDistance:

@@ -357,6 +357,15 @@ class TestPenaltyPaths:
         assert all(groups is not None for groups in compile_post(on, TWO_SENTENCE_POST).groups)
         assert compile_post(off, TWO_SENTENCE_POST).groups == (None,) * len(off.layers)
 
+    def test_a_one_sentence_post_compiles_without_groups(self, make_model):
+        # with the penalty on, a post with no sentence pair holds no groups
+        # at any layer, and its penalty is a NumPy zero
+        model = make_model(dimension=8)
+        post = Post(id="one", sentences=["only one sentence."], sentence_presence=[(1, 0, 1)])
+        assert compile_post(model, post).groups == (None,) * len(model.layers)
+        _, acts = forward(model, post)
+        assert all(type(act.kg_bias) is np.float64 and act.kg_bias == 0.0 for act in acts)
+
     def test_forward_bias_equals_public_kg_bias(self, make_model):
         # repeated restricted vectors put 1/epsilon weights on several pairs,
         # and six sentences make each sentence appear in five pairs
@@ -446,10 +455,10 @@ class TestPairPath:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("n", [5, 100])  # a few groups, dozens
-    def test_blocked_penalty_equals_one_pass(self, rng, dtype, n):
-        # the cross term walks the groups, one block of group pairs per
-        # group; one pass over every pair (g, h), g < h, ordered by h, then
-        # g, gives the same sum bit for bit. Eight bits give up to n groups
+    def test_group_walk_penalty_equals_one_pass(self, rng, dtype, n):
+        # the cross term walks the groups, group h against groups 0..h-1;
+        # one pass over every pair (g, h), g < h, ordered by h, then g,
+        # gives the same sum bit for bit. Eight bits give up to n groups
         _, groups = random_layer(rng, n, 8, 1e-6)
         assert groups.first.size > (50 if n == 100 else 2)
         h, g = np.tril_indices(groups.first.size, -1)
@@ -838,6 +847,14 @@ class TestPersistence:
             assert a.attention.tobytes() == b.attention.tobytes()
             assert a.z_kcls.tobytes() == b.z_kcls.tobytes()
             assert float(a.kg_bias) == float(b.kg_bias)
+
+    @pytest.mark.parametrize("embed_seed", [0, 2**64 - 1])
+    def test_embedding_config_round_trips(self, tree, make_model, tmp_path, embed_seed):
+        # `EmbeddingConfig` takes only what `load_model` reads back
+        model = make_model(dimension=5, embed_seed=embed_seed)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path, tree).embedding_config == EmbeddingConfig(5, embed_seed)
 
     def test_save_is_byte_deterministic(self, make_model, tmp_path):
         model = make_model(dimension=4, seed=2)

@@ -11,7 +11,8 @@ longer ones and on a bucket whose layers hold dozens of sentence groups, the
 penalty (`kg_bias`) over nearly as many groups as rows, a small
 `finite_diff_check`'s block errors, and what
 the loss's collapse guard reports on a batch crafted to collapse, through
-`loss` and through `train`, annotations at each fragment size, a lattice
+`loss` and through `train`, a taxonomy's canonical hash after a
+`tree_to_dict`/`tree_from_dict` round trip, annotations at each fragment size, a lattice
 search's result, the raw annotation cosines at each fragment size and the
 sentence vectors `compile_post` embeds, and what the analysis readers give on
 a shuffled corpus of mixed lengths. A change that claims bit-identical
@@ -51,7 +52,16 @@ from ksat.annotation import AnnotationParams, _cosine_rows, apply_annotations, g
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig
 from ksat.errors import NumericalError
-from ksat.knowledge import LAYER_ORDER, Concept, KnowledgeTree, Outcome, default_tree
+from ksat.knowledge import (
+    LAYER_ORDER,
+    Concept,
+    KnowledgeTree,
+    Outcome,
+    canonical_hash,
+    default_tree,
+    tree_from_dict,
+    tree_to_dict,
+)
 from ksat.model import (
     ARRAY_BLOCKS,
     KsatModel,
@@ -221,6 +231,15 @@ def digest_lines() -> list[str]:
     else:
         facts = ["no collapse"]
     lines.append(("train.collapse", _digest(facts)))
+    # the taxonomy reader and the constructor's sorting: the packaged tree,
+    # and one built in Python with its contexts out of order
+    unsorted = KnowledgeTree(
+        concepts=tree.concepts,
+        outcome_map=tree.outcome_map,
+        layer_contexts=dict(zip(LAYER_ORDER, ([2], (2, 0), [1, 2, 0], (2, 1)))),
+    )
+    facts = [canonical_hash(tree_from_dict(tree_to_dict(t))) for t in (tree, unsorted)]
+    lines.append(("taxonomy.round_trip", _digest(facts)))
     # annotation: the training posts plus one post of 100 distinct sentences
     # that mixes trigger phrases with filler
     spec = default_synthetic_spec(1, SEED, tree)

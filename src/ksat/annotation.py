@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Dataset, Post
 from .embeddings import EmbeddingConfig, _cosine, _embedder, cosine_similarity, embed_text
-from .errors import DataFormatError
+from .errors import DataFormatError, number, whole
 from .knowledge import Concept, KnowledgeTree, Outcome, outcome_for_assignment
 
 FRAG_SIZES = (1, 2, 3)
@@ -28,19 +28,19 @@ DELTA = 1e-9
 
 @dataclass(frozen=True)
 class AnnotationParams:
-    """Per-concept cosine thresholds plus the fragment window size."""
+    """Per-concept cosine thresholds (stored as floats) plus the fragment window size."""
 
     thetas: tuple[float, ...]
     frag_size: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
+        object.__setattr__(self, "thetas", tuple(number(t, "theta") for t in self.thetas))
         if not self.thetas:
             raise ValueError("thetas must be nonempty")
         for t in self.thetas:
             if not -1.0 <= t <= 1.0:
                 raise ValueError(f"thetas must lie in [-1, 1], got {t}")
-        if self.frag_size not in FRAG_SIZES:
+        if whole(self.frag_size, "frag_size") not in FRAG_SIZES:
             raise ValueError(f"frag_size must be one of {FRAG_SIZES}, got {self.frag_size}")
 
 

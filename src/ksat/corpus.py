@@ -38,8 +38,8 @@ class Post:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise DataFormatError("post id must be a nonempty string")
+        if not (isinstance(self.id, str) and self.id):
+            raise DataFormatError(f"post id must be a nonempty string, got {self.id!r}")
         if not self.sentences:
             raise DataFormatError(f"post {self.id!r} must have at least one sentence")
         if self.sentence_presence is not None:
@@ -76,14 +76,10 @@ def _post_from_obj(obj: dict, where: str) -> Post:
         sentences = obj["sentences"]
     except KeyError as exc:
         raise DataFormatError(f"{where}: missing required key {exc}") from exc
-    if not isinstance(pid, str):
-        raise DataFormatError(f"{where}: id must be a string")
     if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
         raise DataFormatError(f"{where}: sentences must be a list of strings")
     gold = None
     if obj.get("gold") is not None:
-        if not isinstance(obj["gold"], str):
-            raise DataFormatError(f"{where}: gold must be an outcome name string")
         try:
             gold = outcome_from_name(obj["gold"])
         except DataFormatError as exc:

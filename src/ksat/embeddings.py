@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, whole
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -25,17 +25,15 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 class EmbeddingConfig:
     """Embedder settings; identical (text, config) pairs embed identically.
 
-    Both fields are held to `load_model`'s rule, an int that is not a bool,
-    so every config a model is built with saves to a file that loads."""
+    Both fields must be whole numbers (`errors.whole`), the rule the config
+    applies when `load_model` builds it from a file too."""
 
     dimension: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("dimension", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"embedding {name} must be an int, got {value!r}")
+            whole(getattr(self, name), f"embedding {name}")
         if self.dimension < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {self.dimension}")
         if not 0 <= self.seed < 2**64:

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy, and the one type rule each input type applies to the
+fields it holds when built (`whole`, `number`, `flag`), shared across the package.
 
 The CLI maps these onto its exit codes: bad flag values surface as plain
 ``ValueError`` (usage, exit 1), malformed or inconsistent inputs raise
@@ -18,10 +19,12 @@ class DataFormatError(KsatError):
 class NumericalError(KsatError):
     """Numerical collapse: degenerate probabilities or a failed gradient check.
 
-    A loss collapse also says where it happened: ``epoch`` (the loss-trace
-    index, set by ``train``), ``post_id``, ``layer`` (the layer with the
-    lowest maximum log-probability) and ``log_peak`` (that maximum). Each is
-    ``None`` when it does not apply.
+    A loss collapse or a non-finite log product also says where it
+    happened: ``epoch`` (the loss-trace index, set by ``train``),
+    ``post_id``, ``layer`` (for a collapse the layer with the lowest maximum
+    log-probability and ``log_peak`` that maximum; else the first layer
+    whose running log product is not finite). Each is ``None`` when it does
+    not apply.
     """
 
     def __init__(
@@ -38,3 +41,27 @@ class NumericalError(KsatError):
         self.post_id = post_id
         self.layer = layer
         self.log_peak = log_peak
+
+
+def whole(value, what: str, error: type[Exception] = ValueError) -> int:
+    """`value` if it is an int but not a bool; else `error` naming `what`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{what} must be an int, got {value!r}")
+
+
+def number(value, what: str) -> float:
+    """`value` as a float if it is a float or an in-range int but not a bool."""
+    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} lies beyond the float range") from None
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def flag(value, what: str) -> bool:
+    """`value` if it is a bool; else ValueError naming `what`."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be a bool, got {value!r}")

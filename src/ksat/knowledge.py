@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .errors import DataFormatError
+from .errors import DataFormatError, whole
 
 
 class Outcome(enum.Enum):
@@ -59,6 +59,11 @@ class Concept:
     name: str
     query_text: str
 
+    def __post_init__(self) -> None:
+        whole(self.id, "concept id", DataFormatError)
+        if not (isinstance(self.name, str) and isinstance(self.query_text, str)):
+            raise DataFormatError(f"concept {self.id}: name and query_text must be strs")
+
 
 _BITS = frozenset((0, 1))
 
@@ -79,7 +84,7 @@ def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
 
 @dataclass
 class KnowledgeTree:
-    """K concepts plus a total assignment->outcome map and per-layer contexts."""
+    """K concepts, a total assignment->outcome map and sorted per-layer contexts."""
 
     concepts: tuple[Concept, ...]
     outcome_map: dict[tuple[int, ...], Outcome]
@@ -101,10 +106,12 @@ class KnowledgeTree:
                 f"outcome_map must be total over all {2 ** k} assignments "
                 f"(missing {missing[:4]}, unexpected {extra[:4]})"
             )
+        self.layer_contexts = dict(self.layer_contexts)  # the caller's stays as given
         for outcome in LAYER_ORDER:
             if outcome not in self.layer_contexts:
                 raise DataFormatError(f"layer_contexts missing {outcome.value}")
-            ctx = tuple(sorted(int(i) for i in self.layer_contexts[outcome]))
+            what = f"layer context id for {outcome.value}"
+            ctx = tuple(sorted(whole(i, what, DataFormatError) for i in self.layer_contexts[outcome]))
             if any(i < 0 or i >= k for i in ctx):
                 raise DataFormatError(
                     f"layer context for {outcome.value} references unknown concept ids: {ctx}"
@@ -127,11 +134,10 @@ def connection_vector(presence: Sequence[int], context: Sequence[int]) -> tuple[
     restricted by the same context stay aligned component-by-component.
     """
     bits = _check_bits(presence, "presence vector")
-    ids = sorted(int(i) for i in context)
-    for i in ids:
-        if i < 0 or i >= len(bits):
+    for i in context:
+        if not 0 <= whole(i, "context id") < len(bits):
             raise ValueError(f"context id {i} out of range for K={len(bits)}")
-    return tuple(bits[i] for i in ids)
+    return tuple(bits[i] for i in sorted(context))
 
 
 def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -148,11 +154,6 @@ def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError(f"hamming distance needs equal lengths, got {len(a)} and {len(b)}")
     return int(sum(map(operator.ne, a, b)))
-
-
-def context_for_layer(tree: KnowledgeTree, outcome: Outcome) -> tuple[int, ...]:
-    """Concept ids encoded by the layer that scores `outcome`."""
-    return tree.layer_contexts[outcome]
 
 
 def outcome_for_assignment(tree: KnowledgeTree, assignment: Sequence[int]) -> Outcome:
@@ -184,38 +185,36 @@ def tree_to_dict(tree: KnowledgeTree) -> dict:
 def tree_from_dict(data: dict) -> KnowledgeTree:
     try:
         concepts = tuple(
-            Concept(id=int(c["id"]), name=str(c["name"]), query_text=str(c["query_text"]))
+            Concept(id=c["id"], name=c["name"], query_text=c["query_text"])
             for c in data["concepts"]
         )
         if tuple(outcome_from_name(n) for n in data["outcomes"]) != LAYER_ORDER:
             raise DataFormatError("layer order must be the four outcomes in fixed order")
         outcome_map = {}
         for key, name in data["outcome_map"].items():
-            bits = tuple(int(ch) for ch in str(key))
-            if any(b not in (0, 1) for b in bits):
+            if not set(key) <= {"0", "1"}:
                 raise DataFormatError(f"outcome_map key {key!r} is not a bitstring")
-            outcome_map[bits] = outcome_from_name(name)
-        layer_contexts = {
-            outcome_from_name(name): tuple(int(i) for i in ids)
-            for name, ids in data["layer_contexts"].items()
-        }
+            outcome_map[tuple(map(int, key))] = outcome_from_name(name)
+        return KnowledgeTree(
+            concepts=concepts,
+            outcome_map=outcome_map,
+            layer_contexts={
+                outcome_from_name(name): ids for name, ids in data["layer_contexts"].items()
+            },
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed taxonomy JSON: {exc}") from exc
-    return KnowledgeTree(
-        concepts=concepts,
-        outcome_map=outcome_map,
-        layer_contexts=layer_contexts,
-    )
 
 
 def load_taxonomy(path) -> KnowledgeTree:
-    """Load a taxonomy JSON file; raises DataFormatError on schema problems."""
+    """Load a taxonomy JSON file; a DataFormatError names the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return tree_from_dict(json.load(handle))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return tree_from_dict(data)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def canonical_hash(tree: KnowledgeTree) -> str:

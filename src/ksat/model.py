@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import Post
 from .embeddings import EmbeddingConfig, _embedder, sentence_key
-from .errors import DataFormatError, NumericalError
+from .errors import DataFormatError, NumericalError, flag, number, whole
 from .knowledge import (
     LAYER_ORDER,
     N_OUTCOMES,
@@ -45,11 +45,13 @@ MODEL_FORMAT = "ksat-model"
 MODEL_VERSION = 1
 
 
-def _check_epsilon(epsilon: float) -> None:
-    """Refuse a pair-weight epsilon that is not finite and positive: a NaN
-    would poison every penalty, and inf would switch the penalty off."""
+def _check_epsilon(epsilon: float) -> float:
+    """`epsilon` as a float if it is a finite, positive number: a NaN would
+    poison every penalty, and inf would switch the penalty off."""
+    epsilon = number(epsilon, "epsilon")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    return epsilon
 
 
 def sigmoid(z):
@@ -133,19 +135,22 @@ class KsatModel:
     )
 
     def __post_init__(self) -> None:
-        _check_epsilon(self.epsilon)
+        self.epsilon = _check_epsilon(self.epsilon)
+        flag(self.kg_bias_enabled, "kg_bias_enabled")
         if tuple(l.outcome for l in self.layers) != LAYER_ORDER:
             raise DataFormatError("model layers must follow the fixed outcome order")
         shapes = block_shapes(self.embedding_config.dimension)
         for layer in self.layers:
+            where = f"layer {layer.outcome.value}"
+            layer.a_raw = number(layer.a_raw, f"{where}: a_raw")
+            for i in layer.context:
+                whole(i, f"{where}: context id")
             if layer.context != self.tree.layer_contexts[layer.outcome]:
-                raise DataFormatError(f"layer {layer.outcome.value}: context is not the tree's")
+                raise DataFormatError(f"{where}: context is not the tree's")
             for name, expected in shapes.items():
                 got = getattr(layer, name).shape
                 if got != expected:
-                    raise DataFormatError(
-                        f"layer {layer.outcome.value}: {name} shape {got} != {expected}"
-                    )
+                    raise DataFormatError(f"{where}: {name} shape {got} != {expected}")
 
     @property
     def dimension(self) -> int:
@@ -908,22 +913,13 @@ def save_model(model: KsatModel, path) -> None:
         handle.write("\n")
 
 
-def _typed(value, kinds: tuple[type, ...], key: str):
-    """`value`, a saved model's `key`, if its JSON type is one of `kinds`:
-    int(), float() and bool() would read 64.9 as 64, "0.5" as 0.5 and
-    "false" as True, and a JSON true is no number here."""
-    if type(value) not in kinds:
-        raise DataFormatError(f"{key} must be {'/'.join(t.__name__ for t in kinds)}, got {value!r}")
-    return value
-
-
 def load_model(
     path, tree: KnowledgeTree, embeddings_table: dict[str, np.ndarray] | None = None
 ) -> KsatModel:
     """Load a saved model and bind it to `tree` (hashes must match).
 
     A file-backed model needs `embeddings_table`, the one it was trained
-    with; a feature-hash model takes none.
+    with; a feature-hash model takes none. A failure names the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -948,27 +944,25 @@ def load_model(
                 if embeddings_table is None
                 else "the model embeds by feature hashing and takes no table"
             )
-        d = _typed(data["dimension"], (int,), "dimension")
-        keys = ("dimension", "seed")
-        cfg = EmbeddingConfig(**{k: _typed(emb[k], (int,), f"embedding {k}") for k in keys})
-        if d != cfg.dimension:
+        cfg = EmbeddingConfig(dimension=emb["dimension"], seed=emb["seed"])
+        # the file's own fields, which no constructor holds
+        if whole(data["dimension"], "dimension") != cfg.dimension:
             raise DataFormatError("model/embedding dimension mismatch")
-        if _typed(data["version"], (int,), "version") != MODEL_VERSION:
+        if whole(data["version"], "version") != MODEL_VERSION:
             raise DataFormatError(f"version {data['version']} is not {MODEL_VERSION}")
         layers = []
         for i, entry in enumerate(data["layers"]):
             blocks = {}
-            for name, shape in block_shapes(d).items():
+            for name, shape in block_shapes(cfg.dimension).items():
                 block = np.asarray(entry[name])
                 if block.dtype.kind not in "fi":
                     raise DataFormatError(f"layers[{i}].{name} must hold numbers")
                 blocks[name] = block.astype(np.float64).reshape(shape)
-            context = _typed(entry["context"], (list,), f"layers[{i}].context")
             layers.append(
                 KsatLayerParams(
                     **blocks,
-                    a_raw=float(_typed(entry["a_raw"], (int, float), f"layers[{i}].a_raw")),
-                    context=tuple(_typed(c, (int,), f"layers[{i}].context") for c in context),
+                    a_raw=entry["a_raw"],
+                    context=tuple(entry["context"]),
                     outcome=Outcome(entry["outcome"]),
                 )
             )
@@ -976,13 +970,13 @@ def load_model(
             layers=layers,
             tree=tree,
             embedding_config=cfg,
-            epsilon=float(_typed(data.get("epsilon", DEFAULT_EPSILON), (int, float), "epsilon")),
-            kg_bias_enabled=_typed(data.get("kg_bias_enabled", True), (bool,), "kg_bias_enabled"),
+            epsilon=data.get("epsilon", DEFAULT_EPSILON),
+            kg_bias_enabled=data.get("kg_bias_enabled", True),
             embeddings_table=embeddings_table,
         )
     except DataFormatError as exc:  # each check names its field; this names the file
         raise DataFormatError(f"{path}: {exc}") from exc
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed model JSON ({exc})") from exc
 
 

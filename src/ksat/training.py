@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .corpus import Dataset
-from .errors import DataFormatError, NumericalError
+from .errors import DataFormatError, NumericalError, flag, number, whole
 from .knowledge import LAYER_ORDER, N_OUTCOMES
 from .model import (
     ARRAY_BLOCKS,
@@ -63,11 +63,12 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("learning_rate", "fd_step", "grad_tolerance"):
-            value = getattr(self, name)
+            value = number(getattr(self, name), name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.epochs < 0:
+        if whole(self.epochs, "epochs") < 0:
             raise ValueError("epochs must be nonnegative")
+        flag(self.kg_bias_enabled, "kg_bias_enabled")
 
 
 @dataclass
@@ -116,11 +117,13 @@ def compile_batch(model: KsatModel, batch) -> list[CompiledPost]:
     return compiled
 
 
-def _collapsed(log_f: np.ndarray) -> np.ndarray:
-    """Per post: every outcome's final product is below 1e-300."""
+def _refused(log_f: np.ndarray) -> np.ndarray:
+    """Per post: a log final product is not finite, or every outcome's final
+    product is below 1e-300 (a collapse)."""
     # the guard reads the log product: the raw one underflows to 0.0 long
-    # before its log leaves the float range
-    return (log_f < LOG_COLLAPSE_FLOOR).all(axis=1)
+    # before its log leaves the float range. A NaN meets no comparison, so
+    # it is tested on its own.
+    return ~np.isfinite(log_f).all(axis=1) | (log_f < LOG_COLLAPSE_FLOOR).all(axis=1)
 
 
 def _loss_head(compiled: list[CompiledPost], log_probs: np.ndarray):
@@ -130,14 +133,26 @@ def _loss_head(compiled: list[CompiledPost], log_probs: np.ndarray):
 
     The head runs once for the batch. Every step but the mean works row by
     row, and the mean adds the posts' loss terms in post order, so each
-    post's numbers are the ones a per-post head would give, bit for bit. A
-    collapse names the first collapsed post in batch order.
+    post's numbers are the ones a per-post head would give, bit for bit. The
+    guard names the first refused post in batch order: one whose log
+    products are not all finite, with the first layer whose running log
+    product is not, or one that collapsed.
     """
     log_f = _log_products(log_probs)
-    collapsed = _collapsed(log_f)
-    if collapsed.any():
-        first = int(collapsed.argmax())
+    refused = _refused(log_f)
+    if refused.any():
+        first = int(refused.argmax())
         post_id = compiled[first].post_id
+        if not np.isfinite(log_f[first]).all():
+            # the running products in stack order, as `_log_products` adds them
+            running = np.isfinite(np.cumsum(log_probs[first], axis=0)).all(axis=1)
+            layer = int(running.argmin())
+            raise NumericalError(
+                f"post {post_id!r}: the log final products are not all finite "
+                f"from layer {layer} on",
+                post_id=post_id,
+                layer=layer,
+            )
         peaks = log_probs[first].max(axis=1).astype(np.float64)
         worst = int(np.argmin(peaks))
         raise NumericalError(
@@ -275,9 +290,9 @@ def loss_and_gradients(
     that length together, shortest first. A bucket's backward runs right
     after its forward, so one bucket's activations are alive at a time; it
     reads only its posts' rows of the loss head, which works row by row.
-    The head itself runs once for the batch at the end, so a collapse names
-    the first collapsed post in batch order; after a bucket with a
-    collapsed post only the forwards run.
+    The head itself runs once for the batch at the end, so its guard names
+    the first refused post in batch order; after a bucket with a refused
+    post only the forwards run.
 
     A bucket's token-sized arrays come from `arena`, `train`'s when it
     passes one and otherwise one made for this call. Each bucket starts it
@@ -295,8 +310,8 @@ def loss_and_gradients(
     healthy = True
     for rows, passes, groups in _bucket_passes(model, compiled, log_probs, arena):
         log_f = _log_products(log_probs[rows])
-        # after a collapse only the forwards run: the head below raises
-        healthy = healthy and not _collapsed(log_f).any()
+        # after a refused post only the forwards run: the head below raises
+        healthy = healthy and not _refused(log_f).any()
         if healthy:
             # dL/d log p_{l,y} = r_y - [y == gold], the same for every layer
             g_log_probs = np.exp(_log_normalized(log_f))

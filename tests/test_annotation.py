@@ -88,8 +88,19 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             AnnotationParams(thetas=())
 
+    @pytest.mark.parametrize("bad", ["0.3", True, None], ids=repr)
+    def test_a_theta_that_is_not_a_number_rejected(self, bad):
+        # float() would read "0.3" as 0.3 and True as 1.0
+        with pytest.raises(ValueError, match="theta must be a number"):
+            AnnotationParams(thetas=(0.3, bad, 0.5))
+
+    def test_whole_number_thetas_are_stored_as_floats(self):
+        params = AnnotationParams(thetas=(0, 1, -1))
+        assert params.thetas == (0.0, 1.0, -1.0)
+        assert all(type(t) is float for t in params.thetas)
+
     def test_frag_size_out_of_range_rejected(self):
-        for bad in (0, 4, -1):
+        for bad in (0, 4, -1, True, 2.0, "2"):
             with pytest.raises(ValueError):
                 AnnotationParams(thetas=(0.0,), frag_size=bad)
 

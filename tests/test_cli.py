@@ -8,13 +8,14 @@ import json
 import numpy as np
 import pytest
 
+from ksat import analysis
 from ksat.annotation import default_params
 from ksat.cli import run
 from ksat.corpus import Dataset, Post, load_jsonl, save_jsonl
 from ksat.embeddings import EmbeddingConfig
-from ksat.knowledge import LAYER_ORDER, Outcome, default_tree
+from ksat.knowledge import LAYER_ORDER, Outcome, default_tree, tree_to_dict
 from ksat import model as model_module
-from ksat.model import KsatModel, forward, save_model
+from ksat.model import KsatModel, forward, load_model, save_model
 
 
 def invoke(*argv: str) -> int:
@@ -317,6 +318,65 @@ class TestTrainEvalReport:
         assert code == 1
         assert "learning_rate must be finite and positive" in capsys.readouterr().err
         assert not model_path.exists()
+
+    def test_eval_no_kg_bias_scores_a_penalty_on_model_with_the_penalty_off(
+        self, tmp_path, annotated_path
+    ):
+        tree = default_tree()
+        model_path = tmp_path / "model.json"
+        model = KsatModel.initialize(
+            tree, EmbeddingConfig(dimension=16), epsilon=1.0, value_scale=1.0
+        )
+        save_model(model, model_path)
+        dataset = load_jsonl(annotated_path)
+        loaded = load_model(model_path, tree)
+        assert loaded.kg_bias_enabled
+        penalty_on = analysis.compute_metrics(loaded, dataset)
+        loaded.kg_bias_enabled = False
+        penalty_off = analysis.compute_metrics(loaded, dataset)
+        # the fixture is one on which the switch changes the metrics
+        assert penalty_off.to_dict() != penalty_on.to_dict()
+        metrics_path = tmp_path / "metrics.json"
+        code = invoke(
+            "eval", "--data", str(annotated_path), "--model", str(model_path),
+            "--out", str(metrics_path), "--no-kg-bias",
+        )
+        assert code == 0
+        assert json.loads(metrics_path.read_text()) == penalty_off.to_dict()
+
+    def test_a_saved_default_taxonomy_gives_the_same_files(self, tmp_path):
+        taxonomy = tmp_path / "taxonomy.json"
+        taxonomy.write_text(json.dumps(tree_to_dict(default_tree())))
+        written = {}
+        for label, extra in (("packaged", ()), ("file", ("--taxonomy", str(taxonomy)))):
+            out = tmp_path / label
+            out.mkdir()
+            steps = [
+                ("synth", "--n", "8", "--seed", "2", "--out", str(out / "corpus.jsonl")),
+                ("annotate", "--data", str(out / "corpus.jsonl"), "--thetas", "0.2,0.2,0.2",
+                 "--out", str(out / "annotated.jsonl")),
+                ("train", "--data", str(out / "annotated.jsonl"), "--epochs", "2",
+                 "--out", str(out / "model.json")),
+                ("eval", "--data", str(out / "annotated.jsonl"), "--model",
+                 str(out / "model.json"), "--out", str(out / "metrics.json")),
+            ]
+            for step in steps:
+                assert invoke(*step, "--dim", "16", "--quiet", *extra) == 0
+            written[label] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(written["file"]) == 4
+        assert written["file"] == written["packaged"]
+
+    def test_a_taxonomy_with_a_fractional_context_id_is_a_data_error(self, tmp_path, capsys):
+        data = tree_to_dict(default_tree())
+        data["layer_contexts"]["IndicationOrNone"] = [0.5]
+        taxonomy = tmp_path / "taxonomy.json"
+        taxonomy.write_text(json.dumps(data))
+        out = tmp_path / "corpus.jsonl"
+        code = invoke("synth", "--n", "4", "--taxonomy", str(taxonomy), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(taxonomy) in err and "must be an int, got 0.5" in err
+        assert not out.exists()
 
     def test_model_file_with_zero_epsilon_is_a_data_error(
         self, tmp_path, annotated_path, capsys

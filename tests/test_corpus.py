@@ -121,6 +121,11 @@ class TestJsonlRoundTrip:
             ),
             '{"id":"p2","sentences":["y"],"sentence_presence":[5]}',
             '{"id":"p2","sentences":["y"],"sentence_presence":"101"}',
+            '["p2", ["y"]]',
+            '{"id":2,"sentences":["y"]}',
+            '{"id":"p2","sentences":"y"}',
+            '{"id":"p2","sentences":["y", 3]}',
+            '{"id":"p2","sentences":["y"],"gold":3}',
         ):
             path.write_text('{"id":"p1","sentences":["x"]}\n' + line + "\n")
             with pytest.raises(DataFormatError, match=":2:"):

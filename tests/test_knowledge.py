@@ -19,7 +19,6 @@ from ksat.knowledge import (
     Outcome,
     canonical_hash,
     connection_vector,
-    context_for_layer,
     default_tree,
     hamming_distance,
     load_taxonomy,
@@ -77,10 +76,10 @@ class TestDefaultTree:
         assert outcomes == set(LAYER_ORDER)
 
     def test_layer_contexts_grow_along_the_tree_path(self, tree):
-        assert context_for_layer(tree, Outcome.INDICATION_OR_NONE) == (0,)
-        assert context_for_layer(tree, Outcome.IDEATION_1) == (0, 1)
-        assert context_for_layer(tree, Outcome.IDEATION_2) == (0, 1, 2)
-        assert context_for_layer(tree, Outcome.BEHAVIOR_OR_ATTEMPT) == (0, 1, 2)
+        assert tree.layer_contexts[Outcome.INDICATION_OR_NONE] == (0,)
+        assert tree.layer_contexts[Outcome.IDEATION_1] == (0, 1)
+        assert tree.layer_contexts[Outcome.IDEATION_2] == (0, 1, 2)
+        assert tree.layer_contexts[Outcome.BEHAVIOR_OR_ATTEMPT] == (0, 1, 2)
 
     def test_cached_instance_is_reused(self):
         assert default_tree() is default_tree()
@@ -103,6 +102,12 @@ class TestConnectionVector:
             connection_vector((1, 0, 0), (3,))
         with pytest.raises(ValueError):
             connection_vector((1, 0, 0), (-1,))
+
+    @pytest.mark.parametrize("bad", [0.9, 1.0, True, "0", np.int64(0), None], ids=repr)
+    def test_a_context_id_that_is_not_an_int_rejected(self, bad):
+        # int() would read 0.9 as 0 and True as 1
+        with pytest.raises(ValueError, match="context id must be an int"):
+            connection_vector((1, 0, 1), (bad, 2))
 
     def test_non_binary_presence_rejected(self):
         # an entry that int() would change is refused, not truncated
@@ -237,6 +242,17 @@ class TestTreeValidation:
                 layer_contexts=contexts,
             )
 
+    def test_contexts_are_stored_sorted_in_the_trees_own_dict(self):
+        mapping = {bits: Outcome.INDICATION_OR_NONE for bits in BITS3}
+        contexts = {o: [2, 0] for o in LAYER_ORDER}
+        tree = KnowledgeTree(
+            concepts=tuple(Concept(i, f"c{i}", f"q{i}") for i in range(3)),
+            outcome_map=mapping,
+            layer_contexts=contexts,
+        )
+        assert all(tree.layer_contexts[o] == (0, 2) for o in LAYER_ORDER)
+        assert contexts == {o: [2, 0] for o in LAYER_ORDER}
+
     def test_non_contiguous_concept_ids_rejected(self):
         with pytest.raises(DataFormatError, match="0..K-1"):
             KnowledgeTree(
@@ -255,7 +271,7 @@ class TestSingleConceptTree:
     def test_every_layer_context_is_the_only_concept(self):
         tree = single_concept_tree()
         for o in LAYER_ORDER:
-            assert context_for_layer(tree, o) == (0,)
+            assert tree.layer_contexts[o] == (0,)
 
     def test_assignment_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -286,6 +302,47 @@ class TestSerialization:
         del data["outcome_map"]
         with pytest.raises(DataFormatError, match="malformed"):
             tree_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "keys, value, match",
+        [
+            (("concepts", 1, "id"), 1.7, "concept id must be an int, got 1.7"),
+            (("concepts", 1, "id"), True, "concept id must be an int, got True"),
+            (("concepts", 1, "name"), 5, "concept 1: name and query_text must be strs"),
+            (("concepts", 0, "query_text"), None, "concept 0: name and query_text"),
+            (("layer_contexts", "Ideation1"), [0, 0.5], "must be an int, got 0.5"),
+            (("layer_contexts", "Ideation1"), [True], "must be an int, got True"),
+            (("layer_contexts", "Ideation1"), [0, 0], "nonempty set"),
+            (("layer_contexts", "Ideation1"), [], "nonempty set"),
+            (("layer_contexts", "Ideation1"), 1, "malformed"),
+        ],
+        ids=["id-float", "id-bool", "name-int", "query-null", "context-float",
+             "context-bool", "context-repeated", "context-empty", "context-int"],
+    )
+    def test_a_field_of_the_wrong_json_type_rejected(self, tree, keys, value, match):
+        # taxonomy ids and contexts must be JSON integers: none is truncated
+        data = tree_to_dict(tree)
+        entry = data
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        with pytest.raises(DataFormatError, match=match):
+            tree_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["01x", "012", " 01", "1.0"])
+    def test_an_outcome_map_key_that_is_no_bitstring_rejected(self, tree, key):
+        data = tree_to_dict(tree)
+        data["outcome_map"][key] = data["outcome_map"].pop("010")
+        with pytest.raises(DataFormatError, match="is not a bitstring"):
+            tree_from_dict(data)
+
+    def test_a_schema_problem_names_the_file(self, tree, tmp_path):
+        data = tree_to_dict(tree)
+        data["concepts"][0]["id"] = 0.0
+        path = tmp_path / "tax.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataFormatError, match="tax.json: concept id"):
+            load_taxonomy(path)
 
     @pytest.mark.parametrize("outcomes", [[1, 0, 2, 3], [0, 1, 2]])
     def test_outcomes_out_of_fixed_order_rejected(self, tree, outcomes):

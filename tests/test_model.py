@@ -772,6 +772,42 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="epsilon must be finite and positive"):
             KsatModel.initialize(tree, EmbeddingConfig(dimension=4, seed=0), epsilon=epsilon)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", True),
+            ("epsilon", "1"),
+            ("epsilon", 10**400),
+            ("kg_bias_enabled", 1),
+            ("kg_bias_enabled", "no"),
+            ("a_raw", True),
+            ("a_raw", "0.5"),
+            ("context", (0.0,)),
+        ],
+        ids=["epsilon-bool", "epsilon-string", "epsilon-beyond-float", "flag-int",
+             "flag-string", "a_raw-bool", "a_raw-string", "context-float"],
+    )
+    def test_a_mistyped_field_rejected(self, make_model, field, value):
+        # each would build a model whose saved file `load_model` refuses
+        model = make_model(dimension=4)
+        if field in ("a_raw", "context"):
+            setattr(model.layers[0], field, value)
+            changes = {}
+        else:
+            changes = {field: value}
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(model, **changes)
+
+    def test_whole_numbers_are_stored_as_floats(self, make_model, tree, tmp_path):
+        model = make_model(dimension=4)
+        model.layers[0].a_raw = -2
+        model = dataclasses.replace(model, epsilon=1)
+        assert type(model.epsilon) is float and type(model.layers[0].a_raw) is float
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path, tree)
+        assert (loaded.epsilon, loaded.layers[0].a_raw) == (1.0, -2.0)
+
     def test_layer_order_enforced(self, tree, make_model):
         model = make_model(dimension=4)
         layers = list(model.layers)
@@ -913,11 +949,17 @@ class TestPersistence:
             (("layers", 0, "a_raw"), True),
             (("layers", 0, "w_out"), ["0.5"] * 16),
             (("layers", 0, "w_out"), [True] * 16),
+            (("dimension",), 8),
+            (("version",), True),
+            (("epsilon",), True),
+            (("layers", 0, "context"), [True]),
+            (("layers", 0, "context"), "0"),
         ],
         ids=["flag-string", "flag-int", "dimension-float", "embedding-dimension-float",
              "seed-string", "seed-bool", "version-other", "epsilon-string", "context-float",
              "context-not-the-trees", "a_raw-string", "a_raw-bool", "block-strings",
-             "block-bools"],
+             "block-bools", "dimension-other", "version-bool", "epsilon-bool", "context-bool",
+             "context-string"],
     )
     def test_load_rejects_a_mistyped_flag_or_integer(self, tree, make_model, tmp_path, keys, value):
         # bool("false") is True, int(4.9) is 4 and float("0.5") is 0.5: such

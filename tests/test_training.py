@@ -123,6 +123,25 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(grad_tolerance=-1.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("kg_bias_enabled", "no"),
+            ("kg_bias_enabled", 0),
+            ("epochs", True),
+            ("epochs", 2.5),
+            ("learning_rate", True),
+            ("fd_step", "1e-5"),
+            ("grad_tolerance", None),
+        ],
+        ids=["flag-string", "flag-int", "epochs-bool", "epochs-float", "lr-bool",
+             "fd_step-string", "tolerance-none"],
+    )
+    def test_mistyped_settings_rejected(self, name, value):
+        # "no" is truthy, True counts as 1 epoch and 2.5 epochs fails in `train`
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            TrainConfig(**{name: value})
+
     @pytest.mark.parametrize("name", ["learning_rate", "fd_step", "grad_tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_settings_rejected(self, name, value):
@@ -689,6 +708,34 @@ class TestTrain:
         assert f"layer {error.layer} " in message
         assert error.log_peak < -1e3  # the fixture's bias is ~-1e6
         assert f"({error.log_peak:.6g})" in message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "nan_w_out, learning_rate, epoch",
+        [(True, 0.05, 0), (False, 1e300, 1)],
+        ids=["nan-parameter", "diverging-step"],
+    )
+    def test_a_non_finite_loss_names_epoch_post_and_layer(
+        self, make_model, nan_w_out, learning_rate, epoch
+    ):
+        # a NaN meets no comparison, so the collapse floor alone let both
+        # runs return a loss trace of NaNs
+        model = make_model(dimension=8, seed=0)
+        dataset = self._training_set()
+        if nan_w_out:
+            model.layers[2].w_out[0, 0] = math.nan
+            batch = [(p, p.sentence_presence, p.gold) for p in dataset.posts]
+            with pytest.raises(NumericalError, match="not all finite from layer 2 on"):
+                loss(model, batch)
+        config = TrainConfig(epochs=2, learning_rate=learning_rate, kg_bias_enabled=False)
+        with pytest.raises(NumericalError, match="not all finite") as info:
+            train(model, dataset, config)
+        error = info.value
+        assert str(error).startswith(f"epoch {epoch}: post {error.post_id!r}")
+        assert error.epoch == epoch
+        assert error.post_id == min(p.id for p in dataset.posts)
+        assert error.layer == (2 if nan_w_out else 0)
+        assert error.log_peak is None
 
     def test_same_seed_and_config_is_bitwise_deterministic(self, make_model):
         dataset = self._training_set()

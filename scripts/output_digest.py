@@ -8,7 +8,8 @@ model as `model_to_dict` reads it after a `save_model`/`load_model` round
 trip (the larger fills length
 buckets past 128 KiB per array), `backward` gradients on short posts, on
 longer ones and on a bucket whose layers hold dozens of sentence groups, the
-penalty (`kg_bias`) over nearly as many groups as rows, a small
+penalty (`kg_bias`) over nearly as many groups as rows, the loss over
+(post, presence, gold) triples whose presence is not their posts' own, a small
 `finite_diff_check`'s block errors, and what
 the loss's collapse guard reports on a batch crafted to collapse, through
 `loss` and through `train`, a taxonomy's canonical hash after a
@@ -197,6 +198,14 @@ def digest_lines() -> list[str]:
     assert min(counts) >= 20, counts
     grads = backward(grouped, [(p, p.sentence_presence, p.gold) for p in many])
     lines.append(("backward.many_groups", _digest(value for _, value in grads.blocks())))
+    # `loss`, penalty on, over triples whose presence rows are not their
+    # posts' own: the triple's rows are the ones compiled
+    triples = [
+        (p, [(i % 2, 0, 1) for i in range(len(p.sentences))], p.gold) for p in train_set.posts
+    ]
+    value = loss(model, triples)
+    assert value != loss(model, batch), "the triples' presence changes no penalty"
+    lines.append(("compile_batch.triple", _digest([value])))
     # finite differences at d = 4 on three posts
     small = _model(tree, 4, epsilon=1.0, value_scale=0.25)
     report = finite_diff_check(small, batch[:3], TrainConfig())
@@ -273,9 +282,9 @@ def digest_lines() -> list[str]:
             f"{phrases[i % len(phrases)]} {phrases[3 * i % len(phrases)]} {i % 7} {i % 7}"
             for i in range(120)
         ],
+        sentence_presence=[(i % 2, 0, 1) for i in range(120)],
     )
-    presence = [(i % 2, 0, 1) for i in range(len(repeating.sentences))]
-    values = [compile_post(m, repeating, presence).embeddings for m in (model, wide)]
+    values = [compile_post(m, repeating).embeddings for m in (model, wide)]
     lines.append(("compile_post.embeddings", _digest(values)))
     result = grid_search(train_set, tree, config, theta_step=0.5)
     facts = [

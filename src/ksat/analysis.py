@@ -28,14 +28,13 @@ from .model import (
     CompiledPost,
     KsatModel,
     _bucket_passes,
+    _finite_log_products,
     _log_normalized,
     _log_probs_array,
-    _log_products,
-    _ranked,
     compile_post,
     forward,
 )
-from .training import compile_batch
+from .training import _compile_labeled
 
 
 @dataclass
@@ -123,12 +122,6 @@ def auc_roc(gold: list[int], scores: np.ndarray) -> float:
     return float(np.mean(per_class))
 
 
-def _compile_labeled(model: KsatModel, dataset: Dataset):
-    """The dataset's posts compiled, each with its gold outcome index."""
-    batch = [(post, post.sentence_presence, post.gold) for post in dataset.posts]
-    return compile_batch(model, batch)
-
-
 def _run_posts(model: KsatModel, compiled: list[CompiledPost]):
     """Run compiled posts per length bucket. Returns, in post order, their
     ``(posts, layers, outcomes)`` log-probabilities, each layer's CLS and
@@ -189,13 +182,14 @@ def score_posts(model: KsatModel, dataset: Dataset) -> tuple[list[int], list[int
     """
     if not dataset.posts:
         raise ValueError("dataset is empty")
-    compiled = _compile_labeled(model, dataset)
-    # a NaN parameter makes NaN logits; `_ranked` reports the post instead
-    # of NumPy warning about them
+    compiled = _compile_labeled(model, dataset.posts)
+    # a NaN parameter makes NaN logits; `_finite_log_products` reports the
+    # post instead of NumPy warning about them
     with np.errstate(invalid="ignore"):
-        log_f = _log_products(_run_posts(model, compiled)[0])
-    predicted = _ranked(log_f, [cp.post_id for cp in compiled])
-    return [cp.gold for cp in compiled], predicted.tolist(), np.exp(_log_normalized(log_f))
+        log_probs = _run_posts(model, compiled)[0]
+        log_f = _finite_log_products(log_probs, [cp.post_id for cp in compiled])
+    predicted = log_f.argmax(axis=1).tolist()  # ties to the earliest outcome
+    return [cp.gold for cp in compiled], predicted, np.exp(_log_normalized(log_f))
 
 
 def compute_metrics(model: KsatModel, dataset: Dataset) -> Metrics:
@@ -316,7 +310,7 @@ def within_class_kcls_distance(model: KsatModel, dataset: Dataset) -> float:
     The pairs are taken outcome by outcome, in the order the outcomes first
     occur, each outcome's posts in corpus order.
     """
-    compiled = _compile_labeled(model, dataset)
+    compiled = _compile_labeled(model, dataset.posts)
     gold = np.array([cp.gold for cp in compiled], dtype=np.intp)
     kcls = _run_posts(model, compiled)[1][:, -1, 1]
     groups = (np.flatnonzero(gold == g) for g in dict.fromkeys(gold.tolist()))

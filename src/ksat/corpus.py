@@ -38,11 +38,19 @@ class Post:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        """The one check of a post's fields; presence rows go through `_check_bits`."""
         if not (isinstance(self.id, str) and self.id):
             raise DataFormatError(f"post id must be a nonempty string, got {self.id!r}")
-        if not self.sentences:
+        sentences = self.sentences
+        if not (isinstance(sentences, list) and all(isinstance(s, str) for s in sentences)):
+            raise DataFormatError(f"post {self.id!r}: sentences must be a list of strings")
+        if not sentences:
             raise DataFormatError(f"post {self.id!r} must have at least one sentence")
+        if not (self.gold is None or isinstance(self.gold, Outcome)):
+            raise DataFormatError(f"post {self.id!r}: gold must be an Outcome, got {self.gold!r}")
         if self.sentence_presence is not None:
+            if not isinstance(self.sentence_presence, list):
+                raise DataFormatError(f"post {self.id!r}: sentence_presence must be a list of rows")
             if len(self.sentence_presence) != len(self.sentences):
                 raise DataFormatError(
                     f"post {self.id!r}: sentence_presence length "
@@ -76,24 +84,17 @@ def _post_from_obj(obj: dict, where: str) -> Post:
         sentences = obj["sentences"]
     except KeyError as exc:
         raise DataFormatError(f"{where}: missing required key {exc}") from exc
-    if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
-        raise DataFormatError(f"{where}: sentences must be a list of strings")
     gold = None
     if obj.get("gold") is not None:
         try:
             gold = outcome_from_name(obj["gold"])
         except DataFormatError as exc:
             raise DataFormatError(f"{where}: {exc}") from exc
-    presence = obj.get("sentence_presence")
-    if presence is not None and not (
-        isinstance(presence, list) and all(isinstance(row, list) for row in presence)
-    ):
-        raise DataFormatError(f"{where}: sentence_presence must be a list of lists")
     extras = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
     try:
         return Post(
-            id=pid, sentences=list(sentences), gold=gold,
-            sentence_presence=presence, extras=extras,
+            id=pid, sentences=sentences, gold=gold,
+            sentence_presence=obj.get("sentence_presence"), extras=extras,
         )
     except DataFormatError as exc:
         raise DataFormatError(f"{where}: {exc}") from exc
@@ -110,8 +111,8 @@ def load_jsonl(path) -> Dataset:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             post = _post_from_obj(obj, f"{path}:{lineno}")
             if post.id in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate post id {post.id!r}")

@@ -97,8 +97,18 @@ class KnowledgeTree:
         if ids != list(range(len(ids))):
             raise DataFormatError(f"concept ids must be 0..K-1 in order, got {ids}")
         k = len(self.concepts)
+        outcome_map = {}  # the caller's stays as given
+        for bits, outcome in self.outcome_map.items():
+            try:
+                key = _check_bits(bits, "outcome_map key")
+            except ValueError as exc:
+                raise DataFormatError(str(exc)) from exc
+            if not isinstance(outcome, Outcome):
+                raise DataFormatError(f"outcome_map[{bits!r}] must be an Outcome, got {outcome!r}")
+            outcome_map[key] = outcome
+        self.outcome_map = outcome_map
         expected = set(itertools.product((0, 1), repeat=k))
-        got = set(self.outcome_map)
+        got = set(outcome_map)
         if got != expected:
             missing = sorted(expected - got)
             extra = sorted(got - expected)
@@ -190,6 +200,9 @@ def tree_from_dict(data: dict) -> KnowledgeTree:
         )
         if tuple(outcome_from_name(n) for n in data["outcomes"]) != LAYER_ORDER:
             raise DataFormatError("layer order must be the four outcomes in fixed order")
+        for name in ("outcome_map", "layer_contexts"):
+            if not isinstance(data[name], dict):
+                raise DataFormatError(f"{name} must be a JSON object")
         outcome_map = {}
         for key, name in data["outcome_map"].items():
             if not set(key) <= {"0", "1"}:
@@ -210,9 +223,12 @@ def load_taxonomy(path) -> KnowledgeTree:
     """Load a taxonomy JSON file; a DataFormatError names the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return tree_from_dict(json.load(handle))
-    except json.JSONDecodeError as exc:
+            data = json.load(handle)
+    # a JSONDecodeError, an int past Python's digit limit, or text that is not UTF-8
+    except ValueError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return tree_from_dict(data)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

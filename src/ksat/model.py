@@ -486,20 +486,16 @@ class CompiledPost:
         return self.embeddings.shape[0]
 
 
-def compile_post(model: KsatModel, post: Post, sentence_presence=None) -> CompiledPost:
+def compile_post(model: KsatModel, post: Post) -> CompiledPost:
     """Embed sentences, from the model's table when it holds one, and group
     them per layer by their restricted connection vectors (`_groups`),
-    keeping O(n + G^2) numbers per layer, or None (`CompiledPost`)."""
-    presence = sentence_presence if sentence_presence is not None else post.sentence_presence
+    keeping O(n + G^2) numbers per layer, or None (`CompiledPost`). Of the
+    presence rows `Post` has checked, only their width, K, needs the model."""
+    presence = post.sentence_presence
     if presence is None:
         raise DataFormatError(
             f"post {post.id!r} has no sentence_presence; annotate the corpus "
             "or supply gold annotations first"
-        )
-    if len(presence) != len(post.sentences):
-        raise DataFormatError(
-            f"post {post.id!r}: {len(presence)} presence vectors for "
-            f"{len(post.sentences)} sentences"
         )
     k = model.tree.num_concepts
     for row in presence:
@@ -833,18 +829,26 @@ def _log_normalized(log_f: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _ranked(log_f: np.ndarray, post_ids: Sequence[str]) -> np.ndarray:
-    """Each post's outcome index: the argmax of its log final products, ties
-    to the earliest. A post whose log products are not all finite (a NaN
-    parameter, say) raises `NumericalError` naming it."""
+def _finite_log_products(log_probs: np.ndarray, post_ids: Sequence[str]) -> np.ndarray:
+    """`_log_products` of `log_probs`, if every post's log final products are
+    finite. Else `NumericalError` naming the first post whose are not (a
+    NaN parameter, say) and the first layer whose running log product, in
+    stack order, is not: the one refusal of non-finite log products, in
+    training, evaluation and `predict`."""
+    log_f = _log_products(log_probs)
     bad = ~np.isfinite(log_f).all(axis=1)
     if bad.any():
-        post_id = post_ids[int(bad.argmax())]
+        first = int(bad.argmax())
+        # the running products in stack order, as `_log_products` adds them
+        running = np.isfinite(np.cumsum(log_probs[first], axis=0)).all(axis=1)
+        layer = int(running.argmin())
         raise NumericalError(
-            f"post {post_id!r}: log final products {log_f[bad][0].tolist()} are not all finite",
-            post_id=post_id,
+            f"post {post_ids[first]!r}: the log final products are not all finite "
+            f"from layer {layer} on",
+            post_id=post_ids[first],
+            layer=layer,
         )
-    return log_f.argmax(axis=1)
+    return log_f
 
 
 def aggregate_probs(prob_rows) -> np.ndarray:
@@ -874,10 +878,11 @@ def normalize_probs(final: np.ndarray) -> np.ndarray:
 def predict(model: KsatModel, post: Post) -> Outcome:
     """Argmax outcome of the log final product, as `score_posts` ranks;
     ties resolve to the earliest layer-order position. A post whose raw
-    products all underflow to 0.0 still ranks; see `_ranked`."""
+    products all underflow to 0.0 still ranks; one whose log products are
+    not all finite is refused (`_finite_log_products`)."""
     _, passes = forward(model, post)
-    log_f = _log_products(np.stack([lp.log_probs for lp in passes])[None])
-    return LAYER_ORDER[int(_ranked(log_f, [post.id])[0])]
+    log_f = _finite_log_products(np.stack([lp.log_probs for lp in passes])[None], [post.id])
+    return LAYER_ORDER[int(log_f[0].argmax())]
 
 
 def model_to_dict(model: KsatModel) -> dict:
@@ -924,7 +929,8 @@ def load_model(
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, an int past Python's digit limit, or text that is not UTF-8
+    except ValueError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
         if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:

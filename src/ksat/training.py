@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from .corpus import Dataset
 from .errors import DataFormatError, NumericalError, flag, number, whole
-from .knowledge import LAYER_ORDER, N_OUTCOMES
+from .knowledge import N_OUTCOMES
 from .model import (
     ARRAY_BLOCKS,
     CompiledPost,
@@ -32,6 +32,7 @@ from .model import (
     _Arena,
     _Groups,
     _bucket_passes,
+    _finite_log_products,
     _log_normalized,
     _log_probs_array,
     _log_products,
@@ -105,16 +106,22 @@ def _zero_gradients(model: KsatModel) -> Gradients:
     )
 
 
-def compile_batch(model: KsatModel, batch) -> list[CompiledPost]:
-    """Compile (post, presence, gold) triples; gold must be present."""
+def _compile_labeled(model: KsatModel, posts) -> list[CompiledPost]:
+    """The posts compiled, each with its gold outcome index; a post without
+    gold is refused."""
     compiled = []
-    for post, presence, gold in batch:
-        if gold is None:
+    for post in posts:
+        if post.gold is None:
             raise DataFormatError(f"post {post.id!r} has no gold outcome")
-        cp = compile_post(model, post, presence)
-        cp.gold = LAYER_ORDER.index(gold)
-        compiled.append(cp)
+        compiled.append(compile_post(model, post))
     return compiled
+
+
+def compile_batch(model: KsatModel, batch) -> list[CompiledPost]:
+    """Compile (post, presence, gold) triples, each as its post rebuilt with
+    that presence and gold, so `Post` checks them as it checks its own."""
+    posts = [replace(post, sentence_presence=presence, gold=gold) for post, presence, gold in batch]
+    return _compile_labeled(model, posts)
 
 
 def _refused(log_f: np.ndarray) -> np.ndarray:
@@ -143,16 +150,8 @@ def _loss_head(compiled: list[CompiledPost], log_probs: np.ndarray):
     if refused.any():
         first = int(refused.argmax())
         post_id = compiled[first].post_id
-        if not np.isfinite(log_f[first]).all():
-            # the running products in stack order, as `_log_products` adds them
-            running = np.isfinite(np.cumsum(log_probs[first], axis=0)).all(axis=1)
-            layer = int(running.argmin())
-            raise NumericalError(
-                f"post {post_id!r}: the log final products are not all finite "
-                f"from layer {layer} on",
-                post_id=post_id,
-                layer=layer,
-            )
+        # refuses post `first` if its log products are not all finite
+        _finite_log_products(log_probs[first, None], [post_id])
         peaks = log_probs[first].max(axis=1).astype(np.float64)
         worst = int(np.argmin(peaks))
         raise NumericalError(
@@ -519,8 +518,7 @@ def train(model: KsatModel, train_set: Dataset, config: TrainConfig) -> TrainRes
     posts = sorted(train_set.posts, key=lambda p: p.id)
     if not posts:
         raise ValueError("training set is empty")
-    batch = [(post, post.sentence_presence, post.gold) for post in posts]
-    compiled = compile_batch(model, batch)
+    compiled = _compile_labeled(model, posts)
     losses: list[float] = []
     alphas: list[list[float]] = []
     # every epoch runs the same buckets, so after the first one the arena

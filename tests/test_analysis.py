@@ -304,6 +304,24 @@ class TestLogSpaceRanking:
             predict(model, posts[2])
         assert predict(model, posts[1]) in LAYER_ORDER
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_log_products_name_the_layer(self, make_model):
+        # evaluation refuses them as training does, naming the first layer
+        # whose running log product is not finite
+        posts = [
+            Post(id=f"p{i}", sentences=["x."] * n, gold=LAYER_ORDER[i % 4],
+                 sentence_presence=[(0, 0, 0)] * n)
+            for i, n in enumerate((1, 2, 3, 2))
+        ]
+        model = make_model(dimension=4, seed=1)
+        model.layers[2].w_out[0, 0] = np.nan
+        with pytest.raises(NumericalError, match="'p0'.*not all finite from layer 2 on") as caught:
+            score_posts(model, Dataset(posts=posts))
+        assert (caught.value.post_id, caught.value.layer) == ("p0", 2)
+        with pytest.raises(NumericalError, match="from layer 2 on") as caught:
+            predict(model, posts[1])
+        assert (caught.value.post_id, caught.value.layer) == ("p1", 2)
+
 
 def per_post_reference(model, posts):
     """Contribution rows, all-pair distances and the within-class mean,

@@ -292,6 +292,21 @@ class TestTrainEvalReport:
         )
         assert code == 2
 
+    def test_an_integer_past_the_digit_limit_is_a_data_error(self, tmp_path, annotated_path, capsys):
+        # Python parses no int of more than 4,300 digits, with a plain
+        # ValueError that once left `ksat` on exit 1 without the file's name
+        lines = annotated_path.read_text().splitlines()
+        lines[1] = lines[1][:-1] + ', "score": 1' + "0" * 5000 + "}"
+        annotated_path.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "model.json"
+        code = invoke(
+            "train", "--data", str(annotated_path), "--out", str(model_path),
+            "--epochs", "1", "--dim", "16",
+        )
+        assert code == 2
+        assert f"{annotated_path}:2: invalid JSON" in capsys.readouterr().err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("bad", [0.7, 1.5, "1", [1]], ids=repr)
     def test_non_binary_presence_is_a_data_error(self, tmp_path, annotated_path, capsys, bad):
         lines = annotated_path.read_text().splitlines()

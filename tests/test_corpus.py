@@ -61,6 +61,27 @@ class TestPostValidation:
             assert type(post.sentence_presence[0][1]) is int
 
 
+    @pytest.mark.parametrize(
+        "sentences", ["hello", ["a", 1], [1, None], ("a",), None], ids=repr
+    )
+    def test_sentences_must_be_a_list_of_strings(self, sentences):
+        # a bare string would be a post of five one-letter sentences, and a
+        # non-string sentence would fail only when it is embedded
+        with pytest.raises(DataFormatError, match="post 'p': sentences must be a list of strings"):
+            Post(id="p", sentences=sentences)
+
+    @pytest.mark.parametrize("gold", ["Ideation1", 1], ids=repr)
+    def test_gold_must_be_an_outcome(self, gold):
+        # a name would fail only in `compute_metrics`, as `tuple.index` misses
+        with pytest.raises(DataFormatError, match="post 'p': gold must be an Outcome"):
+            Post(id="p", sentences=["a"], gold=gold)
+
+    @pytest.mark.parametrize("presence", [5, "101", ((1, 0, 0),), [5]], ids=repr)
+    def test_presence_must_be_a_list_of_rows(self, presence):
+        with pytest.raises(DataFormatError, match="post 'p': "):
+            Post(id="p", sentences=["a"], sentence_presence=presence)
+
+
 class TestJsonlRoundTrip:
     def test_empty_file_loads_as_empty_dataset(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -130,6 +151,22 @@ class TestJsonlRoundTrip:
             path.write_text('{"id":"p1","sentences":["x"]}\n' + line + "\n")
             with pytest.raises(DataFormatError, match=":2:"):
                 load_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id":"p2","sentences":["y"],"score":1%s}',
+            '{"id":"p2","sentences":["y"],"sentence_presence":[[1%s,0,0]]}',
+        ],
+        ids=["extra", "presence"],
+    )
+    def test_an_integer_past_the_digit_limit_reports_line_number(self, tmp_path, line):
+        # Python refuses to parse an int of more than 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        path = tmp_path / "posts.jsonl"
+        path.write_text('{"id":"p1","sentences":["x"]}\n' + line % ("0" * 5000) + "\n")
+        with pytest.raises(DataFormatError, match=":2: invalid JSON"):
+            load_jsonl(path)
 
     def test_duplicate_id_reports_line_number(self, tmp_path):
         path = tmp_path / "posts.jsonl"

@@ -262,6 +262,34 @@ class TestTreeValidation:
             )
 
 
+    def test_numeric_keys_are_stored_as_int_tuples_in_the_trees_own_dict(self, tree):
+        # float keys equal the int ones, but `tree_to_dict` would write
+        # "0.00.01.0" for them
+        given_map = {tuple(map(float, bits)): o for bits, o in tree.outcome_map.items()}
+        floats = KnowledgeTree(tree.concepts, given_map, tree.layer_contexts)
+        assert all(type(b) is int for bits in floats.outcome_map for b in bits)
+        assert all(type(b) is float for bits in given_map for b in bits)
+        again = tree_from_dict(tree_to_dict(floats))
+        assert again.outcome_map == tree.outcome_map
+        assert canonical_hash(floats) == canonical_hash(again) == canonical_hash(default_tree())
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ((0.5, 0, 1), Outcome.IDEATION_1, "outcome_map key must hold only 0/1 numbers"),
+            ("001", Outcome.IDEATION_1, "outcome_map key must hold only 0/1 numbers"),
+            (5, Outcome.IDEATION_1, "outcome_map key must hold only 0/1 numbers"),
+            ((0, 0, 1), "Ideation1", r"outcome_map\[\(0, 0, 1\)\] must be an Outcome"),
+        ],
+        ids=["key-half", "key-string", "key-int", "value-name"],
+    )
+    def test_an_outcome_map_entry_of_the_wrong_type_rejected(self, tree, key, value, match):
+        outcome_map = {bits: o for bits, o in tree.outcome_map.items() if bits != (0, 0, 1)}
+        outcome_map[key] = value
+        with pytest.raises(DataFormatError, match=match):
+            KnowledgeTree(tree.concepts, outcome_map, tree.layer_contexts)
+
+
 class TestSingleConceptTree:
     def test_constant_map_returns_the_constant(self):
         tree = single_concept_tree(Outcome.IDEATION_2)
@@ -335,6 +363,31 @@ class TestSerialization:
         data["outcome_map"][key] = data["outcome_map"].pop("010")
         with pytest.raises(DataFormatError, match="is not a bitstring"):
             tree_from_dict(data)
+
+    @pytest.mark.parametrize("name", ["outcome_map", "layer_contexts"])
+    def test_a_list_where_an_object_belongs_rejected(self, tree, name):
+        data = tree_to_dict(tree)
+        data[name] = list(data[name].values())
+        with pytest.raises(DataFormatError, match=f"{name} must be a JSON object"):
+            tree_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "where",
+        [("concepts", 0, "id"), ("layer_contexts", "Ideation1", 0)],
+        ids=["concept-id", "context-id"],
+    )
+    def test_an_integer_past_the_digit_limit_names_the_file(self, tree, tmp_path, where):
+        # Python refuses to parse an int of more than 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        data = tree_to_dict(tree)
+        entry = data
+        for key in where[:-1]:
+            entry = entry[key]
+        entry[where[-1]] = "BIG"
+        path = tmp_path / "tax.json"
+        path.write_text(json.dumps(data).replace('"BIG"', "1" + "0" * 5000))
+        with pytest.raises(DataFormatError, match="tax.json: invalid JSON"):
+            load_taxonomy(path)
 
     def test_a_schema_problem_names_the_file(self, tree, tmp_path):
         data = tree_to_dict(tree)

@@ -38,7 +38,7 @@ from ksat.model import (
     sigmoid,
     softmax_rows,
 )
-from ksat.training import _extended_precision_clone
+from ksat.training import _extended_precision_clone, compile_batch
 
 TWO_SENTENCE_POST = Post(
     id="p1",
@@ -699,16 +699,22 @@ class TestCompilePost:
         assert compiled.gold == LAYER_ORDER.index(Outcome.IDEATION_1)
 
     def test_presence_length_mismatch_rejected(self, make_model):
+        # `Post` counts the rows, a triple's as a post's own
         model = make_model()
         post = Post(id="p", sentences=["a.", "b."])
+        with pytest.raises(DataFormatError, match="post 'p': sentence_presence length 1"):
+            compile_batch(model, [(post, [(1, 0, 0)], Outcome.IDEATION_1)])
         with pytest.raises(DataFormatError, match="presence"):
-            compile_post(model, post, sentence_presence=[(1, 0, 0)])
+            dataclasses.replace(post, sentence_presence=[(1, 0, 0)])
 
     def test_presence_width_mismatch_rejected(self, make_model):
+        # the width against K needs the model's tree, so `compile_post` checks it
         model = make_model()
-        post = Post(id="p", sentences=["a."])
+        post = Post(id="p", sentences=["a."], sentence_presence=[(1, 0)])
+        with pytest.raises(DataFormatError, match="post 'p': presence vector length 2 != K=3"):
+            compile_post(model, post)
         with pytest.raises(DataFormatError, match="length"):
-            compile_post(model, post, sentence_presence=[(1, 0)])
+            compile_batch(model, [(post, [(1, 0)], Outcome.IDEATION_1)])
 
     def test_file_backed_mode_reads_table_by_sentence_key(self, make_model):
         table = {
@@ -984,6 +990,24 @@ class TestPersistence:
         data["layers"][0]["a_raw"] = 10**400  # a JSON integer float() cannot take
         path.write_text(json.dumps(data))
         with pytest.raises(DataFormatError, match="malformed model JSON") as info:
+            load_model(path, tree)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "keys", [("dimension",), ("layers", 0, "a_raw")], ids=["dimension", "a_raw"]
+    )
+    def test_load_rejects_an_integer_past_the_digit_limit(self, tree, make_model, tmp_path, keys):
+        # Python refuses to parse an int of more than 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        path = tmp_path / "model.json"
+        save_model(make_model(dimension=4), path)
+        data = json.loads(path.read_text())
+        entry = data
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = "BIG"
+        path.write_text(json.dumps(data).replace('"BIG"', "1" + "0" * 5000))
+        with pytest.raises(DataFormatError, match="invalid JSON") as info:
             load_model(path, tree)
         assert str(path) in str(info.value)
 

@@ -170,6 +170,36 @@ class TestLoss:
         with pytest.raises(DataFormatError):
             loss(make_model(), [(post, post.sentence_presence, None)])
 
+    @pytest.mark.parametrize("kg_bias_enabled", [False, True], ids=["penalty-off", "penalty-on"])
+    @pytest.mark.parametrize(
+        "presence, gold, match",
+        [
+            ([(0.5, 7, "x"), (1, 1, 1)], Outcome.IDEATION_1, "presence vector must hold only 0/1"),
+            ([(1, 0, 0)], Outcome.IDEATION_1, "sentence_presence length 1 != 2"),
+            (5, Outcome.IDEATION_1, "sentence_presence must be a list"),
+            (None, Outcome.IDEATION_1, "has no sentence_presence"),
+            ([(1, 0, 0), (0, 0, 1)], "Ideation1", "gold must be an Outcome"),
+        ],
+        ids=["bits", "row-count", "not-a-list", "none", "gold-name"],
+    )
+    def test_a_triple_goes_through_the_post_checks(
+        self, make_model, kg_bias_enabled, presence, gold, match
+    ):
+        # a triple's presence and gold are refused as a post's own are, with
+        # the penalty on or off: its rows once gave a loss with the penalty off
+        model = make_model(dimension=8, kg_bias_enabled=kg_bias_enabled)
+        with pytest.raises(DataFormatError, match=f"post 'a'.*{match}"):
+            loss(model, [(POST_A, presence, gold)])
+
+    def test_a_triple_compiles_its_own_presence(self, make_model):
+        model = make_model(dimension=8, value_scale=0.25, epsilon=1.0)
+        rows = [(1, 0, 0), (1, 0, 0)]  # one group in every layer; POST_A's own are two
+        (cp,) = compile_batch(model, [(POST_A, rows, Outcome.BEHAVIOR_OR_ATTEMPT)])
+        assert [gr.codes.tolist() for gr in cp.groups] == [[0, 0]] * len(model.layers)
+        assert cp.gold == LAYER_ORDER.index(Outcome.BEHAVIOR_OR_ATTEMPT)
+        assert POST_A.sentence_presence == [(1, 0, 0), (0, 0, 1)]  # the caller's post
+        assert loss(model, [(POST_A, rows, POST_A.gold)]) != loss(model, as_batch(POST_A))
+
     def test_collapse_raises_numerical_error(self, make_model):
         # Identical connection vectors at distance 0 weight each pair by
         # 1/epsilon; an identity value projection makes the two sentence

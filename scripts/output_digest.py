@@ -2,7 +2,8 @@
 """Print one SHA-256 line per model output at fixed seeds and sizes.
 
 The outputs are forward finals, every `LayerPass` field and its
-`layer_probs` property, short `train` traces and parameters with the
+`layer_probs` property, the finals and penalties of one 300-sentence post at
+d = 64, short `train` traces and parameters with the
 graph-context penalty on and off, at two sizes, the penalty-on trained
 model as `model_to_dict` reads it after a `save_model`/`load_model` round
 trip (the larger fills length
@@ -140,6 +141,16 @@ def digest_lines() -> list[str]:
     for name in names:
         values = (getattr(lp, name) for _, passes in runs for lp in passes)
         lines.append((f"forward.pass.{name}", _digest(values)))
+    # forward at d = 64 over one post of 300 sentences whose layers hold two
+    # to eight groups: its (T, T) arrays pass 128 KiB, as long posts' do
+    presence = np.random.default_rng(SEED).integers(0, 2, (300, 3)).tolist()
+    long_d64 = Post(
+        id="long_d64",
+        sentences=[f"long post sentence {i}." for i in range(300)],
+        sentence_presence=[tuple(row) for row in presence],
+    )
+    final, passes = forward(_model(tree, 64, epsilon=1.0, value_scale=0.25), long_d64)
+    lines.append(("forward.long_d64", _digest([final, *(lp.kg_bias for lp in passes)])))
     # train: a few full-batch epochs, penalty off and on
     train_set = _corpus(tree, 48, (1, 4))
     for label, enabled in (("off", False), ("on", True)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, text_lines
 from .knowledge import (
     LAYER_ORDER,
     KnowledgeTree,
@@ -48,6 +48,15 @@ class Post:
             raise DataFormatError(f"post {self.id!r} must have at least one sentence")
         if not (self.gold is None or isinstance(self.gold, Outcome)):
             raise DataFormatError(f"post {self.id!r}: gold must be an Outcome, got {self.gold!r}")
+        # saved beside the known keys, so a known key would overwrite its field
+        if not (
+            isinstance(self.extras, dict)
+            and all(isinstance(k, str) and k not in _KNOWN_KEYS for k in self.extras)
+        ):
+            raise DataFormatError(
+                f"post {self.id!r}: extras must be a dict of str keys other than "
+                + ", ".join(_KNOWN_KEYS)
+            )
         if self.sentence_presence is not None:
             if not isinstance(self.sentence_presence, list):
                 raise DataFormatError(f"post {self.id!r}: sentence_presence must be a list of rows")
@@ -104,20 +113,18 @@ def load_jsonl(path) -> Dataset:
     """Load one post per line; duplicate ids and malformed lines are errors."""
     posts: list[Post] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            post = _post_from_obj(obj, f"{path}:{lineno}")
-            if post.id in seen:
-                raise DataFormatError(f"{path}:{lineno}: duplicate post id {post.id!r}")
-            seen.add(post.id)
-            posts.append(post)
+    for lineno, line in text_lines(path):
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        post = _post_from_obj(obj, f"{path}:{lineno}")
+        if post.id in seen:
+            raise DataFormatError(f"{path}:{lineno}: duplicate post id {post.id!r}")
+        seen.add(post.id)
+        posts.append(post)
     return Dataset(posts=posts)
 
 

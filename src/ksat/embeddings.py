@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, whole
+from .errors import DataFormatError, text_lines, whole
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -134,35 +134,33 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     """
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected a sentence id plus at least one value"
-                )
-            sid = parts[0]
-            if sid in table:
-                raise DataFormatError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
-            try:
-                vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad float value ({exc})") from exc
-            if not np.isfinite(vec).all():
-                raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise DataFormatError(
-                    f"{path}:{lineno}: dimension {vec.shape[0]} != {dim} seen earlier"
-                )
-            norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                vec /= norm
-            table[sid] = vec
+    for lineno, line in text_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected a sentence id plus at least one value"
+            )
+        sid = parts[0]
+        if sid in table:
+            raise DataFormatError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
+        try:
+            vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad float value ({exc})") from exc
+        if not np.isfinite(vec).all():
+            raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise DataFormatError(
+                f"{path}:{lineno}: dimension {vec.shape[0]} != {dim} seen earlier"
+            )
+        norm = float(np.linalg.norm(vec))
+        if norm > 0.0:
+            vec /= norm
+        table[sid] = vec
     return table
 
 

@@ -1,5 +1,6 @@
-"""Exception taxonomy, and the one type rule each input type applies to the
-fields it holds when built (`whole`, `number`, `flag`), shared across the package.
+"""Exception taxonomy, the one type rule each input type applies to the
+fields it holds when built (`whole`, `number`, `flag`), and the one reader of
+line-based text files (`text_lines`), shared across the package.
 
 The CLI maps these onto its exit codes: bad flag values surface as plain
 ``ValueError`` (usage, exit 1), malformed or inconsistent inputs raise
@@ -65,3 +66,16 @@ def flag(value, what: str) -> bool:
     if isinstance(value, bool):
         return value
     raise ValueError(f"{what} must be a bool, got {value!r}")
+
+
+def text_lines(path):
+    """Each line of the file at `path`, stripped, with its number from 1.
+    Lines end at ``\n``, ``\r`` or ``\r\n``, as in text mode; a line that
+    is not UTF-8 raises DataFormatError naming ``path:line``."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            yield lineno, raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}:{lineno}: not UTF-8 text ({exc})") from exc

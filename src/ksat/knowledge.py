@@ -13,9 +13,9 @@ import enum
 import hashlib
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from importlib import resources
+from operator import index, ne
 from typing import Sequence
 
 from .errors import DataFormatError, whole
@@ -82,6 +82,15 @@ def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
     raise ValueError(f"{what} must hold only 0/1 numbers, got {bits!r}")
 
 
+def _as_dict(mapping, what: str) -> dict:
+    """A new dict of `mapping`, or of its (key, value) pairs; else
+    DataFormatError naming `what`. The caller's object stays as given."""
+    try:
+        return dict(mapping)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{what} must be a mapping or (key, value) pairs: {exc}") from exc
+
+
 @dataclass
 class KnowledgeTree:
     """K concepts, a total assignment->outcome map and sorted per-layer contexts."""
@@ -98,7 +107,7 @@ class KnowledgeTree:
             raise DataFormatError(f"concept ids must be 0..K-1 in order, got {ids}")
         k = len(self.concepts)
         outcome_map = {}  # the caller's stays as given
-        for bits, outcome in self.outcome_map.items():
+        for bits, outcome in _as_dict(self.outcome_map, "outcome_map").items():
             try:
                 key = _check_bits(bits, "outcome_map key")
             except ValueError as exc:
@@ -116,7 +125,7 @@ class KnowledgeTree:
                 f"outcome_map must be total over all {2 ** k} assignments "
                 f"(missing {missing[:4]}, unexpected {extra[:4]})"
             )
-        self.layer_contexts = dict(self.layer_contexts)  # the caller's stays as given
+        self.layer_contexts = _as_dict(self.layer_contexts, "layer_contexts")
         for outcome in LAYER_ORDER:
             if outcome not in self.layer_contexts:
                 raise DataFormatError(f"layer_contexts missing {outcome.value}")
@@ -155,15 +164,18 @@ def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
 
     The entries must be 0/1 bits (ints, bools or NumPy integers); they are
     compared as they are, so ``1.5`` and ``1`` or ``"1"`` and ``1`` differ.
-    Two equal tuples, the common case for connection vectors, return 0
-    before the length check, which they always pass; other sequences, arrays
-    among them, are checked and take the loop.
+    Two equal tuples, the connection vectors' type, return 0 before the
+    length check, which they always pass: one tuple object twice
+    (`model._groups` passes each group's vectors as one object) before the
+    element compare, two equal ones after it. Other pairs, arrays among
+    them, take the length check and the count, which `index` returns as an
+    `int` without the type call `int()` makes.
     """
-    if a.__class__ is tuple and b.__class__ is tuple and a == b:
+    if a.__class__ is tuple and b.__class__ is tuple and (a is b or a == b):
         return 0
     if len(a) != len(b):
         raise ValueError(f"hamming distance needs equal lengths, got {len(a)} and {len(b)}")
-    return int(sum(map(operator.ne, a, b)))
+    return index(sum(map(ne, a, b)))
 
 
 def outcome_for_assignment(tree: KnowledgeTree, assignment: Sequence[int]) -> Outcome:

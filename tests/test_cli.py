@@ -307,6 +307,19 @@ class TestTrainEvalReport:
         assert f"{annotated_path}:2: invalid JSON" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_a_corpus_that_is_not_utf8_is_a_data_error(self, tmp_path, annotated_path, capsys):
+        lines = annotated_path.read_bytes().splitlines()
+        lines[1] = lines[1].replace(b'"sentences": ["', b'"sentences": ["\xff', 1)
+        annotated_path.write_bytes(b"\n".join(lines) + b"\n")
+        model_path = tmp_path / "model.json"
+        code = invoke(
+            "train", "--data", str(annotated_path), "--out", str(model_path),
+            "--epochs", "1", "--dim", "16",
+        )
+        assert code == 2
+        assert f"{annotated_path}:2: not UTF-8 text" in capsys.readouterr().err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("bad", [0.7, 1.5, "1", [1]], ids=repr)
     def test_non_binary_presence_is_a_data_error(self, tmp_path, annotated_path, capsys, bad):
         lines = annotated_path.read_text().splitlines()

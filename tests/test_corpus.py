@@ -81,6 +81,16 @@ class TestPostValidation:
         with pytest.raises(DataFormatError, match="post 'p': "):
             Post(id="p", sentences=["a"], sentence_presence=presence)
 
+    @pytest.mark.parametrize(
+        "extras", [[1], None, {"id": "b"}, {"gold": "Ideation1"}, {1: "v"}, {("k",): 1}], ids=repr
+    )
+    def test_extras_must_be_a_dict_of_unknown_str_keys(self, extras):
+        # saved beside the known keys: {"id": "b"} once saved post "a" as
+        # post "b", {1: "v"} reloaded as {"1": "v"}, and [1] failed in
+        # `post_to_obj` with a bare IndexError
+        with pytest.raises(DataFormatError, match="post 'a': extras must be a dict of str keys"):
+            Post(id="a", sentences=["x"], extras=extras)
+
 
 class TestJsonlRoundTrip:
     def test_empty_file_loads_as_empty_dataset(self, tmp_path):
@@ -167,6 +177,21 @@ class TestJsonlRoundTrip:
         path.write_text('{"id":"p1","sentences":["x"]}\n' + line % ("0" * 5000) + "\n")
         with pytest.raises(DataFormatError, match=":2: invalid JSON"):
             load_jsonl(path)
+
+    def test_a_line_that_is_not_utf8_reports_line_number(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(b'{"id":"p1","sentences":["x"]}\n{"id":"p2","sentences":["caf\xff"]}\n')
+        with pytest.raises(DataFormatError, match=":2: not UTF-8 text"):
+            load_jsonl(path)
+
+    def test_lines_end_as_in_text_mode(self, tmp_path):
+        # a lone \r ends a line, as universal newlines read it
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(b'{"id":"p1","sentences":["x"]}\r{"id":"p2","sentences":["y"]}\r\n\n{oops\n')
+        with pytest.raises(DataFormatError, match=":4: invalid JSON"):
+            load_jsonl(path)
+        path.write_bytes(b'{"id":"p1","sentences":["x"]}\r{"id":"p2","sentences":["y"]}\r\n')
+        assert [p.id for p in load_jsonl(path).posts] == ["p1", "p2"]
 
     def test_duplicate_id_reports_line_number(self, tmp_path):
         path = tmp_path / "posts.jsonl"

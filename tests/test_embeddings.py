@@ -315,6 +315,12 @@ class TestLoadEmbeddings:
         with pytest.raises(DataFormatError, match=r":2: non-finite"):
             load_embeddings(path)
 
+    def test_a_line_that_is_not_utf8_raises_with_line_number(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"s1 1.0 0.0\ns\xff2 1.0 0.0\n")
+        with pytest.raises(DataFormatError, match=":2: not UTF-8 text"):
+            load_embeddings(path)
+
     def test_id_without_values_raises(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("s1\n")

@@ -170,6 +170,19 @@ class TestHammingDistance:
                 got = hamming_distance(x, y)
                 assert type(got) is int and got == expected
 
+    @pytest.mark.parametrize("kind", [int, bool, np.int64, np.uint8, np.bool_])
+    def test_identical_equal_and_unequal_tuples_count_as_ints(self, kind):
+        a, same, other = (tuple(map(kind, bits)) for bits in ((1, 0, 1, 1), (1, 0, 1, 1), (0, 0, 1, 0)))
+        for x, y, expected in ((a, a, 0), (a, same, 0), (a, other, 2), (other, a, 2)):
+            got = hamming_distance(x, y)
+            assert type(got) is int and got == expected
+
+    def test_one_tuple_with_a_nan_twice_gives_zero_as_equal_tuples_do(self):
+        # a tuple equals itself entry by entry, NaN included; two NaNs differ
+        nan = (float("nan"), 1)
+        assert nan == nan and hamming_distance(nan, nan) == 0
+        assert hamming_distance(nan, (float("nan"), 1)) == 1
+
     @given(
         st.integers(0, 12).flatmap(
             lambda k: st.tuples(*[st.lists(st.integers(0, 1), min_size=k, max_size=k)] * 2)
@@ -211,6 +224,21 @@ class TestHammingDistance:
 
 
 class TestTreeValidation:
+    def test_both_mappings_may_be_key_value_pairs(self, tree):
+        pairs = KnowledgeTree(
+            tree.concepts, list(tree.outcome_map.items()), list(tree.layer_contexts.items())
+        )
+        assert pairs.outcome_map == tree.outcome_map
+        assert pairs.layer_contexts == tree.layer_contexts
+
+    @pytest.mark.parametrize("name", ["outcome_map", "layer_contexts"])
+    @pytest.mark.parametrize("value", [5, ["abc"], [([0, 0, 0], Outcome.IDEATION_1)]], ids=repr)
+    def test_a_mapping_of_the_wrong_type_rejected(self, tree, name, value):
+        fields = {"outcome_map": tree.outcome_map, "layer_contexts": tree.layer_contexts}
+        fields[name] = value
+        with pytest.raises(DataFormatError, match=f"{name} must be a mapping"):
+            KnowledgeTree(tree.concepts, **fields)
+
     def test_partial_outcome_map_rejected(self):
         mapping = {bits: Outcome.INDICATION_OR_NONE for bits in BITS3[:-1]}
         with pytest.raises(DataFormatError, match="total"):

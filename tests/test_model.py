@@ -17,7 +17,7 @@ from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
 from ksat import analysis as analysis_module
 from ksat import model as model_module
-from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome, connection_vector
+from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome, connection_vector, hamming_distance
 from ksat.model import (
     KsatLayerParams,
     KsatModel,
@@ -129,6 +129,17 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(
             softmax_rows(scores), softmax_rows(scores + 123.0), atol=1e-12
         )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_one_array_equals_the_two_step_form_and_keeps_its_input(self, rng, dtype):
+        scores = (4.0 * rng.normal(size=(302, 302))).astype(dtype)
+        given = scores.copy()
+        rows = softmax_rows(scores)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        # exact equality: a long double's padding bytes are not its value
+        assert rows.dtype == dtype and np.array_equal(rows, want)
+        assert np.array_equal(scores, given)
 
 
 class TestKgBias:
@@ -533,6 +544,29 @@ class TestGroupPenalty:
                 np.empty((1, n, d), dtype),
             )[0]
             assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
+
+    def test_fresh_and_shared_vectors_give_the_same_groups(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        fresh = [tuple(row) for row in rng.integers(0, 2, (60, 3)).tolist()]
+        first = {}
+        shared = [first.setdefault(v, v) for v in fresh]
+        calls = []
+
+        def recorded(a, b):
+            calls.append((a, b))
+            return hamming_distance(a, b)
+
+        monkeypatch.setattr(model_module, "hamming_distance", recorded)
+        built = [model_module._groups(vectors, 0.5) for vectors in (fresh, shared)]
+        for f in dataclasses.fields(model_module._Groups):
+            a, b = (getattr(groups, f.name) for groups in built)
+            if f.name == "shared":
+                assert a is b is True
+            else:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        # one call per pair, and each pair within a group passes one object twice
+        assert len(calls) == 2 * 60 * 59 // 2
+        assert all((a is b) == (a == b) for a, b in calls)
 
     def test_groups_nearly_as_many_as_sentences(self):
         # nine bits put 300 sentences into 229 groups, 26,106 group pairs:

@@ -77,6 +77,7 @@ def test_output_digest_prints_the_same_lines_twice_in_one_process(monkeypatch, c
     assert "taxonomy.round_trip" in names
     assert "train.buckets" in names
     assert "compile_batch.triple" in names
+    assert "forward.long_d64" in names
     assert {"annotate.frag1", "annotate.frag2", "annotate.frag3", "grid_search"} <= set(names)
     assert {"analysis.score_posts.rows", "analysis.distance_report"} <= set(names)
     assert {f"cosine_rows.frag{f}" for f in (1, 2, 3)} | {"compile_post.embeddings"} <= set(names)

@@ -25,12 +25,24 @@ change and diffing the two outputs:
     (in a checkout of the parent) python3 scripts/output_digest.py > before.txt
     diff before.txt after.txt
 
+The first line, a ``#`` comment, names NumPy and its BLAS: the lines agree
+only at one BLAS thread count and on one CPU kernel, and OpenBLAS picks its
+kernel when it loads, so the line gives the configuration the loaded library
+reports. `tests/data/output_digest.txt` holds the lines at one thread, which
+`tests/test_scripts.py` checks; a change that moves an output by design
+rewrites it with every BLAS thread variable set to 1:
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+    BLIS_NUM_THREADS=1 VECLIB_MAXIMUM_THREADS=1 \
+    python3 scripts/output_digest.py > tests/data/output_digest.txt
+
 The script imports `ksat` from the `src/` beside it, so each checkout
 digests its own code. It takes no arguments.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import itertools
@@ -78,6 +90,9 @@ from ksat.model import (
 from ksat.training import TrainConfig, backward, finite_diff_check, loss, train
 
 SEED = 3
+# the OpenBLAS configuration getter under its names in NumPy's wheels (64-bit
+# ints, prefixed in NumPy 2), in other 64-bit-int builds and in plain builds
+GET_CONFIG = ("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config")
 
 
 def _digest(values) -> str:
@@ -123,6 +138,34 @@ def _wide_tree(k: int) -> KnowledgeTree:
         },
         layer_contexts={o: tuple(range(max(0, 1 - i), k)) for i, o in enumerate(LAYER_ORDER)},
     )
+
+
+def _loaded_openblas_config() -> str | None:
+    """The configuration string of the OpenBLAS this process has loaded, which
+    names the CPU kernel it picked, or None where that cannot be read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in GET_CONFIG:
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def environment_line() -> str:
+    """``# numpy <version>; blas <name> <version>; <configuration>``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError, TypeError):
+        blas = {}
+    config = _loaded_openblas_config() or blas.get("openblas configuration", "unknown")
+    return f"# numpy {np.__version__}; blas {blas.get('name')} {blas.get('version')}; {config}"
 
 
 def digest_lines() -> list[str]:
@@ -326,7 +369,7 @@ def main() -> int:
     if len(sys.argv) > 1:
         print("usage: output_digest.py (takes no arguments)", file=sys.stderr)
         return 2
-    for line in digest_lines():
+    for line in [environment_line(), *digest_lines()]:
         print(line)
     return 0
 

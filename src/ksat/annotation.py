@@ -61,41 +61,44 @@ def _cosine_rows(tree: KnowledgeTree, config: EmbeddingConfig):
     """``rows(sentences, frag_size)``: ``(n_fragments, K)`` cosines to the query texts.
 
     The texts go through one ``_embedder``, so each distinct token is hashed
-    once per call. The query texts are embedded, and their norms taken, once;
-    each fragment's norm is taken once for its K cosines. Rows are memoized while
-    the caller holds ``rows``: a sentence's under the corpus's own string, a longer
-    fragment's under the tuple of corpus strings in its window, so the memo keeps
-    no new text. A window can recur only if each of its sentences does, so a
-    window's row is kept only once every sentence in it has been met more than
-    once; on text whose sentences are unique the memo holds sentence rows alone.
+    once per call. The query texts are embedded in one batch, and their norms
+    taken, once; each ``rows`` call embeds the fragments it has not met yet in
+    one batch, and each fragment's norm, ``sqrt(v.dot(v))`` as
+    ``np.linalg.norm`` takes it, is taken once for its K cosines. Rows are
+    memoized while the caller holds ``rows``: a sentence's under the corpus's
+    own string, a longer fragment's under the tuple of corpus strings in its
+    window, so the memo keeps no new text. A window can recur only if each of
+    its sentences does, so a window's row is kept only once every sentence in
+    it has been met more than once; on text whose sentences are unique the
+    memo holds sentence rows alone.
     """
     embed = _embedder(config)
-    vectors = [embed(c.query_text) for c in tree.concepts]
-    queries = [(q, float(np.linalg.norm(q))) for q in vectors]
+    vectors = embed([c.query_text for c in tree.concepts])
+    queries = [(q, math.sqrt(q.dot(q))) for q in vectors]
     memo: dict[str | tuple[str, ...], list[float]] = {}
     repeated: set[str] = set()  # sentences met more than once
 
-    def cosines(text: str) -> list[float]:
-        vec = embed(text)
-        norm = float(np.linalg.norm(vec))
-        return [_cosine(vec, norm, q, qn) for q, qn in queries]
-
-    def window_row(window: tuple[str, ...]) -> list[float]:
-        row = memo.get(window)
-        if row is None:
-            row = cosines(" ".join(window))
-            if repeated.issuperset(window):
-                memo[window] = row
-        return row
+    def cosines(texts: list[str]) -> list[list[float]]:
+        out = []
+        for vec in embed(texts):
+            norm = math.sqrt(vec.dot(vec))
+            out.append([_cosine(vec, norm, q, qn) for q, qn in queries])
+        return out
 
     def rows(sentences: list[str], frag_size: int) -> np.ndarray:
         if frag_size > 1 and len(sentences) > 1:
-            return np.array([window_row(w) for w in _windows(sentences, frag_size)])
+            windows = _windows(sentences, frag_size)
+            fresh = [w for w in dict.fromkeys(windows) if w not in memo]
+            made = dict(zip(fresh, cosines([" ".join(w) for w in fresh])))
+            memo.update((w, row) for w, row in made.items() if repeated.issuperset(w))
+            return np.array([made[w] if w in made else memo[w] for w in windows])
+        unseen: dict[str, None] = {}
         for s in sentences:
-            if s in memo:
+            if s in memo or s in unseen:
                 repeated.add(s)
             else:
-                memo[s] = cosines(s)
+                unseen[s] = None
+        memo.update(zip(unseen, cosines(list(unseen))))
         return np.array([memo[s] for s in sentences])
 
     return rows

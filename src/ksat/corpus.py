@@ -140,10 +140,20 @@ def post_to_obj(post: Post) -> dict:
 
 
 def save_jsonl(dataset: Dataset, path) -> None:
-    """Write posts one JSON object per line, in dataset order, deterministically."""
+    """Write posts one JSON object per line, in dataset order, deterministically.
+
+    Every line is encoded before the path is opened, so a post that JSON
+    cannot encode (an `extras` value such as a set) is refused with a
+    `DataFormatError` naming it, and the path is left as it was.
+    """
+    lines = []
+    for post in dataset.posts:
+        try:
+            lines.append(json.dumps(post_to_obj(post)) + "\n")
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"post {post.id!r} cannot be written as JSON ({exc})") from exc
     with open(path, "w", encoding="utf-8") as handle:
-        for post in dataset.posts:
-            handle.write(json.dumps(post_to_obj(post)) + "\n")
+        handle.writelines(lines)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,16 @@ def tokenize(text: str) -> list[str]:
 
 
 def _embedder(config: EmbeddingConfig):
-    """``embed(text)``: ``embed_text(text, config)``, with one hash per distinct token.
+    """``embed(texts)``: the texts' embeddings as one ``(len(texts), d)`` float64
+    array, row i ``embed_text(texts[i], config)``, with one hash per distinct token.
 
     The blake2b key is derived once, and each distinct token's signed slot is
     kept while the caller holds ``embed``: its bucket index when the sign is
-    +1, the bitwise complement of that index when it is -1. The counts are
-    whole numbers, so adding them in any order gives the same vector.
+    +1, the bitwise complement of that index when it is -1. A call counts all
+    its texts' tokens in one ``np.bincount`` and normalizes every row at once.
+    The counts are whole numbers, so their sums and squares are exact in any
+    order, and each row comes out as one text's own count vector divided by
+    ``sqrt(x.dot(x))``, the norm ``np.linalg.norm`` takes.
     """
     key = config.seed.to_bytes(8, "little")
     dim = config.dimension
@@ -61,28 +66,37 @@ def _embedder(config: EmbeddingConfig):
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
         return int.from_bytes(digest, "little")
 
-    def embed(text: str) -> np.ndarray:
-        tokens = tokenize(text)
-        counts = [0.0] * dim
-        for token in tokens:
-            slot = slots.get(token)
-            if slot is None:
-                h = bucket(token)
-                slot = (h >> 1) % dim if h & 1 else ~((h >> 1) % dim)
-                slots[token] = slot
-            if slot >= 0:
-                counts[slot] += 1.0
-            else:
-                counts[~slot] -= 1.0
-        vec = np.array(counts)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            if not tokens:
-                return vec
-            h = bucket("\x00".join(tokens))
-            vec[(h >> 1) % dim] = 1.0
-            return vec
-        return vec / norm
+    def embed(texts: list[str]) -> np.ndarray:
+        cells = array("q")  # row * dim + bucket of each token
+        signs = array("d")
+        for row, text in enumerate(texts):
+            base = row * dim
+            for token in tokenize(text):
+                slot = slots.get(token)
+                if slot is None:
+                    h = bucket(token)
+                    slot = (h >> 1) % dim if h & 1 else ~((h >> 1) % dim)
+                    slots[token] = slot
+                if slot >= 0:
+                    cells.append(base + slot)
+                    signs.append(1.0)
+                else:
+                    cells.append(base + ~slot)
+                    signs.append(-1.0)
+        # with no token in the call, bincount returns int64
+        counts = np.bincount(
+            np.frombuffer(cells, np.int64), np.frombuffer(signs), len(texts) * dim
+        ).astype(np.float64, copy=False)
+        vecs = counts.reshape(len(texts), dim)
+        norms = np.sqrt((vecs * vecs).sum(axis=1))
+        zero = np.flatnonzero(norms == 0.0)
+        norms[zero] = 1.0
+        vecs /= norms[:, None]
+        for row in zero.tolist():
+            tokens = tokenize(texts[row])
+            if tokens:  # the signed buckets cancelled: a fixed basis vector
+                vecs[row, (bucket("\x00".join(tokens)) >> 1) % dim] = 1.0
+        return vecs
 
     return embed
 
@@ -93,10 +107,11 @@ def embed_text(text: str, config: EmbeddingConfig) -> np.ndarray:
     Text with no alphanumeric tokens embeds to the all-zero vector. If the
     signed buckets cancel exactly for a nonempty token list, a deterministic
     fallback basis vector is emitted instead so that nonempty text always has
-    unit norm. Callers that embed many texts under one config make one
-    ``_embedder(config)`` and call it, so each distinct token is hashed once.
+    unit norm. This is the one-row call of ``_embedder(config)``; callers that
+    embed many texts under one config make one embedder and give it each
+    batch of texts, so each distinct token is hashed once.
     """
-    return _embedder(config)(text)
+    return _embedder(config)([text])[0]
 
 
 def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:

@@ -210,22 +210,19 @@ class KsatModel:
         )
 
 
-def _pair_weights(restricted: list[tuple[int, ...]], epsilon: float) -> np.ndarray:
-    """Penalty weight of every sentence pair, in lexicographic (i<j) order,
+def _pair_distances(restricted: list[tuple[int, ...]]) -> np.ndarray:
+    """Hamming distance of every sentence pair, in lexicographic (i<j) order,
     the order ``itertools.combinations`` yields them in.
 
     ``restricted`` holds the sentences' connection vectors restricted to one
-    layer's context; each pair is weighted by 1/(hamming distance + epsilon).
+    layer's context. `_groups` weighs only the pairs it reads.
     """
     n = len(restricted)
-    # read as ints: a Python int converts to float64 more slowly, and every
-    # distance is exact in both
-    dists = np.fromiter(
+    return np.fromiter(
         starmap(hamming_distance, combinations(restricted, 2)),
         np.intp,
         count=n * (n - 1) // 2,
     )
-    return 1.0 / (dists + epsilon)
 
 
 class _Arena:
@@ -292,8 +289,9 @@ def _groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups | None
     calls on arrays that small cost more than they save.
 
     A pair within a group weighs ``1 / (0 + epsilon)``. The weight of
-    groups g and h is read from the row of every sentence pair's weight
-    (`_pair_weights`), at their first sentences' pair. G^2 Hamming
+    groups g and h is ``1 / (d + epsilon)``, its distance d read from the
+    row of every sentence pair's distance (`_pair_distances`) at their
+    first sentences' pair; only those G(G-1)/2 weights are made. G^2 Hamming
     distances would do, but the benchmark's traced `long-posts` run pins
     `knowledge.hamming_distance` at one call per pair, so fewer calls wait
     for a change to the benchmark. Each sentence's vector is replaced by
@@ -310,7 +308,7 @@ def _groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups | None
         codes.append(g)
         if g == len(first):
             first.append(i)
-    weights = _pair_weights([restricted[first[g]] for g in codes], epsilon)
+    dists = _pair_distances([restricted[first[g]] for g in codes])
     sizes = [0.0] * len(first)
     for g in codes:
         sizes[g] += 1.0
@@ -322,7 +320,8 @@ def _groups(restricted: list[tuple[int, ...]], epsilon: float) -> _Groups | None
             table[h][h] = within
         for g, i in enumerate(first[:h]):
             # pair (i, j), i < j, sits at i (2n - i - 3) / 2 + j - 1 in the row
-            table[g][h] = table[h][g] = float(weights[i * (2 * n - i - 3) // 2 + j - 1])
+            d = float(dists[i * (2 * n - i - 3) // 2 + j - 1])
+            table[g][h] = table[h][g] = 1.0 / (d + epsilon)
             cross[g][h] = cross[h][g] = table[g][h] * sizes[g] * sizes[h]
     load = [sum(w * size for w, size in zip(row, sizes)) for row in table]
     return _Groups(
@@ -494,10 +493,11 @@ class CompiledPost:
 
 
 def compile_post(model: KsatModel, post: Post) -> CompiledPost:
-    """Embed sentences, from the model's table when it holds one, and group
-    them per layer by their restricted connection vectors (`_groups`),
-    keeping O(n + G^2) numbers per layer, or None (`CompiledPost`). Of the
-    presence rows `Post` has checked, only their width, K, needs the model."""
+    """Embed sentences, from the model's table when it holds one and else in
+    one `_embedder` call for the whole post, and group them per layer by
+    their restricted connection vectors (`_groups`), keeping O(n + G^2)
+    numbers per layer, or None (`CompiledPost`). Of the presence rows `Post`
+    has checked, only their width, K, needs the model."""
     presence = post.sentence_presence
     if presence is None:
         raise DataFormatError(
@@ -511,11 +511,13 @@ def compile_post(model: KsatModel, post: Post) -> CompiledPost:
                 f"post {post.id!r}: presence vector length {len(row)} != K={k}"
             )
     cfg = model.embedding_config
-    d = cfg.dimension
-    n = len(post.sentences)
-    rows = np.zeros((n, d))
     table = model.embeddings_table
-    if table is not None:
+    if table is None:
+        rows = _embedder(cfg)(post.sentences)
+    else:
+        d = cfg.dimension
+        n = len(post.sentences)
+        rows = np.zeros((n, d))
         for idx in range(n):
             key = sentence_key(post.id, idx)
             if key not in table:
@@ -526,10 +528,6 @@ def compile_post(model: KsatModel, post: Post) -> CompiledPost:
                     f"embedding for {key!r} has dimension {vec.shape[0]}, expected {d}"
                 )
             rows[idx] = vec
-    else:
-        embed = _embedder(cfg)
-        for idx, sentence in enumerate(post.sentences):
-            rows[idx] = embed(sentence)
     groups = tuple(
         _groups([connection_vector(row, layer.context) for row in presence], model.epsilon)
         if model.kg_bias_enabled

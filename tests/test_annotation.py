@@ -566,9 +566,9 @@ def _count_embeds(monkeypatch) -> collections.Counter:
     def counting_embedder(config):
         embed = make(config)
 
-        def counting_embed(text):
-            embedded[text] += 1
-            return embed(text)
+        def counting_embed(texts):
+            embedded.update(texts)
+            return embed(texts)
 
         return counting_embed
 

@@ -142,6 +142,23 @@ class TestJsonlRoundTrip:
         save_jsonl(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_a_post_json_cannot_encode_leaves_the_path_as_it_was(self, tmp_path):
+        ds = Dataset(
+            posts=[
+                Post(id="a", sentences=["x"]),
+                Post(id="b", sentences=["y"], extras={"k": {1, 2}}),
+            ]
+        )
+        missing = tmp_path / "missing.jsonl"
+        with pytest.raises(DataFormatError, match="post 'b'"):
+            save_jsonl(ds, missing)
+        assert not missing.exists()
+        existing = tmp_path / "existing.jsonl"
+        existing.write_bytes(b'{"id": "old", "sentences": ["z"]}\n')
+        with pytest.raises(DataFormatError, match="post 'b'"):
+            save_jsonl(ds, existing)
+        assert existing.read_bytes() == b'{"id": "old", "sentences": ["z"]}\n'
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         for line in (

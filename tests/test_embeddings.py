@@ -154,17 +154,44 @@ class TestEmbedder:
             "gun life gun gun hope",
         ]
         embed = _embedder(cfg)
-        for text in texts:
-            got = embed(text)
+        for text, got in zip(texts, embed(texts), strict=True):
             assert got.tobytes() == _reference_embed(text, cfg).tobytes(), text
             assert got.tobytes() == embed_text(text, cfg).tobytes(), text
         # the cancelling texts took the fallback: one unit basis vector
-        assert np.count_nonzero(embed(f"{a} {b} {a} {b}")) == 1
+        assert np.count_nonzero(embed([f"{a} {b} {a} {b}"])[0]) == 1
+
+    @given(
+        data=st.data(),
+        dimension=st.sampled_from([8, 16, 64]),
+        seed=st.sampled_from([0, 7, 42]),
+    )
+    def test_each_row_of_one_call_matches_the_reference(self, data, dimension, seed):
+        # empty and punctuation-only texts, cancelling tokens and repeats
+        # share one count matrix; each row must still be its text's vector
+        cfg = EmbeddingConfig(dimension=dimension, seed=seed)
+        a, b = _cancelling_pair(cfg)
+        special = st.sampled_from(["", "?!.", f"{a} {b}", f"{a} {b} {a} {b}", f"{a} gun {b}"])
+        texts = data.draw(st.lists(st.one_of(TEXTS, special), max_size=12))
+        if texts:
+            texts = texts + data.draw(st.lists(st.sampled_from(texts), max_size=4))
+        rows = _embedder(cfg)(texts)
+        assert rows.dtype == np.float64
+        assert rows.shape == (len(texts), dimension)
+        for text, got in zip(texts, rows):
+            assert got.tobytes() == _reference_embed(text, cfg).tobytes(), text
+
+    @pytest.mark.parametrize("texts", [[], [""], ["", "?!.", " -- "]])
+    def test_a_call_with_no_token_gives_float_zero_rows(self, texts):
+        # bincount counts in int64 when no text has a token
+        rows = _embedder(EmbeddingConfig(dimension=8, seed=0))(texts)
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == np.zeros((len(texts), 8)).tobytes()
 
     @given(text=TEXTS, seed=st.integers(min_value=0, max_value=2**64 - 1))
     def test_embed_text_matches_the_reference(self, text, seed):
         cfg = EmbeddingConfig(dimension=16, seed=seed)
         assert embed_text(text, cfg).tobytes() == _reference_embed(text, cfg).tobytes()
+        assert embed_text(text, cfg).tobytes() == _embedder(cfg)([text])[0].tobytes()
 
     def test_one_embedder_hashes_each_distinct_token_once(self, monkeypatch):
         hashed = collections.Counter()
@@ -176,9 +203,9 @@ class TestEmbedder:
 
         monkeypatch.setattr(hashlib, "blake2b", counting_blake2b)
         embed = _embedder(EmbeddingConfig(dimension=64, seed=3))
-        texts = ["gun life gun", "life hope", "gun gun gun", "hope, life!"]
-        for text in texts:
-            embed(text)
+        embed(["gun life gun", "life hope"])
+        for text in ["gun gun gun", "hope, life!"]:
+            embed([text])
         assert hashed == dict.fromkeys([b"gun", b"life", b"hope"], 1)
 
 

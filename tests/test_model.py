@@ -452,17 +452,35 @@ def pair_loop(contribs: np.ndarray, restricted, epsilon: float):
 class TestPairPath:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 100])
     def test_pair_weights_match_a_pair_loop(self, n):
+        # the distances the pair weights are read from
         rng = np.random.default_rng(n)
         restricted = [tuple(int(b) for b in row) for row in rng.integers(0, 2, (n, 2))]
-        eps = 0.3
-        loop_weights = []
+        loop_dists = []
         for i in range(n):
             for j in range(i + 1, n):
                 dist = sum(int(x) != int(y) for x, y in zip(restricted[i], restricted[j]))
-                loop_weights.append(1.0 / (dist + eps))
-        weights = model_module._pair_weights(restricted, eps)
-        assert weights.dtype == np.float64
-        assert weights.tobytes() == np.array(loop_weights, dtype=np.float64).tobytes()
+                loop_dists.append(dist)
+        dists = model_module._pair_distances(restricted)
+        assert dists.dtype == np.intp
+        assert dists.tobytes() == np.array(loop_dists, dtype=np.intp).tobytes()
+
+    @pytest.mark.parametrize("eps", [0.3, 1e-6, 1])
+    def test_group_weights_are_one_over_distance_plus_epsilon(self, eps):
+        # every weight `_groups` makes, W_gh n_g n_h across groups and the
+        # within-group 1/epsilon in `load`, bit for bit against the array
+        # form 1 / (d + epsilon)
+        restricted = [(0, 0, 1), (1, 1, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)]
+        groups = model_module._groups(restricted, eps)
+        vectors = [restricted[i] for i in groups.first]
+        dists = np.array([[hamming_distance(u, v) for v in vectors] for u in vectors])
+        table = 1.0 / (dists + eps)
+        np.fill_diagonal(table, np.where(groups.sizes > 1.0, 1.0 / (0.0 + eps), 0.0))
+        cross = table * groups.sizes[:, None] * groups.sizes[None, :]
+        np.fill_diagonal(cross, 0.0)
+        assert groups.cross.tobytes() == cross.tobytes()
+        sizes = groups.sizes.tolist()
+        load = [sum(w * size for w, size in zip(row, sizes)) for row in table.tolist()]
+        assert groups.load.tobytes() == np.array(load)[groups.codes].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("n", [5, 100])  # a few groups, dozens

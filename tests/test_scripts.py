@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+DIGESTS = ROOT / "tests" / "data" / "output_digest.txt"
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import THREAD_VARS  # noqa: E402  the benchmark's BLAS thread variables
 
 
 def run_script(monkeypatch, name: str, *argv: str) -> int:
@@ -68,7 +75,9 @@ def test_output_digest_prints_the_same_lines_twice_in_one_process(monkeypatch, c
         printed.append(capsys.readouterr().out.splitlines())
     assert time.perf_counter() - start < 10.0
     assert printed[0] == printed[1]
-    names = [line.split()[0] for line in printed[0]]
+    header, *lines = printed[0]
+    assert header.startswith("# numpy ")
+    names = [line.split()[0] for line in lines]
     assert len(set(names)) == len(names)
     assert "forward.pass.log_probs" in names
     assert "finite_diff_check.block_errors" in names
@@ -81,6 +90,28 @@ def test_output_digest_prints_the_same_lines_twice_in_one_process(monkeypatch, c
     assert {"annotate.frag1", "annotate.frag2", "annotate.frag3", "grid_search"} <= set(names)
     assert {"analysis.score_posts.rows", "analysis.distance_report"} <= set(names)
     assert {f"cosine_rows.frag{f}" for f in (1, 2, 3)} | {"compile_post.embeddings"} <= set(names)
-    annotate_digests = {line.split()[1] for line in printed[0] if line.startswith("annotate.")}
+    annotate_digests = {line.split()[1] for line in lines if line.startswith("annotate.")}
     assert len(annotate_digests) == 3
-    assert all(len(line.split()[1]) == 64 for line in printed[0])
+    assert all(len(line.split()[1]) == 64 for line in lines)
+
+
+def test_outputs_match_the_committed_digests():
+    """Every output is bit for bit the one committed, at one BLAS thread on
+    the CPU kernel the committed header names."""
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_digest.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    header, *want = DIGESTS.read_text(encoding="utf-8").splitlines()
+    here, *got = run.stdout.splitlines()
+    assert here == header, (
+        f"the digests were recorded under {header!r}, this run is under {here!r}"
+    )
+    assert [line.split()[0] for line in got] == [line.split()[0] for line in want]
+    for mine, theirs in zip(got, want):
+        assert mine == theirs

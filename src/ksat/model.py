@@ -929,7 +929,8 @@ def load_model(
     """Load a saved model and bind it to `tree` (hashes must match).
 
     A file-backed model needs `embeddings_table`, the one it was trained
-    with; a feature-hash model takes none. A failure names the file.
+    with; a feature-hash model takes none. A parameter that is not finite
+    is refused. A failure names the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -962,12 +963,15 @@ def load_model(
         if whole(data["version"], "version") != MODEL_VERSION:
             raise DataFormatError(f"version {data['version']} is not {MODEL_VERSION}")
         layers = []
+        # JSON's NaN and Infinity parse as floats, which no type refuses
         for i, entry in enumerate(data["layers"]):
+            if not math.isfinite(number(entry["a_raw"], f"layers[{i}].a_raw")):
+                raise DataFormatError(f"layers[{i}].a_raw must be finite")
             blocks = {}
             for name, shape in block_shapes(cfg.dimension).items():
                 block = np.asarray(entry[name])
-                if block.dtype.kind not in "fi":
-                    raise DataFormatError(f"layers[{i}].{name} must hold numbers")
+                if block.dtype.kind not in "fi" or not np.isfinite(block).all():
+                    raise DataFormatError(f"layers[{i}].{name} must hold finite numbers")
                 blocks[name] = block.astype(np.float64).reshape(shape)
             layers.append(
                 KsatLayerParams(

@@ -18,6 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -339,15 +340,18 @@ def backward(model: KsatModel, batch) -> Gradients:
 class GradientReport:
     """Per-parameter-block max relative error between analytic and numeric.
 
-    `finite_diff_check` also sets `loss_error`, the relative error between
-    the loss value training computes and the per-post driver's, and folds
-    it into `passed`.
+    `finite_diff_check` also sets `loss_error`, the relative error of
+    training's loss against the unperturbed evaluation's; `passed` is read
+    from every error, never stored.
     """
 
     block_errors: dict[str, float]
     tolerance: float
-    passed: bool
     loss_error: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return all(e < self.tolerance for e in (*self.block_errors.values(), self.loss_error))
 
     @property
     def max_error(self) -> float:
@@ -377,13 +381,20 @@ def gradient_report(
     double-precision rounding of the loss alone contributes ~1e-11 of
     cancellation noise at step 1e-5, an order above what a 1e-4 relative
     tolerance permits at the floor scale.
+
+    A `ValueError` names the first block whose name or shape differs, or
+    that one set lacks (None).
     """
     errors: dict[str, float] = {}
-    for (name_a, val_a), (name_n, val_n) in zip(analytic.blocks(), numeric.blocks()):
-        assert name_a == name_n
+    pairs = zip_longest(analytic.blocks(), numeric.blocks(), fillvalue=(None, None))
+    for (name_a, val_a), (name_n, val_n) in pairs:
+        if name_a != name_n or np.shape(val_a) != np.shape(val_n):
+            raise ValueError(
+                f"gradient sets differ at block {name_a or name_n}: analytic "
+                f"{name_a} {np.shape(val_a)}, numeric {name_n} {np.shape(val_n)}"
+            )
         errors[name_a] = _max_relative_error(val_a, val_n)
-    passed = all(err < tolerance for err in errors.values())
-    return GradientReport(block_errors=errors, tolerance=tolerance, passed=passed)
+    return GradientReport(block_errors=errors, tolerance=tolerance)
 
 
 def _is_extended_precision(dtype) -> bool:
@@ -406,8 +417,9 @@ def _extended_precision_clone(model: KsatModel) -> KsatModel:
 
 def _fd_gradients(
     model: KsatModel, compiled: list[CompiledPost], step: float
-) -> Gradients:
-    """Central finite differences over every scalar parameter.
+) -> tuple[Gradients, np.longdouble]:
+    """Central finite differences over every scalar parameter, and the
+    unperturbed loss they are taken around.
 
     Evaluations run on an extended-precision clone: the difference quotient
     cancels ~15 leading digits of the loss near a step of 1e-5, so
@@ -415,76 +427,59 @@ def _fd_gradients(
     estimate — larger than tolerance*floor for near-zero gradient entries,
     so a platform without a wider ``np.longdouble`` is refused.
 
-    Each evaluation reuses passes from the one before (`run_layers`'s
-    `below`). A perturbation in one layer leaves the passes through the
-    layers below it unchanged, so it runs only the perturbed layer and those
-    above. A perturbation of a readout parameter (`w_out`, `a_raw`) leaves
-    even the layer's tokens and penalty unchanged, and so every layer above
-    it: it reuses the whole stack, with the layer's readout rebuilt
-    (`_readout_pass`). The first `w_out` evaluation of a layer follows the
-    `kcls_init` ones, whose passes are stale, so it reruns the layer. The
+    The unperturbed clone's passes are the baseline. An evaluation perturbs
+    one scalar of layer li and reuses the baseline passes below li
+    (`run_layers`'s `below`); one of a readout parameter (`w_out`, `a_raw`)
+    reuses them all, with layer li's readout rebuilt (`_readout_pass`). The
     estimates are the same, bit for bit, as with full-stack evaluations.
     """
     if not _is_extended_precision(np.longdouble):
         raise NumericalError("finite-difference check needs np.longdouble wider than float64")
     work = _extended_precision_clone(model)
+    reference, base, _ = _loss_terms(work, compiled)
     fd = _zero_gradients(model)
     ld_step = np.longdouble(step)
-    latest = [[] for _ in compiled]  # each post's passes from the last evaluation
 
     def central(li: int, set_value, orig, readout: bool) -> float:
         """The central difference of the loss in one scalar of layer li,
         which `set_value` sets; `readout` marks one of `w_out`, `a_raw`."""
-        nonlocal rerun, refresh
         values = []
         for value in (orig + ld_step, orig - ld_step):
             set_value(value)
-            if readout and refresh:
+            if readout:
                 layer = work.layers[li]
-                below = [[*p[:li], _readout_pass(layer, p[li]), *p[li + 1 :]] for p in latest]
+                below = [[*p[:li], _readout_pass(layer, p[li]), *p[li + 1 :]] for p in base]
             else:
-                below = [p[:rerun] for p in latest]
-            loss_value, latest[:], _ = _loss_terms(work, compiled, below)
-            values.append(loss_value)
-            # once the scalar is restored, layer li's pass is stale: in its
-            # readout alone when the scalar is a readout parameter
-            rerun, refresh = li, readout
+                below = [p[:li] for p in base]
+            values.append(_loss_terms(work, compiled, below)[0])
         set_value(orig)
         return float((values[0] - values[1]) / (2.0 * ld_step))
 
     for li, layer in enumerate(work.layers):
-        # how the next evaluation reuses `latest`: it runs layer `rerun` and
-        # those above again, unless `refresh` lets a readout evaluation
-        # rebuild layer li's readout and reuse every pass. The last
-        # evaluation perturbed layer li - 1, so the first one here runs it
-        # again.
-        rerun, refresh = max(li - 1, 0), False
         for name in ARRAY_BLOCKS:
             flat = getattr(layer, name).ravel()
             flat_out = getattr(fd.layers[li], name).ravel()
             for j in range(flat.size):
                 flat_out[j] = central(li, partial(flat.__setitem__, j), flat[j], name == "w_out")
         fd.layers[li].a_raw = central(li, partial(setattr, layer, "a_raw"), layer.a_raw, True)
-    return fd
+    return fd, reference
 
 
 def finite_diff_check(model: KsatModel, batch, config: TrainConfig) -> GradientReport:
     """Verify analytic gradients against central differences, blockwise,
     and the loss value against the per-post driver's.
 
-    Training runs its layer stacks per length bucket; the finite-difference
-    evaluations run them post by post (`_loss_terms`). Their loss values at
-    the same float64 parameters are compared with the gradient entries'
-    error formula and tolerance, so a bucket row that reaches the wrong
-    post fails the check.
+    Training runs its layer stacks per length bucket in float64; the
+    finite-difference evaluations run them post by post (`_loss_terms`) in
+    extended precision. Training's loss value is compared with the
+    unperturbed evaluation's by the gradient entries' error formula and
+    tolerance, so a bucket row that reaches the wrong post fails the check.
     """
     compiled = compile_batch(model, batch)
     value, analytic = loss_and_gradients(model, compiled)
-    loss_error = _max_relative_error(value, _loss_terms(model, compiled)[0])
-    numeric = _fd_gradients(model, compiled, config.fd_step)
+    numeric, reference = _fd_gradients(model, compiled, config.fd_step)
     report = gradient_report(analytic, numeric, config.grad_tolerance)
-    report.loss_error = loss_error
-    report.passed = report.passed and loss_error < config.grad_tolerance
+    report.loss_error = _max_relative_error(value, reference)
     return report
 
 

@@ -462,13 +462,14 @@ class TestTrainEvalReport:
         assert out.startswith("accuracy=") and " auc=" in out and out.endswith(" n=2\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_nan_parameter_eval_is_a_numerical_error(self, tmp_path, capsys):
+    def test_nan_parameter_model_file_is_a_data_error(self, tmp_path, capsys):
+        # the file is refused as it loads, before any post runs
         _, _, model_path, data_path = self.saturated_model(tmp_path, corrupt=True)
         code = invoke("eval", "--data", str(data_path), "--model", str(model_path))
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("ksat: error: post 'z'")
+        assert str(model_path) in err and "layers[1].w_out" in err
 
 
 class TestEmbeddingTable:

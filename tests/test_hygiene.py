@@ -1,7 +1,7 @@
 """Source hygiene: no package module imports a name it never uses, no
 package function takes a parameter it never reads, no module-level
-package function goes unread, and `ksat.__all__` names exactly what the
-package imports.
+package function goes unread, no package file holds an ``assert``, and
+`ksat.__all__` names exactly what the package imports.
 
 No linter ships with the test dependencies, so this test is the guard.
 """
@@ -79,6 +79,22 @@ def test_functions_read_every_parameter(path):
 def test_checker_flags_an_unused_parameter():
     source = "def f(a, b, *rest, c=1, **extra):\n    a += 1\n    return c\ng = lambda x, y: y\n"
     assert unused_parameters(source) == ["f.b", "f.rest", "f.extra", "<lambda>.x"]
+
+
+def assert_lines(source: str) -> list[int]:
+    """The line of every ``assert`` statement: ``python -O`` strips them, so
+    no check of the package may rest on one."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(ksat.__file__)], ids=lambda p: p.name)
+def test_module_has_no_assert(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_assert():
+    source = "def f(x):\n    assert x, 'x'\n    if x:\n        assert (x, 1)\n    return 'assert'\n"
+    assert assert_lines(source) == [2, 4]
 
 
 def names_read(source: str) -> set[str]:

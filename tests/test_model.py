@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksat.corpus import Post
@@ -17,8 +17,16 @@ from ksat.embeddings import EmbeddingConfig
 from ksat.errors import DataFormatError, NumericalError
 from ksat import analysis as analysis_module
 from ksat import model as model_module
-from ksat.knowledge import LAYER_ORDER, N_OUTCOMES, Outcome, connection_vector, hamming_distance
+from ksat.knowledge import (
+    LAYER_ORDER,
+    N_OUTCOMES,
+    Outcome,
+    connection_vector,
+    default_tree,
+    hamming_distance,
+)
 from ksat.model import (
+    ARRAY_BLOCKS,
     KsatLayerParams,
     KsatModel,
     LayerPass,
@@ -39,6 +47,27 @@ from ksat.model import (
     softmax_rows,
 )
 from ksat.training import _extended_precision_clone, compile_batch
+
+# a saved d = 4 model, the path of each of its nodes, and the values the
+# one-node fuzz puts in place of one: wrong types, non-finite and huge
+# numbers, and ragged rows
+MODEL_FILE = model_to_dict(
+    KsatModel.initialize(default_tree(), EmbeddingConfig(dimension=4), seed=1, value_scale=0.25)
+)
+
+
+def _node_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield (*path, key)
+            yield from _node_paths(child, (*path, key))
+
+
+MODEL_FILE_NODES = list(_node_paths(MODEL_FILE))
+FUZZ_VALUES = [
+    None, True, False, 0, -3, 1.5, math.nan, math.inf, -math.inf, "", "0.5",
+    [], [1.0], {}, {"a": 1}, 10**30, [[1.0, 2.0], [3.0]],
+]
 
 TWO_SENTENCE_POST = Post(
     id="p1",
@@ -1062,6 +1091,59 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match="invalid JSON") as info:
             load_model(path, tree)
         assert str(path) in str(info.value)
+
+    def test_load_rejects_non_finite_parameters(self, tree, make_model, tmp_path):
+        # JSON's NaN and Infinity parse as floats: such a model would give
+        # NaN finals with only a RuntimeWarning
+        path = tmp_path / "model.json"
+        save_model(make_model(dimension=4), path)
+        data = json.loads(path.read_text())
+        data["layers"][2]["a_raw"] = math.inf
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataFormatError, match=r"layers\[2\]\.a_raw must be finite") as info:
+            load_model(path, tree)
+        assert str(path) in str(info.value)
+        data["layers"][1]["w_out"][5] = math.nan
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataFormatError, match=r"layers\[1\]\.w_out must hold finite"):
+            load_model(path, tree)
+
+    @settings(max_examples=300)
+    @given(
+        node=st.sampled_from(MODEL_FILE_NODES),
+        change=st.sampled_from(["replace", "delete", "duplicate"]),
+        value=st.sampled_from(FUZZ_VALUES),
+    )
+    def test_a_one_node_change_is_refused_or_loads_finite(
+        self, tree, tmp_path_factory, node, change, value
+    ):
+        # the model file's contract: a change to one node is refused with a
+        # DataFormatError that names the file, or loads a model whose numbers
+        # are all finite and which saves and loads back equal
+        data = json.loads(json.dumps(MODEL_FILE))
+        *parents, key = node
+        parent = data
+        for step in parents:
+            parent = parent[step]
+        if change == "delete":
+            del parent[key]
+        elif change == "duplicate" and isinstance(parent, list):
+            parent.insert(key, parent[key])
+        else:  # a parsed JSON object holds each key once: replace instead
+            parent[key] = value
+        path = tmp_path_factory.getbasetemp() / "one-node-change.json"
+        path.write_text(json.dumps(data))
+        try:
+            model = load_model(path, tree)
+        except DataFormatError as exc:
+            assert str(path) in str(exc)
+            return
+        numbers = [model.epsilon] + [
+            getattr(layer, name) for layer in model.layers for name in (*ARRAY_BLOCKS, "a_raw")
+        ]
+        assert all(np.isfinite(number).all() for number in numbers)
+        save_model(model, path)
+        assert model_to_dict(load_model(path, tree)) == model_to_dict(model)
 
     def test_load_keeps_a_switched_off_penalty(self, tree, make_model, tmp_path):
         path = tmp_path / "model.json"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
@@ -31,6 +30,7 @@ from .model import (
     _finite_log_products,
     _log_normalized,
     _log_probs_array,
+    _running_sum,
     compile_post,
     forward,
 )
@@ -137,37 +137,25 @@ def _run_posts(model: KsatModel, compiled: list[CompiledPost]):
     return log_probs, tokens, kg_bias
 
 
-def _running_sum(values: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, added term by term from 0.0 as a per-post
-    loop adds ("+ 0.0": such a loop never ends at -0.0); ``sum`` pairs up."""
-    return np.add.accumulate(values, axis=0)[-1] + 0.0
-
-
-# Bytes per block of `_pair_norms`: one block array stays below glibc's
-# initial mmap threshold (128 KiB) and is served from the heap, not from a
-# fresh mapping whose pages fault in on every call.
-_BLOCK_BYTES = 64 * 1024
-
-
 def _pair_norms(reps: np.ndarray) -> np.ndarray:
     """``||reps[..., i, :] - reps[..., j, :]||`` for every row pair i < j, in
     lexicographic order, as `np.triu_indices` lists them.
 
-    Pairs grow with the square of the row count, so each row's later
-    partners are taken block by block, as many as fit `_BLOCK_BYTES`, at
-    least one. Each norm is the square root of one dot product, as
-    `np.linalg.norm` of one vector, bit for bit; ``axis=-1`` norms sum the
-    squares another way."""
-    lead, n = reps.shape[:-2], reps.shape[-2]
-    block = max(1, _BLOCK_BYTES // (math.prod(lead) * reps.shape[-1] * reps.itemsize))
+    Row i's differences from its later partners go into one buffer made
+    once per call, in `reps`' dtype (a float64 buffer would round
+    long-double differences). Each norm is the square root of one dot
+    product, as `np.linalg.norm` of one vector, bit for bit; ``axis=-1``
+    norms sum the squares another way."""
+    lead, n, d = reps.shape[:-2], reps.shape[-2], reps.shape[-1]
+    diffs = np.empty(lead + (n - 1, d), dtype=reps.dtype)
     out = np.empty(lead + (n * (n - 1) // 2,))
     at = 0
     for i in range(n - 1):
-        for lo in range(i + 1, n, block):
-            diffs = reps[..., i : i + 1, :] - reps[..., lo : lo + block, :]
-            squares = np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0]
-            np.sqrt(squares, out=out[..., at : at + squares.shape[-1]])
-            at += squares.shape[-1]
+        m = n - 1 - i  # row i's later partners
+        row = np.subtract(reps[..., i : i + 1, :], reps[..., i + 1 :, :], out=diffs[..., :m, :])
+        squares = np.matmul(row[..., None, :], row[..., :, None])[..., 0, 0]
+        np.sqrt(squares, out=out[..., at : at + m])
+        at += m
     return out
 
 

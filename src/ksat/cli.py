@@ -131,6 +131,17 @@ def _saved_model(args, tree: KnowledgeTree) -> KsatModel:
     return model
 
 
+def _corpus(args, at_least: int):
+    """The ``--data`` corpus, refused as a data error when it holds fewer
+    than `at_least` posts, the fewest the command can work on."""
+    dataset = load_jsonl(args.data)
+    if len(dataset) < at_least:
+        raise DataFormatError(
+            f"{args.data} holds {len(dataset)} post(s); this command needs at least {at_least}"
+        )
+    return dataset
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -156,7 +167,7 @@ def _cmd_annotate(args) -> int:
         raise ValueError("--frag-size does not apply to --grid-search, which fits it")
     if not args.grid_search and args.theta_step is not None:
         raise ValueError("--theta-step applies only to --grid-search")
-    dataset = load_jsonl(args.data)
+    dataset = _corpus(args, 1 if args.grid_search else 0)
     if args.grid_search:
         options = {} if args.theta_step is None else {"theta_step": args.theta_step}
         result = grid_search(dataset, tree, config, **options)
@@ -186,7 +197,7 @@ def _cmd_annotate(args) -> int:
 
 def _cmd_train(args) -> int:
     tree = _tree(args)
-    dataset = load_jsonl(args.data)
+    dataset = _corpus(args, 1)
     model = KsatModel.initialize(
         tree, _embed_config(args), seed=args.seed, embeddings_table=_table(args)
     )
@@ -214,7 +225,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     tree = _tree(args)
-    dataset = load_jsonl(args.data)
+    dataset = _corpus(args, 1)
     model = _saved_model(args, tree)
     if args.no_kg_bias:
         model.kg_bias_enabled = False
@@ -230,12 +241,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     tree = _tree(args)
-    dataset = load_jsonl(args.data)
+    dataset = _corpus(args, 2)
     model = _saved_model(args, tree)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     contributions = analysis.contribution_report(model, dataset)
     distances = analysis.distance_report(model, dataset)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     analysis.write_contributions_csv(contributions, out_dir / "contributions.csv")
     analysis.write_distances_csv(distances, out_dir / "distances.csv")
     _say(

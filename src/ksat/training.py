@@ -40,6 +40,7 @@ from .model import (
     _param_dtype,
     _penalty_grad,
     _readout_pass,
+    _running_sum,
     block_shapes,
     clone_model,
     compile_post,
@@ -166,8 +167,7 @@ def _loss_head(compiled: list[CompiledPost], log_probs: np.ndarray):
     log_r = _log_normalized(log_f)
     # each post's loss term, -log r_gold
     terms = -log_r[np.arange(len(compiled)), [cp.gold for cp in compiled]]
-    # a running sum, as the per-post loop added them; `sum` would pair them up
-    return np.add.accumulate(terms)[-1] / len(compiled), log_r
+    return _running_sum(terms) / len(compiled), log_r
 
 
 def _loss_terms(model: KsatModel, compiled: list[CompiledPost], below=None):

@@ -32,7 +32,6 @@ from ksat.analysis import (
     write_distances_csv,
     write_metrics_json,
 )
-from ksat import analysis as analysis_module
 from ksat.corpus import Dataset, Post, default_synthetic_spec, generate_synthetic
 from ksat.embeddings import EmbeddingConfig, sentence_key
 from ksat.errors import DataFormatError, NumericalError
@@ -364,12 +363,11 @@ def per_post_reference(model, posts):
 
 
 class TestBucketedReaders:
-    """The readers run posts per length bucket and pairs block by block;
-    each number is the one the per-post, per-pair computation gives."""
+    """The readers run posts per length bucket and all of a post's later
+    partners at once; each number is the one the per-post, per-pair
+    computation gives."""
 
-    def test_readers_match_the_per_post_reference_bit_for_bit(
-        self, make_model, monkeypatch
-    ):
+    def test_readers_match_the_per_post_reference_bit_for_bit(self, make_model):
         corpus = generate_synthetic(
             dataclasses.replace(default_synthetic_spec(n_posts=30, seed=4), sentences_per_post=(1, 7))
         )
@@ -379,8 +377,6 @@ class TestBucketedReaders:
         assert lengths != sorted(lengths)  # bucket order is not dataset order
         model = make_model(dimension=16, seed=5, value_scale=0.25, epsilon=1.0)
         contributions, distances, within = per_post_reference(model, dataset.posts)
-        # three pairs to a distance block, six to a within-class one
-        monkeypatch.setattr(analysis_module, "_BLOCK_BYTES", 3 * 2 * 16 * 8)
         assert contribution_report(model, dataset) == contributions
         report = distance_report(model, dataset)
         assert [row[:4] for row in report.rows()] == distances

@@ -424,15 +424,18 @@ class TestTrainEvalReport:
         """An identity value projection in every layer: two sentences with
         identical concept flags sit at taxonomy distance zero, so the pair
         bias reaches the order of -1/epsilon and every outcome's raw product
-        underflows to 0.0. `corrupt` puts a NaN into layer 1's readout."""
+        underflows to 0.0. `corrupt` puts a NaN into layer 1's readout in
+        the saved file, which `save_model` refuses to write itself."""
         tree = default_tree()
         model = KsatModel.initialize(tree, EmbeddingConfig(dimension=8, seed=0), seed=0)
         for layer in model.layers:
             layer.w_value[:] = np.eye(8)
-        if corrupt:
-            model.layers[1].w_out[0, 0] = np.nan
         model_path = tmp_path / "saturated.json"
         save_model(model, model_path)
+        if corrupt:
+            data = json.loads(model_path.read_text())
+            data["layers"][1]["w_out"][0] = float("nan")
+            model_path.write_text(json.dumps(data))
         posts = [
             Post(
                 id=post_id,
@@ -470,6 +473,42 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert str(model_path) in err and "layers[1].w_out" in err
+
+
+class TestTooSmallCorpus:
+    """A corpus with fewer posts than a command works on is a data error
+    whose one line names the file and its post count."""
+
+    @pytest.mark.parametrize(
+        "command, n_posts",
+        [("train", 0), ("eval", 0), ("grid-search", 0), ("report", 0), ("report", 1)],
+    )
+    def test_is_a_data_error(self, tmp_path, capsys, command, n_posts):
+        corpus = tmp_path / "corpus.jsonl"
+        assert invoke("synth", "--n", str(n_posts), "--out", str(corpus)) == 0
+        model_path = tmp_path / "model.json"
+        save_model(KsatModel.initialize(default_tree(), EmbeddingConfig(dimension=16)), model_path)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--out", str(out)],
+            "eval": ["eval", "--model", str(model_path), "--out", str(out)],
+            "grid-search": ["annotate", "--grid-search", "--out", str(out)],
+            "report": ["report", "--model", str(model_path), "--out-dir", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert invoke(*argv, "--data", str(corpus), "--dim", "16") == 2
+        needed = 2 if command == "report" else 1
+        assert capsys.readouterr().err == (
+            f"ksat: error: {corpus} holds {n_posts} post(s); "
+            f"this command needs at least {needed}\n"
+        )
+        assert not out.exists()  # `report` makes its directory only on success
+
+    def test_an_empty_corpus_still_synthesizes_and_annotates(self, tmp_path):
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "annotated.jsonl"
+        assert invoke("synth", "--n", "0", "--out", str(corpus)) == 0
+        assert invoke("annotate", "--data", str(corpus), "--out", str(out)) == 0
+        assert out.read_text() == ""
 
 
 class TestEmbeddingTable:

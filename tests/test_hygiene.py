@@ -1,7 +1,7 @@
 """Source hygiene: no package module imports a name it never uses, no
 package function takes a parameter it never reads, no module-level
-package function goes unread, no package file holds an ``assert``, and
-`ksat.__all__` names exactly what the package imports.
+package function or constant goes unread, no package file holds an
+``assert``, and `ksat.__all__` names exactly what the package imports.
 
 No linter ships with the test dependencies, so this test is the guard.
 """
@@ -146,6 +146,36 @@ def test_checker_flags_an_unread_function():
     )
     reader = "from pkg import imported\ngetattr(mod, 'looked_up')\nmod.dead = None\n"
     assert unread_functions(module, names_read(module) | names_read(reader)) == ["dead"]
+
+
+def unread_constants(source: str, read: set[str]) -> list[str]:
+    """Names bound by module-level assignments of `source`, dunders aside,
+    that are not in `read`: a budget or a table that outlives its last
+    reader."""
+    bound = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        bound += [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
+    return [name for name in bound if not name.startswith("__") and name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_constant_is_read_by_name(path):
+    assert unread_constants(path.read_text(encoding="utf-8"), repo_reads()) == []
+
+
+def test_checker_flags_an_unread_constant():
+    module = (
+        "__all__ = ['f']\nLIMIT = 4\nBUDGET = 64 * 1024\nLOW, HIGH = 0, 1\n"
+        "TABLE: dict = {}\ndef f():\n    local = 1\n    return LIMIT + HIGH + local\n"
+    )
+    reader = "from pkg import TABLE\n"
+    assert unread_constants(module, names_read(module) | names_read(reader)) == ["BUDGET", "LOW"]
 
 
 def test_all_names_exactly_what_the_package_imports():

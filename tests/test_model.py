@@ -533,16 +533,14 @@ class TestPairPath:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("lead", [(), (3,)])  # rows of one post, of three
-    # in blocks of 3, the first row's 3, 5 and 7 partners fill one block, a
-    # full and a partial block, two full and a partial block
-    @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_partial_and_full_blocks_equal_one_pass(self, rng, monkeypatch, dtype, lead, n):
-        # the post-pair norms of `analysis`, block by block at a budget of
-        # exactly three (rows, pair, d) differences, against one
-        # `np.linalg.norm` per pair i < j in `np.triu_indices` order, bit
-        # for bit
-        pair_bytes = math.prod(lead) * 16 * np.dtype(dtype).itemsize
-        monkeypatch.setattr(analysis_module, "_BLOCK_BYTES", 3 * pair_bytes)
+    # at n = 200 the first row's 199 partners fill a (3, 199, 16) float64
+    # difference buffer of 76,416 bytes
+    @pytest.mark.parametrize("n", [4, 6, 8, 200])
+    def test_partial_and_full_blocks_equal_one_pass(self, rng, dtype, lead, n):
+        # the post-pair norms of `analysis`, each row's differences in the
+        # one buffer of the call, against one `np.linalg.norm` per pair
+        # i < j in `np.triu_indices` order, bit for bit, in float64 and in
+        # long double
         pi, pj = np.triu_indices(n, 1)
         reps = rng.standard_normal(lead + (n, 16)).astype(dtype)
         got = analysis_module._pair_norms(reps)
@@ -694,6 +692,39 @@ class TestGroupPenalty:
                 for c, gr in ((contribs, padded), (contribs[:1], alone))
             ]
             assert_identical(*grads, "gradient")
+
+
+class TestRunningSum:
+    """`_running_sum`, the one in-order sum: each result is the one a Python
+    loop gives that adds the terms one by one from 0.0, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_equals_a_term_by_term_loop(self, dtype, axis):
+        # 1.0, then nine half-ulps: the loop rounds each sum back to 1.0,
+        # where `np.sum`'s pairwise order adds half-ulps to each other first
+        terms = np.array([1.0] + [np.finfo(dtype).eps / 2] * 9, dtype=dtype)
+        assert np.sum(terms) != 1.0
+        # the terms times 1, 2 and 0.5 along the other axes, (10, 3, 2)
+        # before the summed axis moves into place
+        values = terms[:, None, None] * np.array([1.0, 2.0, 0.5], dtype)[:, None]
+        values = np.moveaxis(np.repeat(values, 2, axis=2), 0, axis)
+        got = model_module._running_sum(values, axis=axis)
+        moved = np.moveaxis(values, axis, 0)
+        want = np.empty(moved.shape[1:], dtype=dtype)
+        for index in np.ndindex(want.shape):
+            total = dtype(0.0)
+            for term in moved[(slice(None), *index)]:
+                total = total + term
+            want[index] = total
+        assert_identical(got, want, "running sum")
+        assert (want[0] == 1.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_an_all_negative_zero_row_sums_to_positive_zero(self, dtype):
+        got = model_module._running_sum(np.full((2, 9), -0.0, dtype=dtype), axis=1)
+        assert got.tolist() == [0.0, 0.0]
+        assert not np.signbit(got).any()
 
 
 class TestAggregateProbs:
@@ -1107,6 +1138,26 @@ class TestPersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(DataFormatError, match=r"layers\[1\]\.w_out must hold finite"):
             load_model(path, tree)
+
+    @pytest.mark.parametrize(
+        "layer, name, value, words",
+        [(1, "w_out", math.nan, "must hold finite numbers"), (2, "a_raw", -math.inf, "must be finite")],
+        ids=["w_out-nan", "a_raw-inf"],
+    )
+    def test_save_refuses_what_load_would_refuse(self, make_model, tmp_path, layer, name, value, words):
+        # JSON would write a NaN or an infinity as a token `load_model`
+        # refuses; the path is left as it was
+        model = make_model(dimension=4)
+        if name == "a_raw":
+            model.layers[layer].a_raw = value
+        else:
+            getattr(model.layers[layer], name)[0, 0] = value
+        path = tmp_path / "model.json"
+        path.write_text("kept")
+        with pytest.raises(DataFormatError) as info:
+            save_model(model, path)
+        assert str(info.value) == f"{path}: layers[{layer}].{name} {words}"
+        assert path.read_text() == "kept"
 
     @settings(max_examples=300)
     @given(
